@@ -37,6 +37,7 @@ from .estimators import (
     ls_estimate,
     matching_pursuit,
     omp,
+    pursuit_batch,
     sc_threshold,
     should_stop,
 )
@@ -62,6 +63,7 @@ from .mpnet import (
     backward,
     estimate,
     forward,
+    forward_batch,
     ht1,
     load_checkpoint,
     save_checkpoint,

@@ -8,6 +8,7 @@ scale, with the noise variance divided by the input energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +20,12 @@ from .utils import energy
 ZERO_RESIDUAL_FLOOR = 1e-24
 
 _RANK_TOL = 1e-10
+
+# Rows of the residual matrix that run through the layers together, one matrix
+# product per layer. Correlating a whole minibatch at once would hold an A x B
+# complex matrix per layer, and OMP a basis per sample; tiles keep both small
+# at the same speed.
+CORR_TILE = 32
 
 
 @dataclass(frozen=True)
@@ -121,17 +128,109 @@ def ls_estimate(x: np.ndarray) -> Estimate:
     return Estimate(x.copy(), (), 0, 0.0)
 
 
-def _check_inputs(dictionary: Dictionary, x, rule: StoppingRule):
+def _check_inputs(dictionary: Dictionary, X, rule: StoppingRule):
+    """Validate a (B, N) batch of inputs; returns the atoms, the batch and the
+    energy of every input."""
     if not dictionary.normalized:
         raise ValueError("greedy pursuit needs unit-norm atoms; build with normalize=True")
     atoms = dictionary.atoms
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (atoms.shape[0],):
-        raise ValueError(f"input must have shape ({atoms.shape[0]},)")
-    x_energy = energy(x)
-    if x_energy == 0.0 and rule.kind != "fixed":
+    X = np.asarray(X, dtype=complex)
+    if X.ndim != 2 or X.shape[1] != atoms.shape[0]:
+        raise ValueError(f"inputs must have shape (B, {atoms.shape[0]})")
+    energies = [energy(x) for x in X]
+    if rule.kind != "fixed" and 0.0 in energies:
         raise ValueError("residual stopping rules are undefined for a zero input")
-    return atoms, x, x_energy
+    return atoms, X, energies
+
+
+def pursue(
+    atoms: np.ndarray,
+    X: np.ndarray,
+    input_energies: Sequence[float],
+    noise_var_norms: Sequence[float],
+    rule: StoppingRule,
+    orthogonal: bool = False,
+) -> tuple[list[tuple[int, ...]], list[list[complex]], np.ndarray]:
+    """Greedy pursuit of every row of ``X`` (B x N) over the columns of ``atoms``:
+    the one kernel behind matching pursuit, OMP and the mpNet forward pass.
+
+    Rows run in tiles of CORR_TILE. Each layer correlates the tile's
+    still-active rows with the atoms in one matrix product and picks the
+    largest modulus per row (lowest index on ties). Matching pursuit subtracts
+    the rank-one projection onto the picked atom, so atoms may be reselected.
+    With ``orthogonal`` (OMP) selected atoms are masked out and the residual is
+    projected off an orthonormal basis of the support instead; OMP raises
+    numpy.linalg.LinAlgError when the support becomes linearly dependent.
+
+    Stopping compares the residual energy divided by the row's
+    ``input_energies`` entry against the rule. Returns the supports, the
+    per-layer coefficients (onto the atom, or onto the new basis vector for
+    OMP) and the final residuals, one row per input.
+    """
+    n, n_atoms = atoms.shape
+    atoms_h = atoms.conj().T
+    residuals = np.array(X, dtype=complex)
+    supports: list[list[int]] = [[] for _ in residuals]
+    coeffs: list[list[complex]] = [[] for _ in residuals]
+    if orthogonal:
+        selected = np.zeros((len(residuals), n_atoms), dtype=bool)
+
+    def running(i: int, residual_norm: float) -> bool:
+        return not should_stop(rule, residual_norm, len(supports[i]), noise_var_norms[i], n)
+
+    for start in range(0, len(residuals), CORR_TILE):
+        tile = range(start, min(start + CORR_TILE, len(residuals)))
+        active = [i for i in tile if running(i, 1.0 if input_energies[i] > 0.0 else 0.0)]
+        bases = {i: np.zeros((n, 0), dtype=complex) for i in active} if orthogonal else {}
+        while active:
+            corr = np.abs(atoms_h @ residuals[active].T)
+            if orthogonal:
+                if selected[active].all(axis=1).any():
+                    raise np.linalg.LinAlgError("every atom is already in the support")
+                corr[selected[active].T] = -1.0
+            still_active = []
+            for i, s in zip(active, np.argmax(corr, axis=0).tolist()):
+                direction = atoms[:, s]
+                if orthogonal:
+                    direction, bases[i] = _extend_basis(bases[i], direction)
+                    selected[i, s] = True
+                coeff = np.vdot(direction, residuals[i])
+                residuals[i] -= direction * coeff
+                supports[i].append(s)
+                coeffs[i].append(coeff)
+                if running(i, energy(residuals[i]) / input_energies[i]):
+                    still_active.append(i)
+            active = still_active
+    return [tuple(s) for s in supports], coeffs, residuals
+
+
+def _extend_basis(basis: np.ndarray, atom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormalize ``atom`` against the columns of ``basis``; returns the unit
+    vector and the basis extended by it."""
+    # two orthogonalization passes keep the basis orthonormal even for
+    # nearly collinear grid atoms
+    q = atom - basis @ (basis.conj().T @ atom)
+    q = q - basis @ (basis.conj().T @ q)
+    q_norm = np.linalg.norm(q)
+    if q_norm <= _RANK_TOL:
+        raise np.linalg.LinAlgError("selected atoms are linearly dependent")
+    q = q / q_norm
+    return q, np.column_stack([basis, q])
+
+
+def pursuit_batch(
+    dictionary: Dictionary,
+    X,
+    rule: StoppingRule,
+    noise_vars: Sequence[float],
+    orthogonal: bool = False,
+) -> list[Estimate]:
+    """Matching pursuit (or OMP with ``orthogonal``) of every row of ``X``,
+    each with its own noise variance."""
+    atoms, X, energies = _check_inputs(dictionary, X, rule)
+    noise_var_norms = [v / e if e > 0.0 else 0.0 for v, e in zip(noise_vars, energies)]
+    supports, _, residuals = pursue(atoms, X, energies, noise_var_norms, rule, orthogonal)
+    return [Estimate(x - r, s, len(s), energy(r)) for x, s, r in zip(X, supports, residuals)]
 
 
 def matching_pursuit(dictionary: Dictionary, x, rule: StoppingRule, noise_var: float = 0.0) -> Estimate:
@@ -140,20 +239,7 @@ def matching_pursuit(dictionary: Dictionary, x, rule: StoppingRule, noise_var: f
 
     Atoms may be reselected. Argmax ties break toward the lowest index.
     """
-    atoms, x, x_energy = _check_inputs(dictionary, x, rule)
-    n = atoms.shape[0]
-    noise_var_norm = noise_var / x_energy if x_energy > 0.0 else 0.0
-    r = x.copy()
-    residual_norm = 1.0 if x_energy > 0.0 else 0.0
-    support: list[int] = []
-    while not should_stop(rule, residual_norm, len(support), noise_var_norm, n):
-        corr = atoms.conj().T @ r
-        s = int(np.argmax(np.abs(corr)))
-        coeff = np.vdot(atoms[:, s], r)
-        r = r - atoms[:, s] * coeff
-        support.append(s)
-        residual_norm = energy(r) / x_energy
-    return Estimate(x - r, tuple(support), len(support), energy(r))
+    return pursuit_batch(dictionary, np.asarray(x)[None], rule, [noise_var])[0]
 
 
 def omp(dictionary: Dictionary, x, rule: StoppingRule, noise_var: float = 0.0) -> Estimate:
@@ -164,32 +250,4 @@ def omp(dictionary: Dictionary, x, rule: StoppingRule, noise_var: float = 0.0) -
     Raises numpy.linalg.LinAlgError when the selected atoms become linearly
     dependent (degenerate grid).
     """
-    atoms, x, x_energy = _check_inputs(dictionary, x, rule)
-    n, n_atoms = atoms.shape
-    noise_var_norm = noise_var / x_energy if x_energy > 0.0 else 0.0
-    r = x.copy()
-    residual_norm = 1.0 if x_energy > 0.0 else 0.0
-    support: list[int] = []
-    selected = np.zeros(n_atoms, dtype=bool)
-    basis = np.zeros((n, 0), dtype=complex)
-    while not should_stop(rule, residual_norm, len(support), noise_var_norm, n):
-        if selected.all():
-            raise np.linalg.LinAlgError("every atom is already in the support")
-        corr = np.abs(atoms.conj().T @ r)
-        corr[selected] = -1.0
-        s = int(np.argmax(corr))
-        atom = atoms[:, s]
-        # two orthogonalization passes keep the basis orthonormal even for
-        # nearly collinear grid atoms
-        q = atom - basis @ (basis.conj().T @ atom)
-        q = q - basis @ (basis.conj().T @ q)
-        q_norm = np.linalg.norm(q)
-        if q_norm <= _RANK_TOL:
-            raise np.linalg.LinAlgError("selected atoms are linearly dependent")
-        q = q / q_norm
-        r = r - q * np.vdot(q, r)
-        basis = np.column_stack([basis, q])
-        selected[s] = True
-        support.append(s)
-        residual_norm = energy(r) / x_energy
-    return Estimate(x - r, tuple(support), len(support), energy(r))
+    return pursuit_batch(dictionary, np.asarray(x)[None], rule, [noise_var], orthogonal=True)[0]

@@ -36,7 +36,9 @@ from .channels import (
     make_stream,
     sample_to_row,
 )
-from .estimators import Estimate, StoppingRule, ls_estimate, matching_pursuit, omp
+from .estimators import Estimate, StoppingRule, ls_estimate, pursuit_batch
+# the per-sample entry points stay importable from here: bench/spans.py wraps them by name
+from .estimators import matching_pursuit, omp  # noqa: F401
 from .fileio import atomic_write_rows, fmt_float
 from .metrics import rmse, snr_histogram
 from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint
@@ -214,10 +216,10 @@ class ExperimentResult:
 
 
 class _BaselineRunner:
-    """Per-sample evaluation of a non-learning estimator, minibatch bookkeeping
-    identical to the trainer's."""
+    """Minibatch evaluation of a non-learning estimator, bookkeeping identical
+    to the trainer's."""
 
-    def __init__(self, fn: Callable[[ChannelSample], Estimate]):
+    def __init__(self, fn: Callable[[Sequence[ChannelSample]], list[Estimate]]):
         self._fn = fn
         self.minibatches_done = 0
         self._reset()
@@ -226,11 +228,12 @@ class _BaselineRunner:
         self._rmse = 0.0
         self._depths: list[int] = []
 
-    def process(self, sample: ChannelSample) -> Estimate:
-        est = self._fn(sample)
-        self._rmse += rmse(est.channel, sample.channel)
-        self._depths.append(est.depth)
-        return est
+    def process_batch(self, samples: Sequence[ChannelSample]) -> list[Estimate]:
+        estimates = self._fn(samples)
+        for est, sample in zip(estimates, samples):
+            self._rmse += rmse(est.channel, sample.channel)
+            self._depths.append(est.depth)
+        return estimates
 
     def end_minibatch(self) -> MinibatchRecord:
         count = len(self._depths)
@@ -270,16 +273,19 @@ def _baseline_fn(
     spec: EstimatorSpec,
     dictionaries: dict[str, Dictionary],
     oracle: _OracleDictionary | None,
-) -> Callable[[ChannelSample], Estimate]:
+) -> Callable[[Sequence[ChannelSample]], list[Estimate]]:
     if spec.family == "ls":
-        return lambda sample: ls_estimate(sample.observation)
-    method = matching_pursuit if spec.family == "mp" else omp
-    if spec.source == "oracle":
-        if oracle is None:
-            raise ValueError("oracle estimators need a live stream (not a replay)")
-        return lambda sample: method(oracle.current(), sample.observation, spec.rule, sample.noise_var)
-    dictionary = dictionaries[spec.source]
-    return lambda sample: method(dictionary, sample.observation, spec.rule, sample.noise_var)
+        return lambda samples: [ls_estimate(sample.observation) for sample in samples]
+    if spec.source == "oracle" and oracle is None:
+        raise ValueError("oracle estimators need a live stream (not a replay)")
+    orthogonal = spec.family == "omp"
+
+    def run(samples: Sequence[ChannelSample]) -> list[Estimate]:
+        dictionary = oracle.current() if spec.source == "oracle" else dictionaries[spec.source]
+        X = np.array([sample.observation for sample in samples])
+        return pursuit_batch(dictionary, X, spec.rule, [sample.noise_var for sample in samples], orthogonal)
+
+    return run
 
 
 def _add_counts(total: np.ndarray, extra: np.ndarray) -> np.ndarray:
@@ -322,7 +328,7 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         oracle = _OracleDictionary(stream, directions)
 
     xavier_rng = as_rng(xavier_seed)
-    runners: list[tuple[EstimatorSpec, object]] = []
+    runners: list[tuple[EstimatorSpec, OnlineTrainer | _BaselineRunner]] = []
     trainers: dict[str, OnlineTrainer] = {}
     for spec in specs:
         if spec.family == "mpnet":
@@ -330,7 +336,7 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
                 model = MpNetModel.from_dictionary(dictionaries["nominal"], spec.rule)
             else:
                 model = MpNetModel.xavier(nominal.size, cfg.n_atoms, spec.rule, xavier_rng)
-            trainer = OnlineTrainer(model, cfg.training)
+            trainer = OnlineTrainer(model, cfg.training, name=spec.name)
             trainers[spec.name] = trainer
             runners.append((spec, trainer))
         else:
@@ -351,8 +357,7 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         if cfg.dump_stream:
             dump_rows.extend(sample_to_row(index * batch_size + i, s) for i, s in enumerate(batch))
         for spec, runner in runners:
-            for sample in batch:
-                runner.process(sample)
+            runner.process_batch(batch)
             record = runner.end_minibatch()
             rmse_curves[spec.name].append(record.mean_rmse)
             depth_curves[spec.name].append(record.mean_depth)
@@ -473,15 +478,14 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
                     geometry="ula",
                 )
                 dict_true = build_dictionary(true_array, directions)
+                H = np.array([steering_vector(true_array, np.array([np.sin(az), np.cos(az), 0.0])) for az in azimuths])
+                X = np.array([h + np.sqrt(energy(h) / (n * snr_lin)) * noise for h, noise in zip(H, noise_draws)])
+                no_noise_var = [0.0] * len(X)  # a fixed-depth rule never reads it
+                by_nominal = pursuit_batch(dict_nominal, X, rule, no_noise_var)
+                by_true = pursuit_batch(dict_true, X, rule, no_noise_var)
                 cell = 0.0
-                for c, azimuth in enumerate(azimuths):
-                    u = np.array([np.sin(azimuth), np.cos(azimuth), 0.0])
-                    h = steering_vector(true_array, u)
-                    noise_var = energy(h) / (n * snr_lin)
-                    x = h + np.sqrt(noise_var) * noise_draws[c]
-                    err_nominal = energy(matching_pursuit(dict_nominal, x, rule).channel - h)
-                    err_true = energy(matching_pursuit(dict_true, x, rule).channel - h)
-                    cell += err_nominal / err_true
+                for h, est_nominal, est_true in zip(H, by_nominal, by_true):
+                    cell += energy(est_nominal.channel - h) / energy(est_true.channel - h)
                 ratios[i, j] += cell / spec.channels_per_array
     ratios /= spec.n_arrays
     loss_db = 10.0 * np.log10(ratios)

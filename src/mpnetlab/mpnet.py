@@ -6,6 +6,13 @@ depth adapt to the input. Because a layer routes the signal through a single
 column, the exact gradient of the reconstruction cost is column-sparse and
 costs O(depth * N) to assemble, an order cheaper than the forward pass.
 
+The weights change only at a minibatch boundary, so a whole minibatch runs
+through the shared pursuit kernel (``estimators.pursue``) in one call: per
+layer, one matrix product correlates a tile of still-active samples with the
+weights. The backward pass replays each sample's trace and sums its gradient
+into buffers for the visited columns only; the trainer adds just those
+columns into the minibatch gradient, in arrival order.
+
 Training is online and unsupervised: minibatches of noisy observations are
 both the inputs and the targets (the network is a denoising autoencoder), so
 no clean channels are ever needed. The model is single-writer: only the
@@ -16,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .channels import ChannelSample
-from .estimators import Estimate, StoppingRule, should_stop
+from .estimators import Estimate, StoppingRule, pursue
 from .fileio import atomic_savez
 from .metrics import rmse
 from .utils import as_rng, complex_normal, energy
@@ -109,6 +116,22 @@ class ForwardTrace:
         return len(self.indices)
 
 
+def forward_batch(model: MpNetModel, X_unit: np.ndarray, noise_var_norms: Sequence[float]) -> list[ForwardTrace]:
+    """Run the unfolded pursuit on every unit-norm row of ``X_unit`` (B x N).
+
+    One kernel call serves the whole batch: the weights are fixed between
+    Adam updates, so every layer correlates all still-active rows with the
+    weights in tiled matrix products. ``noise_var_norms`` holds each row's
+    noise variance divided by its original input energy. Returns one trace
+    per row.
+    """
+    X_unit = np.asarray(X_unit, dtype=complex)
+    if np.any(np.abs(np.linalg.norm(X_unit, axis=1) - 1.0) > UNIT_INPUT_TOL):
+        raise ValueError("forward expects unit-norm inputs")
+    supports, coeffs, residuals = pursue(model.weights, X_unit, [1.0] * len(X_unit), noise_var_norms, model.rule)
+    return [ForwardTrace(s, np.asarray(c, dtype=complex), r) for s, c, r in zip(supports, coeffs, residuals)]
+
+
 def forward(model: MpNetModel, x_unit: np.ndarray, noise_var_norm: float = 0.0) -> tuple[np.ndarray, ForwardTrace]:
     """Run the unfolded pursuit on a unit-norm input.
 
@@ -117,24 +140,37 @@ def forward(model: MpNetModel, x_unit: np.ndarray, noise_var_norm: float = 0.0) 
     the original input energy.
     """
     x_unit = np.asarray(x_unit, dtype=complex)
-    if abs(np.linalg.norm(x_unit) - 1.0) > UNIT_INPUT_TOL:
-        raise ValueError("forward expects a unit-norm input")
-    w = model.weights
-    n = w.shape[0]
+    (trace,) = forward_batch(model, x_unit[None], [noise_var_norm])
+    return x_unit - trace.final_residual, trace
+
+
+def _column_gradients(weights: np.ndarray, trace: ForwardTrace, x_unit: np.ndarray) -> dict[int, np.ndarray]:
+    """The nonzero columns of the backward-pass gradient, keyed by weight column.
+
+    Replays the selected-column arithmetic (O(depth * N) in total) and raises
+    when the trace no longer replays on ``weights``.
+    """
     r = x_unit.copy()
-    residual_energy = 1.0
-    indices: list[int] = []
+    before: list[np.ndarray] = []
     coeffs: list[complex] = []
-    while not should_stop(model.rule, residual_energy, len(indices), noise_var_norm, n):
-        corr = w.conj().T @ r
-        s = int(np.argmax(np.abs(corr)))
-        coeff = np.vdot(w[:, s], r)
-        r = r - w[:, s] * coeff
-        indices.append(s)
+    for s in trace.indices:
+        before.append(r)
+        coeff = np.vdot(weights[:, s], r)
         coeffs.append(coeff)
-        residual_energy = energy(r)
-    trace = ForwardTrace(tuple(indices), np.asarray(coeffs, dtype=complex), r)
-    return x_unit - r, trace
+        r = r - weights[:, s] * coeff
+    if trace.final_residual.shape != r.shape or np.max(np.abs(r - trace.final_residual), initial=0.0) > STALE_TRACE_TOL:
+        raise ValueError("stale trace: weights changed since the forward pass")
+    columns: dict[int, np.ndarray] = {}
+    mu = r
+    for k in reversed(range(trace.depth)):
+        s = trace.indices[k]
+        col = weights[:, s]
+        overlap = np.vdot(col, mu)  # w_s^H mu
+        if s not in columns:
+            columns[s] = np.zeros(weights.shape[0], dtype=complex)
+        columns[s] -= np.conj(coeffs[k]) * mu + np.conj(overlap) * before[k]
+        mu = mu - col * overlap
+    return columns
 
 
 def backward(model: MpNetModel, trace: ForwardTrace, x_unit: np.ndarray) -> np.ndarray:
@@ -146,27 +182,9 @@ def backward(model: MpNetModel, trace: ForwardTrace, x_unit: np.ndarray) -> np.n
     visited by the trace are nonzero. Raises when the trace no longer replays
     on the current weights.
     """
-    w = model.weights
-    x_unit = np.asarray(x_unit, dtype=complex)
-    grad = np.zeros(w.shape, dtype=complex)
-    # replay the selected-column arithmetic; O(depth * N) total
-    r = x_unit.copy()
-    before: list[np.ndarray] = []
-    coeffs: list[complex] = []
-    for s in trace.indices:
-        before.append(r)
-        coeff = np.vdot(w[:, s], r)
-        coeffs.append(coeff)
-        r = r - w[:, s] * coeff
-    if trace.final_residual.shape != r.shape or np.max(np.abs(r - trace.final_residual), initial=0.0) > STALE_TRACE_TOL:
-        raise ValueError("stale trace: weights changed since the forward pass")
-    mu = r
-    for k in reversed(range(trace.depth)):
-        s = trace.indices[k]
-        col = w[:, s]
-        overlap = np.vdot(col, mu)  # w_s^H mu
-        grad[:, s] -= np.conj(coeffs[k]) * mu + np.conj(overlap) * before[k]
-        mu = mu - col * overlap
+    grad = np.zeros(model.weights.shape, dtype=complex)
+    for s, column in _column_gradients(model.weights, trace, np.asarray(x_unit, dtype=complex)).items():
+        grad[:, s] = column
     return grad
 
 
@@ -211,19 +229,33 @@ def adam_step(state: AdamState, weights: np.ndarray, grad: np.ndarray) -> np.nda
     return stacked[0] + 1j * stacked[1]
 
 
-def estimate(model: MpNetModel, x: np.ndarray, noise_var: float = 0.0) -> Estimate:
-    """Inference only: normalize, run the forward pass, rescale the estimate."""
-    x = np.asarray(x, dtype=complex)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
+def _unit_batch(model: MpNetModel, observations: Sequence[np.ndarray], noise_vars: Sequence[float]):
+    """Normalize each observation and run the forward pass on the batch.
+
+    Returns the norms, the unit-norm inputs and the traces.
+    """
+    norms = [np.linalg.norm(x) for x in observations]
+    if 0.0 in norms:
         raise ValueError("cannot estimate from a zero observation")
-    h_unit, trace = forward(model, x / norm, noise_var / norm**2)
+    X_unit = np.array([x / norm for x, norm in zip(observations, norms)], dtype=complex)
+    traces = forward_batch(model, X_unit, [v / float(norm**2) for v, norm in zip(noise_vars, norms)])
+    return norms, X_unit, traces
+
+
+def _rescaled(norm: float, x_unit: np.ndarray, trace: ForwardTrace) -> Estimate:
     return Estimate(
-        norm * h_unit,
+        norm * (x_unit - trace.final_residual),
         trace.indices,
         trace.depth,
         float(norm**2) * energy(trace.final_residual),
     )
+
+
+def estimate(model: MpNetModel, x: np.ndarray, noise_var: float = 0.0) -> Estimate:
+    """Inference only: normalize, run the forward pass, rescale the estimate."""
+    x = np.asarray(x, dtype=complex)
+    (norm,), (x_unit,), (trace,) = _unit_batch(model, [x], [noise_var])
+    return _rescaled(norm, x_unit, trace)
 
 
 @dataclass(frozen=True)
@@ -260,16 +292,19 @@ class MinibatchRecord:
 
 
 class OnlineTrainer:
-    """Drives one model sample-by-sample: forward, gradient accumulation, and one
-    Adam update per completed minibatch.
+    """Drives one model a minibatch at a time: one batched forward pass, gradient
+    accumulation, and one Adam update per completed minibatch.
 
     Per-sample gradients are summed in arrival order and divided by the
-    minibatch size, so trajectories are reproducible.
+    minibatch size, so trajectories are reproducible. Each sample adds only
+    the weight columns its trace visited. ``name`` labels the errors the
+    trainer raises.
     """
 
-    def __init__(self, model: MpNetModel, cfg: TrainConfig = TrainConfig()):
+    def __init__(self, model: MpNetModel, cfg: TrainConfig = TrainConfig(), name: str = "mpnet"):
         self.model = model
         self.cfg = cfg
+        self.name = name
         self.adam = AdamState.for_shape(
             model.weights.shape,
             base_rate=cfg.base_rate,
@@ -288,34 +323,38 @@ class OnlineTrainer:
         self._rmse = 0.0
         self._depths: list[int] = []
 
+    def process_batch(self, samples: Sequence[ChannelSample]) -> list[Estimate]:
+        """Estimate the channels of a batch of observations and accumulate their gradients."""
+        norms, X_unit, traces = _unit_batch(self.model, [s.observation for s in samples], [s.noise_var for s in samples])
+        estimates = []
+        for sample, norm, x_unit, trace in zip(samples, norms, X_unit, traces):
+            for s, column in _column_gradients(self.model.weights, trace, x_unit).items():
+                self._grad[:, s] += column
+            self._cost += 0.5 * energy(trace.final_residual)
+            est = _rescaled(norm, x_unit, trace)
+            self._rmse += rmse(est.channel, sample.channel)
+            self._depths.append(trace.depth)
+            estimates.append(est)
+        return estimates
+
     def process(self, sample: ChannelSample) -> Estimate:
         """Estimate the channel from one observation and accumulate its gradient."""
-        x = sample.observation
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            raise ValueError("cannot train on a zero observation")
-        x_unit = x / norm
-        noise_var_norm = sample.noise_var / float(norm**2)
-        h_unit, trace = forward(self.model, x_unit, noise_var_norm)
-        self._grad += backward(self.model, trace, x_unit)
-        self._cost += 0.5 * energy(trace.final_residual)
-        est = Estimate(
-            norm * h_unit,
-            trace.indices,
-            trace.depth,
-            float(norm**2) * energy(trace.final_residual),
-        )
-        self._rmse += rmse(est.channel, sample.channel)
-        self._depths.append(trace.depth)
-        return est
+        return self.process_batch([sample])[0]
 
     def end_minibatch(self) -> MinibatchRecord:
-        """Apply the Adam update and emit the evaluation record for the minibatch."""
+        """Apply the Adam update and emit the evaluation record for the minibatch.
+
+        Raises ValueError, leaving the weights as they were, when the update
+        makes any weight non-finite.
+        """
         count = len(self._depths)
         if count == 0:
             raise ValueError("no samples processed in this minibatch")
         batch = self.cfg.minibatch_size
-        self.model.weights = adam_step(self.adam, self.model.weights, self._grad / batch)
+        weights = adam_step(self.adam, self.model.weights, self._grad / batch)
+        if not np.all(np.isfinite(weights.view(float))):
+            raise ValueError(f"{self.name}: non-finite weights after the Adam update of minibatch {self.minibatches_done + 1}")
+        self.model.weights = weights
         self.minibatches_done += 1
         record = MinibatchRecord(
             minibatch=self.minibatches_done,
@@ -345,16 +384,12 @@ def train_online(
     iterator = iter(stream)
     if cfg.total_samples is not None:
         iterator = islice(iterator, cfg.total_samples)
-    pending = 0
-    for sample in iterator:
-        trainer.process(sample)
-        pending += 1
-        if pending == cfg.minibatch_size:
-            record = trainer.end_minibatch()
-            records.append(record)
-            if eval_hook is not None:
-                eval_hook(record)
-            pending = 0
+    while len(batch := list(islice(iterator, cfg.minibatch_size))) == cfg.minibatch_size:
+        trainer.process_batch(batch)
+        record = trainer.end_minibatch()
+        records.append(record)
+        if eval_hook is not None:
+            eval_hook(record)
     return records
 
 
@@ -405,6 +440,10 @@ def load_checkpoint(path) -> tuple[MpNetModel, AdamState | None]:
         model = MpNetModel(weights, rule, init=str(data["init"]))
         adam = None
         if "adam_m" in data:
+            expected = (2, *weights.shape)
+            for key in ("adam_m", "adam_v"):
+                if data[key].shape != expected:
+                    raise ValueError(f"checkpoint {key} has shape {data[key].shape}, expected {expected} for the stored weights")
             adam = AdamState(
                 m=data["adam_m"],
                 v=data["adam_v"],

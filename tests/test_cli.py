@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mpnetlab import mpnet
 from mpnetlab.cli import main
 
 
@@ -177,3 +179,15 @@ class TestEntryPoint:
         )
         assert result.returncode == 2
         assert "usage" in result.stderr.lower()
+
+
+class TestDivergence:
+    def test_nan_gradient_exits_1_without_artifacts(self, tmp_path, capsys, monkeypatch):
+        original = mpnet.adam_step
+        monkeypatch.setattr(mpnet, "adam_step", lambda state, w, grad: original(state, w, grad * np.nan))
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "mpnet:nominal:sc2: non-finite weights" in err and "minibatch 1" in err
+        assert list(out.iterdir()) == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpnetlab import mpnet
 from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula, perturb_array
 from mpnetlab.channels import ChannelGenConfig, FixedSnr, make_stream
 from mpnetlab.estimators import StoppingRule, matching_pursuit
@@ -327,6 +328,38 @@ class TestCheckpoints:
         loaded, adam = load_checkpoint(path)
         assert adam is None
         assert np.array_equal(loaded.weights, model.weights)
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("key", ["adam_m", "adam_v"])
+    @pytest.mark.parametrize("edit", [lambda m: m[:, :, :-1], lambda m: m[0], lambda m: m[:, :-1, :]])
+    def test_mismatched_adam_moments_rejected(self, tmp_path, rng, key, edit):
+        model = random_model(rng)
+        save_checkpoint(tmp_path / "model.npz", model, AdamState.for_shape(model.weights.shape))
+        with np.load(tmp_path / "model.npz") as data:
+            payload = dict(data)
+        payload[key] = edit(payload[key])
+        np.savez(tmp_path / "edited.npz", **payload)
+        with pytest.raises(ValueError, match=f"{key} has shape") as exc:
+            load_checkpoint(tmp_path / "edited.npz")
+        assert "\n" not in str(exc.value)
+
+
+class TestDivergenceGuard:
+    def test_nan_gradient_raises_and_keeps_weights(self, rng, monkeypatch):
+        d = make_incoherent_dictionary(8, 16, seed=2)
+        model = MpNetModel.from_dictionary(d, StoppingRule.sc2())
+        trainer = OnlineTrainer(model, TrainConfig(minibatch_size=4), name="mpnet:nominal:sc2")
+        stream = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        trainer.process_batch(stream.take(4))
+        trainer.end_minibatch()
+        trainer.process_batch(stream.take(4))
+        before = model.weights.copy()
+        original = mpnet.adam_step
+        monkeypatch.setattr(mpnet, "adam_step", lambda state, w, grad: original(state, w, grad * np.nan))
+        with pytest.raises(ValueError, match="mpnet:nominal:sc2: non-finite weights .* minibatch 2"):
+            trainer.end_minibatch()
+        assert np.array_equal(model.weights, before)
 
 
 class TestComplexityStructure:
