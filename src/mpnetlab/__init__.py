@@ -64,7 +64,6 @@ from .mpnet import (
     estimate,
     forward,
     forward_batch,
-    ht1,
     load_checkpoint,
     save_checkpoint,
     train_online,

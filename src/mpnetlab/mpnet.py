@@ -7,11 +7,12 @@ column, the exact gradient of the reconstruction cost is column-sparse and
 costs O(depth * N) to assemble, an order cheaper than the forward pass.
 
 The weights change only at a minibatch boundary, so a whole minibatch runs
-through the shared pursuit kernel (``estimators.pursue``) in one call: per
-layer, one matrix product correlates a tile of still-active samples with the
-weights. The backward pass replays each sample's trace and sums its gradient
-into buffers for the visited columns only; the trainer adds just those
-columns into the minibatch gradient, in arrival order.
+through the shared pursuit kernel (``estimators.pursue``) in one call, a tile
+at a time and layer by layer. The backward pass runs per tile the same way,
+replaying the tile's traces and summing each sample's gradient for the
+columns it visited; the trainer adds just those columns into the minibatch
+gradient, in arrival order. A sample's results do not depend on the batch or
+tile size and are within 1e-12 of the per-sample arithmetic.
 
 Training is online and unsupervised: minibatches of noisy observations are
 both the inputs and the targets (the network is a denoising autoencoder), so
@@ -28,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .channels import ChannelSample
-from .estimators import Estimate, StoppingRule, pursue
+from .estimators import Estimate, StoppingRule, peel, pursue, row_dot, tiles
 from .fileio import atomic_savez
 from .metrics import rmse
 from .utils import as_rng, complex_normal, energy
@@ -40,17 +41,6 @@ INIT_NOMINAL = "nominal_dictionary"
 INIT_XAVIER = "xavier_random"
 
 CHECKPOINT_VERSION = 1
-
-
-def ht1(values: np.ndarray) -> np.ndarray:
-    """Keep only the largest-modulus entry (lowest index on ties), zero the rest."""
-    v = np.asarray(values)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a nonempty vector")
-    out = np.zeros_like(v)
-    s = int(np.argmax(np.abs(v)))
-    out[s] = v[s]
-    return out
 
 
 def xavier_init(n_antennas: int, n_atoms: int, rng, normalize: bool = True) -> np.ndarray:
@@ -117,19 +107,14 @@ class ForwardTrace:
 
 
 def forward_batch(model: MpNetModel, X_unit: np.ndarray, noise_var_norms: Sequence[float]) -> list[ForwardTrace]:
-    """Run the unfolded pursuit on every unit-norm row of ``X_unit`` (B x N).
-
-    One kernel call serves the whole batch: the weights are fixed between
-    Adam updates, so every layer correlates all still-active rows with the
-    weights in tiled matrix products. ``noise_var_norms`` holds each row's
-    noise variance divided by its original input energy. Returns one trace
-    per row.
-    """
+    """Run the unfolded pursuit on every unit-norm row of ``X_unit`` (B x N) in
+    one kernel call; ``noise_var_norms`` holds each row's noise variance divided
+    by its original input energy. Returns one trace per row."""
     X_unit = np.asarray(X_unit, dtype=complex)
     if np.any(np.abs(np.linalg.norm(X_unit, axis=1) - 1.0) > UNIT_INPUT_TOL):
         raise ValueError("forward expects unit-norm inputs")
-    supports, coeffs, residuals = pursue(model.weights, X_unit, [1.0] * len(X_unit), noise_var_norms, model.rule)
-    return [ForwardTrace(s, np.asarray(c, dtype=complex), r) for s, c, r in zip(supports, coeffs, residuals)]
+    supports, coeffs, residuals = pursue(model.weights, X_unit, np.ones(len(X_unit)), noise_var_norms, model.rule)
+    return [ForwardTrace(s, c, r) for s, c, r in zip(supports, coeffs, residuals)]
 
 
 def forward(model: MpNetModel, x_unit: np.ndarray, noise_var_norm: float = 0.0) -> tuple[np.ndarray, ForwardTrace]:
@@ -144,33 +129,38 @@ def forward(model: MpNetModel, x_unit: np.ndarray, noise_var_norm: float = 0.0) 
     return x_unit - trace.final_residual, trace
 
 
-def _column_gradients(weights: np.ndarray, trace: ForwardTrace, x_unit: np.ndarray) -> dict[int, np.ndarray]:
-    """The nonzero columns of the backward-pass gradient, keyed by weight column.
-
-    Replays the selected-column arithmetic (O(depth * N) in total) and raises
-    when the trace no longer replays on ``weights``.
-    """
-    r = x_unit.copy()
-    before: list[np.ndarray] = []
-    coeffs: list[complex] = []
-    for s in trace.indices:
-        before.append(r)
-        coeff = np.vdot(weights[:, s], r)
-        coeffs.append(coeff)
-        r = r - weights[:, s] * coeff
-    if trace.final_residual.shape != r.shape or np.max(np.abs(r - trace.final_residual), initial=0.0) > STALE_TRACE_TOL:
+def _column_gradients(weights: np.ndarray, traces: Sequence[ForwardTrace], X_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero gradient columns of a tile of traces: one per distinct
+    (sample, weight column) pair, in sample and then column order, a sample's
+    repeat visits summed in reverse layer order. Replays the tile layer by
+    layer (O(depth * N) per sample) and raises when a trace no longer replays
+    on ``weights``. Returns the column indices and the columns."""
+    n, n_atoms = weights.shape
+    depths = np.array([trace.depth for trace in traces])
+    picked = np.zeros((len(traces), depths.max(initial=0)), dtype=np.intp)
+    for row, trace in zip(picked, traces):
+        row[: trace.depth] = trace.indices
+    R, layers = np.array(X_unit, dtype=complex), []
+    for k in range(picked.shape[1]):
+        live = np.flatnonzero(depths > k)
+        picks, before = picked[live, k], R[live]
+        cols, block = weights.T[picks], before.copy()
+        layers.append((live, picks, cols, peel(cols, block), before))
+        R[live] = block
+    final = np.array([trace.final_residual for trace in traces])
+    if final.shape != R.shape or np.max(np.abs(R - final), initial=0.0) > STALE_TRACE_TOL:
         raise ValueError("stale trace: weights changed since the forward pass")
-    columns: dict[int, np.ndarray] = {}
-    mu = r
-    for k in reversed(range(trace.depth)):
-        s = trace.indices[k]
-        col = weights[:, s]
-        overlap = np.vdot(col, mu)  # w_s^H mu
-        if s not in columns:
-            columns[s] = np.zeros(weights.shape[0], dtype=complex)
-        columns[s] -= np.conj(coeffs[k]) * mu + np.conj(overlap) * before[k]
-        mu = mu - col * overlap
-    return columns
+    pairs, terms = [np.zeros(0, dtype=np.intp)], [np.zeros((0, n), dtype=complex)]  # a depth-0 tile has none
+    for live, picks, cols, coeffs, before in reversed(layers):
+        mu = R[live]  # R carries the adjoint from here on
+        overlaps = row_dot(cols, mu)  # w_s^H mu
+        pairs.append(live * n_atoms + picks)
+        terms.append(np.conj(coeffs)[:, None] * mu + np.conj(overlaps)[:, None] * before)
+        R[live] = mu - cols * overlaps[:, None]
+    keys, slots = np.unique(np.concatenate(pairs), return_inverse=True)
+    columns = np.zeros((len(keys), n), dtype=complex)
+    np.subtract.at(columns, slots, np.concatenate(terms))  # repeated slots in turn
+    return keys % n_atoms, columns
 
 
 def backward(model: MpNetModel, trace: ForwardTrace, x_unit: np.ndarray) -> np.ndarray:
@@ -182,9 +172,9 @@ def backward(model: MpNetModel, trace: ForwardTrace, x_unit: np.ndarray) -> np.n
     visited by the trace are nonzero. Raises when the trace no longer replays
     on the current weights.
     """
+    indices, columns = _column_gradients(model.weights, [trace], np.asarray(x_unit, dtype=complex)[None])
     grad = np.zeros(model.weights.shape, dtype=complex)
-    for s, column in _column_gradients(model.weights, trace, np.asarray(x_unit, dtype=complex)).items():
-        grad[:, s] = column
+    grad[:, indices] = columns.T
     return grad
 
 
@@ -326,10 +316,11 @@ class OnlineTrainer:
     def process_batch(self, samples: Sequence[ChannelSample]) -> list[Estimate]:
         """Estimate the channels of a batch of observations and accumulate their gradients."""
         norms, X_unit, traces = _unit_batch(self.model, [s.observation for s in samples], [s.noise_var for s in samples])
+        for tile in tiles(len(traces)):
+            indices, columns = _column_gradients(self.model.weights, traces[tile], X_unit[tile])
+            np.add.at(self._grad, (slice(None), indices), columns.T)
         estimates = []
         for sample, norm, x_unit, trace in zip(samples, norms, X_unit, traces):
-            for s, column in _column_gradients(self.model.weights, trace, x_unit).items():
-                self._grad[:, s] += column
             self._cost += 0.5 * energy(trace.final_residual)
             est = _rescaled(norm, x_unit, trace)
             self._rmse += rmse(est.channel, sample.channel)

@@ -4,8 +4,10 @@ minibatch gradient assembled from sparse per-sample columns.
 
 Batch sizes straddle the correlation tile, rules and noise variances are mixed
 within a batch, and every batch holds samples that stop before the first layer.
+Per-row results must not depend on the tile size or on the row order.
 """
 
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -13,16 +15,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mpnetlab import mpnet
+from mpnetlab import estimators, mpnet
 from mpnetlab.arrays import Dictionary
 from mpnetlab.channels import ChannelSample
-from mpnetlab.estimators import CORR_TILE, StoppingRule, matching_pursuit, omp, pursuit_batch
+from mpnetlab.estimators import CORR_TILE, StoppingRule, matching_pursuit, omp, peel, pursuit_batch, row_dot, should_stop
 from mpnetlab.mpnet import MpNetModel, OnlineTrainer, TrainConfig, backward, forward, forward_batch
 
 from conftest import make_incoherent_dictionary
 from reference import ref_matching_pursuit
 
 BATCH_SIZES = (1, CORR_TILE - 1, CORR_TILE + 1, 2 * CORR_TILE + 3)
+TILE_SIZES = (1, 5, 32)
 RULES = (
     StoppingRule.fixed(1),
     StoppingRule.fixed(3),
@@ -157,3 +160,116 @@ class TestMinibatchGradient:
         with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
             trainer.end_minibatch()
         assert np.array_equal(applied[0], dense / len(samples))
+
+
+def nonzero_unit_case(case):
+    """The nonzero rows of a case on the unit scale, with normalized noise."""
+    d, X, noise_vars, rule = case
+    keep = np.any(X != 0.0, axis=1)
+    assume(keep.any())
+    noise_var_norms = [v / np.vdot(x, x).real for x, v, k in zip(X, noise_vars, keep) if k]
+    return d, unit_rows(X[keep]), noise_var_norms, rule
+
+
+def trained_model(d, rule, seed):
+    """A model whose columns are no longer unit-norm, as after training."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(d.atoms.shape) + 1j * rng.standard_normal(d.atoms.shape)
+    return MpNetModel(d.atoms + 0.05 * noise, rule)
+
+
+def minibatch_gradient(model, samples):
+    applied = []
+    trainer = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples)))
+    trainer.process_batch(samples)
+    with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
+        trainer.end_minibatch()
+    return applied[0]
+
+
+class TestTileAndOrderInvariance:
+    """Every row's bytes are the same whatever the tile size and row order."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(batches(), st.booleans(), st.randoms(use_true_random=False))
+    def test_pursuit_batch(self, case, orthogonal, random):
+        d, X, noise_vars, rule = case
+        order = list(range(len(X)))
+        random.shuffle(order)
+        with patch.object(estimators, "CORR_TILE", len(X)):
+            expected = pursuit_batch(d, X, rule, noise_vars, orthogonal)
+        for tile in TILE_SIZES:
+            with patch.object(estimators, "CORR_TILE", tile):
+                got = pursuit_batch(d, X[order], rule, [noise_vars[i] for i in order], orthogonal)
+            for i, est in zip(order, got):
+                assert est.support == expected[i].support
+                assert np.array_equal(est.channel, expected[i].channel)
+                assert est.residual_energy == expected[i].residual_energy
+
+    @settings(max_examples=20, deadline=None)
+    @given(batches(), st.randoms(use_true_random=False))
+    def test_forward_batch(self, case, random):
+        d, X, noise_var_norms, rule = nonzero_unit_case(case)
+        model = trained_model(d, rule, len(X))
+        order = list(range(len(X)))
+        random.shuffle(order)
+        expected = forward_batch(model, X, noise_var_norms)
+        for tile in TILE_SIZES:
+            with patch.object(estimators, "CORR_TILE", tile):
+                got = forward_batch(model, X[order], [noise_var_norms[i] for i in order])
+            for i, trace in zip(order, got):
+                assert trace.indices == expected[i].indices
+                assert np.array_equal(trace.coeffs, expected[i].coeffs)
+                assert np.array_equal(trace.final_residual, expected[i].final_residual)
+
+    @settings(max_examples=15, deadline=None)
+    @given(batches())
+    def test_minibatch_gradient(self, case):
+        d, X, noise_vars, rule = case
+        samples = [ChannelSample(x, x, v, 10.0) for x, v in zip(X, noise_vars) if np.any(x != 0.0)]
+        assume(samples)
+        model = trained_model(d, rule, len(X))
+        expected = minibatch_gradient(model, samples)
+        for tile in TILE_SIZES:
+            with patch.object(estimators, "CORR_TILE", tile):
+                assert np.array_equal(minibatch_gradient(model, samples), expected)
+
+
+class TestStoppingDepth:
+    @settings(max_examples=30, deadline=None)
+    @given(batches())
+    def test_depth_is_first_layer_where_the_scalar_rule_stops(self, case):
+        d, X, noise_var_norms, rule = nonzero_unit_case(case)
+        model = trained_model(d, rule, len(X))
+        n = model.n_antennas
+        for x, noise_var_norm, trace in zip(X, noise_var_norms, forward_batch(model, X, noise_var_norms)):
+            # replay with the kernel's row arithmetic, one layer at a time
+            r = x[None].copy()
+            for k, s in enumerate(trace.indices):
+                assert not should_stop(rule, row_dot(r, r).real[0] if k else 1.0, k, noise_var_norm, n)
+                assert peel(model.weights.T[[s]], r)[0] == trace.coeffs[k]
+            assert should_stop(rule, row_dot(r, r).real[0] if trace.depth else 1.0, trace.depth, noise_var_norm, n)
+            assert np.array_equal(r[0], trace.final_residual)
+
+
+class TestMemory:
+    # tracemalloc peak of this process_batch call (N=64, A=512, B=200, depth
+    # 8): 1.7 MB with per-layer residuals held for one tile, 7.7 MB with the
+    # whole minibatch as one tile
+    PEAK_BOUND_MB = 3.0
+
+    def test_process_batch_peak_is_tile_bounded(self):
+        n, a, b = 64, 512, 200
+        rng = np.random.default_rng(7)
+        d = make_incoherent_dictionary(n, a, seed=7)
+        X = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
+        samples = [ChannelSample(x, x, 1e-4 * np.vdot(x, x).real, 10.0) for x in X]
+        trainer = OnlineTrainer(trained_model(d, StoppingRule.fixed(8), 7), TrainConfig(minibatch_size=b))
+        trainer.process_batch(samples[:CORR_TILE])  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            trainer.process_batch(samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 < self.PEAK_BOUND_MB

@@ -91,6 +91,16 @@ class TestShouldStop:
     def test_zero_residual_stops(self):
         assert should_stop(StoppingRule.fixed(5), 0.0, 1, 0.0, 64)
 
+    @pytest.mark.parametrize("rule", [StoppingRule.fixed(3), StoppingRule.sc1(), StoppingRule.sc2(max_depth=4)])
+    def test_arrays_broadcast_like_scalars(self, rule, rng):
+        energies = np.concatenate([rng.uniform(0.0, 1.0, 20), [0.0, 1e-30]])
+        noise = rng.uniform(0.0, 0.02, energies.size)
+        depths = rng.integers(0, 6, energies.size)
+        batched = should_stop(rule, energies, depths, noise, 64)
+        assert batched.shape == energies.shape
+        assert batched.tolist() == [bool(should_stop(rule, e, d, v, 64)) for e, d, v in zip(energies, depths, noise)]
+        assert np.array_equal(sc_threshold(rule, noise, 64), [sc_threshold(rule, v, 64) for v in noise])
+
 
 class TestLsEstimate:
     def test_zero_input(self):

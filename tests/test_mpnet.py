@@ -14,7 +14,6 @@ from mpnetlab.mpnet import (
     backward,
     estimate,
     forward,
-    ht1,
     load_checkpoint,
     save_checkpoint,
     train_online,
@@ -34,23 +33,6 @@ def random_model(rng, n=6, a=12, depth=3):
 def unit_vector(rng, n):
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return x / np.linalg.norm(x)
-
-
-class TestHt1:
-    def test_keeps_largest_modulus(self):
-        out = ht1(np.array([1.0, 3.0j, -2.0]))
-        assert np.array_equal(out, np.array([0.0, 3.0j, 0.0]))
-
-    def test_zero_vector_stays_zero(self):
-        assert np.array_equal(ht1(np.zeros(3, complex)), np.zeros(3, complex))
-
-    def test_tie_breaks_low_index(self):
-        out = ht1(np.array([2.0, -2.0]))
-        assert np.array_equal(out, np.array([2.0, 0.0]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ht1(np.array([]))
 
 
 class TestForward:
