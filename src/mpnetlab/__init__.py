@@ -66,6 +66,7 @@ from .mpnet import (
     forward_batch,
     load_checkpoint,
     save_checkpoint,
+    score_minibatch,
     train_online,
     xavier_init,
 )

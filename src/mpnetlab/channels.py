@@ -275,10 +275,6 @@ class ChannelStream:
     def current_array(self) -> AntennaArray:
         return self._array
 
-    @property
-    def next_index(self) -> int:
-        return self._index
-
     def __iter__(self) -> Iterator[ChannelSample]:
         return self
 
@@ -310,9 +306,6 @@ class ReplayStream:
     def __init__(self, samples: Sequence[ChannelSample]):
         self._samples = list(samples)
         self._pos = 0
-
-    def __len__(self) -> int:
-        return len(self._samples) - self._pos
 
     def __iter__(self) -> Iterator[ChannelSample]:
         return self
@@ -365,6 +358,9 @@ def dump_stream(samples: Iterable[ChannelSample], path) -> None:
 
 
 def load_stream(path) -> list[ChannelSample]:
+    """Read a stream dump back. A row that is malformed, holds a non-finite
+    value or breaks the 0, 1, 2, ... index order raises a one-line ValueError
+    naming the file and the line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if len(lines) < 2:
         raise ValueError(f"{path}: not a stream dump (no samples)")
@@ -373,12 +369,20 @@ def load_stream(path) -> list[ChannelSample]:
         raise ValueError(f"{path}: unrecognized stream header")
     n = (len(header) - 3) // 4
     samples = []
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
+        where = f"{path}: line {line_no}"
         fields = line.split(",")
         if len(fields) != len(header):
-            raise ValueError(f"{path}: malformed row with {len(fields)} fields")
-        values = np.array([float(v) for v in fields[3:]])
-        x = values[0 : 2 * n : 2] + 1j * values[1 : 2 * n : 2]
-        h = values[2 * n :: 2] + 1j * values[2 * n + 1 :: 2]
-        samples.append(ChannelSample(h, x, float(fields[2]), float(fields[1])))
+            raise ValueError(f"{where}: malformed row with {len(fields)} fields")
+        if fields[0] != str(len(samples)):
+            raise ValueError(f"{where}: index {fields[0]!r}, expected {len(samples)}")
+        try:
+            values = np.array([float(v) for v in fields[1:]])
+        except ValueError:
+            raise ValueError(f"{where}: a field is not a number") from None
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{where}: non-finite value")
+        x = values[2 : 2 * n + 2 : 2] + 1j * values[3 : 2 * n + 2 : 2]
+        h = values[2 * n + 2 :: 2] + 1j * values[2 * n + 3 :: 2]
+        samples.append(ChannelSample(h, x, float(values[1]), float(values[0])))
     return samples

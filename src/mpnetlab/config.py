@@ -158,30 +158,28 @@ def _parse_channel(data, snr) -> ChannelGenConfig:
         raise ConfigError(f"channel: {exc}") from None
 
 
+# YAML key -> (TrainConfig field, reader); TrainConfig holds the defaults.
+_TRAINING_KEYS = {
+    "minibatch_size": ("minibatch_size", _get_int),
+    "learning_rate": ("base_rate", _get_float),
+    "decay_factor": ("decay", _get_float),
+    "decay_every": ("decay_every", _get_int),
+    "beta1": ("beta1", _get_float),
+    "beta2": ("beta2", _get_float),
+    "epsilon": ("eps", _get_float),
+}
+
+
 def _parse_training(data) -> TrainConfig:
     data = _require_mapping(data, "training") if data is not None else {}
-    allowed = {
-        "minibatch_size",
-        "learning_rate",
-        "decay_factor",
-        "decay_every",
-        "beta1",
-        "beta2",
-        "epsilon",
-    }
-    _check_keys(data, allowed, "training")
+    _check_keys(data, set(_TRAINING_KEYS), "training")
+    fields = {field: read(data, key, "training") for key, (field, read) in _TRAINING_KEYS.items() if key in data}
     try:
-        return TrainConfig(
-            minibatch_size=_get_int(data, "minibatch_size", "training", default=200),
-            base_rate=_get_float(data, "learning_rate", "training", default=1e-3),
-            decay=_get_float(data, "decay_factor", "training", default=0.9),
-            decay_every=_get_int(data, "decay_every", "training", default=200),
-            beta1=_get_float(data, "beta1", "training", default=0.9),
-            beta2=_get_float(data, "beta2", "training", default=0.999),
-            eps=_get_float(data, "epsilon", "training", default=1e-8),
-        )
+        return TrainConfig(**fields)
     except ValueError as exc:
-        raise ConfigError(f"training: {exc}") from None
+        name, _, bounds = str(exc).partition(" ")  # TrainConfig names the field first
+        key = next(key for key, (field, _) in _TRAINING_KEYS.items() if field == name)
+        raise ConfigError(f"'training.{key}' {bounds}") from None
 
 
 def _parse_anomalies(entries, total_samples: int) -> tuple[ArrayEvent, ...]:

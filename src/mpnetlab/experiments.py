@@ -9,6 +9,7 @@ every output byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -40,8 +41,10 @@ from .estimators import Estimate, StoppingRule, ls_estimate, pursuit_batch
 # the per-sample entry points stay importable from here: bench/spans.py wraps them by name
 from .estimators import matching_pursuit, omp  # noqa: F401
 from .fileio import atomic_write_rows, fmt_float
-from .metrics import rmse, snr_histogram
-from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint
+from .metrics import snr_histogram
+# not called here (mpnet.score_minibatch scores): bench/spans.py wraps it by name
+from .metrics import rmse  # noqa: F401
+from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch
 from .utils import as_rng, complex_normal, energy, from_db, to_db
 
 CURVES_FILE = "curves.csv"
@@ -215,42 +218,6 @@ class ExperimentResult:
         return 10.0 * np.log10(self.rmse_linear[name])
 
 
-class _BaselineRunner:
-    """Minibatch evaluation of a non-learning estimator, bookkeeping identical
-    to the trainer's."""
-
-    def __init__(self, fn: Callable[[Sequence[ChannelSample]], list[Estimate]]):
-        self._fn = fn
-        self.minibatches_done = 0
-        self._reset()
-
-    def _reset(self) -> None:
-        self._rmse = 0.0
-        self._depths: list[int] = []
-
-    def process_batch(self, samples: Sequence[ChannelSample]) -> list[Estimate]:
-        estimates = self._fn(samples)
-        for est, sample in zip(estimates, samples):
-            self._rmse += rmse(est.channel, sample.channel)
-            self._depths.append(est.depth)
-        return estimates
-
-    def end_minibatch(self) -> MinibatchRecord:
-        count = len(self._depths)
-        if count == 0:
-            raise ValueError("no samples processed in this minibatch")
-        self.minibatches_done += 1
-        record = MinibatchRecord(
-            minibatch=self.minibatches_done,
-            mean_cost=float("nan"),
-            mean_rmse=self._rmse / count,
-            mean_depth=float(np.mean(self._depths)),
-            depth_counts=np.bincount(self._depths),
-        )
-        self._reset()
-        return record
-
-
 class _OracleDictionary:
     """Rebuilds a dictionary from the stream's current true array whenever it
     changes (refreshed at minibatch granularity)."""
@@ -328,7 +295,7 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         oracle = _OracleDictionary(stream, directions)
 
     xavier_rng = as_rng(xavier_seed)
-    runners: list[tuple[EstimatorSpec, OnlineTrainer | _BaselineRunner]] = []
+    roster: dict[str, Callable[[Sequence[ChannelSample]], list[Estimate]]] = {}
     trainers: dict[str, OnlineTrainer] = {}
     for spec in specs:
         if spec.family == "mpnet":
@@ -336,18 +303,15 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
                 model = MpNetModel.from_dictionary(dictionaries["nominal"], spec.rule)
             else:
                 model = MpNetModel.xavier(nominal.size, cfg.n_atoms, spec.rule, xavier_rng)
-            trainer = OnlineTrainer(model, cfg.training, name=spec.name)
-            trainers[spec.name] = trainer
-            runners.append((spec, trainer))
+            trainers[spec.name] = OnlineTrainer(model, cfg.training, name=spec.name)
+            roster[spec.name] = trainers[spec.name].process_batch
         else:
-            runners.append((spec, _BaselineRunner(_baseline_fn(spec, dictionaries, oracle))))
+            roster[spec.name] = _baseline_fn(spec, dictionaries, oracle)
 
     batch_size = cfg.training.minibatch_size
     n_minibatches = cfg.total_samples // batch_size
-    names = tuple(spec.name for spec in specs)
-    rmse_curves: dict[str, list[float]] = {name: [] for name in names}
-    depth_curves: dict[str, list[float]] = {name: [] for name in names}
-    depth_counts: dict[str, np.ndarray] = {name: np.zeros(1, dtype=int) for name in names}
+    names = tuple(roster)
+    scored: dict[str, list[MinibatchRecord]] = {name: [] for name in names}
     snr_values: list[float] = []
     dump_rows: list[list[str]] = []
 
@@ -356,18 +320,19 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         snr_values.extend(s.snr_db for s in batch)
         if cfg.dump_stream:
             dump_rows.extend(sample_to_row(index * batch_size + i, s) for i, s in enumerate(batch))
-        for spec, runner in runners:
-            runner.process_batch(batch)
-            record = runner.end_minibatch()
-            rmse_curves[spec.name].append(record.mean_rmse)
-            depth_curves[spec.name].append(record.mean_depth)
-            depth_counts[spec.name] = _add_counts(depth_counts[spec.name], record.depth_counts)
+        for name, estimate_batch in roster.items():
+            scored[name].append(score_minibatch(index + 1, batch, estimate_batch(batch)))
+        for trainer in trainers.values():
+            trainer.end_minibatch()
 
+    rmse_linear = {name: np.array([r.mean_rmse for r in scored[name]]) for name in names}
+    mean_depth = {name: np.array([r.mean_depth for r in scored[name]]) for name in names}
+    depth_counts = {name: reduce(_add_counts, (r.depth_counts for r in scored[name]), np.zeros(1, dtype=int)) for name in names}
     records = [
         MetricRecord(
             minibatch=b + 1,
-            rmse_db={name: to_db(rmse_curves[name][b]) for name in names},
-            mean_depth={name: depth_curves[name][b] for name in names},
+            rmse_db={name: to_db(rmse_linear[name][b]) for name in names},
+            mean_depth={name: mean_depth[name][b] for name in names},
         )
         for b in range(n_minibatches)
     ]
@@ -375,8 +340,8 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     result = ExperimentResult(
         estimator_names=names,
         records=records,
-        rmse_linear={name: np.asarray(rmse_curves[name]) for name in names},
-        mean_depth={name: np.asarray(depth_curves[name]) for name in names},
+        rmse_linear=rmse_linear,
+        mean_depth=mean_depth,
         depth_counts=depth_counts,
         snr_edges=edges,
         snr_counts=counts,

@@ -31,7 +31,7 @@ import numpy as np
 from .channels import ChannelSample
 from .estimators import Estimate, StoppingRule, peel, pursue, row_dot, tiles
 from .fileio import atomic_savez
-from .metrics import rmse
+from .metrics import depth_histogram, rmse
 from .utils import as_rng, complex_normal, energy
 
 UNIT_INPUT_TOL = 1e-9
@@ -251,10 +251,10 @@ def estimate(model: MpNetModel, x: np.ndarray, noise_var: float = 0.0) -> Estima
 @dataclass(frozen=True)
 class TrainConfig:
     """Online-training hyperparameters: minibatch size, Adam settings, and the
-    learning-rate schedule."""
+    learning-rate schedule. Out-of-range values raise a ValueError whose
+    message starts with the field name."""
 
     minibatch_size: int = 200
-    total_samples: int | None = None
     base_rate: float = 1e-3
     decay: float = 0.9
     decay_every: int = 200
@@ -263,16 +263,25 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.minibatch_size < 1:
-            raise ValueError("minibatch_size must be >= 1")
-        if self.total_samples is not None and self.total_samples < 0:
-            raise ValueError("total_samples must be >= 0")
+        for name, ok, bounds in (
+            ("minibatch_size", self.minibatch_size >= 1, ">= 1"),
+            ("base_rate", self.base_rate > 0.0, "> 0"),
+            ("decay", 0.0 < self.decay <= 1.0, "in (0, 1]"),
+            ("decay_every", self.decay_every >= 1, ">= 1"),
+            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+            ("eps", self.eps > 0.0, "> 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {bounds}")
 
 
 @dataclass(frozen=True)
 class MinibatchRecord:
-    """Evaluation summary of one training minibatch. The rMSE is measured against
-    the simulator's ground truth for reporting only; it never feeds training."""
+    """Evaluation summary of one minibatch. The rMSE is measured against the
+    simulator's ground truth for reporting only; it never feeds training.
+    ``mean_cost`` is the trainer's unsupervised cost, NaN where no trainer
+    reported one."""
 
     minibatch: int
     mean_cost: float
@@ -281,19 +290,36 @@ class MinibatchRecord:
     depth_counts: np.ndarray
 
 
+def score_minibatch(
+    minibatch: int,
+    samples: Sequence[ChannelSample],
+    estimates: Sequence[Estimate],
+    mean_cost: float = float("nan"),
+) -> MinibatchRecord:
+    """Score one minibatch of estimates against the samples' true channels: the
+    rMSE summed in sample order and averaged, the mean depth, and the depth
+    histogram. This is the only place where an estimate meets ground truth."""
+    depths = [est.depth for est in estimates]
+    counts = depth_histogram(depths)
+    total = 0.0
+    for est, sample in zip(estimates, samples, strict=True):
+        total += rmse(est.channel, sample.channel)
+    return MinibatchRecord(minibatch, mean_cost, total / len(samples), float(np.mean(depths)), counts)
+
+
 class OnlineTrainer:
-    """Drives one model a minibatch at a time: one batched forward pass, gradient
-    accumulation, and one Adam update per completed minibatch.
+    """Drives one model a minibatch at a time from observations and noise
+    variances alone: one batched forward pass, gradient and cost
+    accumulation, and one Adam update per minibatch.
 
     Per-sample gradients are summed in arrival order and divided by the
-    minibatch size, so trajectories are reproducible. Each sample adds only
-    the weight columns its trace visited. ``name`` labels the errors the
-    trainer raises.
+    number of samples processed, so trajectories are reproducible. Each
+    sample adds only the weight columns its trace visited. ``name`` labels
+    the errors the trainer raises.
     """
 
     def __init__(self, model: MpNetModel, cfg: TrainConfig = TrainConfig(), name: str = "mpnet"):
         self.model = model
-        self.cfg = cfg
         self.name = name
         self.adam = AdamState.for_shape(
             model.weights.shape,
@@ -310,8 +336,7 @@ class OnlineTrainer:
     def _reset(self) -> None:
         self._grad = np.zeros(self.model.weights.shape, dtype=complex)
         self._cost = 0.0
-        self._rmse = 0.0
-        self._depths: list[int] = []
+        self._count = 0
 
     def process_batch(self, samples: Sequence[ChannelSample]) -> list[Estimate]:
         """Estimate the channels of a batch of observations and accumulate their gradients."""
@@ -319,43 +344,36 @@ class OnlineTrainer:
         for tile in tiles(len(traces)):
             indices, columns = _column_gradients(self.model.weights, traces[tile], X_unit[tile])
             np.add.at(self._grad, (slice(None), indices), columns.T)
+        self._count += len(traces)
         estimates = []
-        for sample, norm, x_unit, trace in zip(samples, norms, X_unit, traces):
+        for norm, x_unit, trace in zip(norms, X_unit, traces):
             self._cost += 0.5 * energy(trace.final_residual)
-            est = _rescaled(norm, x_unit, trace)
-            self._rmse += rmse(est.channel, sample.channel)
-            self._depths.append(trace.depth)
-            estimates.append(est)
+            estimates.append(_rescaled(norm, x_unit, trace))
         return estimates
 
     def process(self, sample: ChannelSample) -> Estimate:
         """Estimate the channel from one observation and accumulate its gradient."""
         return self.process_batch([sample])[0]
 
-    def end_minibatch(self) -> MinibatchRecord:
-        """Apply the Adam update and emit the evaluation record for the minibatch.
+    def end_minibatch(self) -> float:
+        """Apply the Adam update for the samples processed since the last one
+        and return their mean unsupervised cost, 0.5 * ||final residual||^2
+        on the unit scale.
 
         Raises ValueError, leaving the weights as they were, when the update
         makes any weight non-finite.
         """
-        count = len(self._depths)
+        count = self._count
         if count == 0:
             raise ValueError("no samples processed in this minibatch")
-        batch = self.cfg.minibatch_size
-        weights = adam_step(self.adam, self.model.weights, self._grad / batch)
+        weights = adam_step(self.adam, self.model.weights, self._grad / count)
         if not np.all(np.isfinite(weights.view(float))):
             raise ValueError(f"{self.name}: non-finite weights after the Adam update of minibatch {self.minibatches_done + 1}")
         self.model.weights = weights
         self.minibatches_done += 1
-        record = MinibatchRecord(
-            minibatch=self.minibatches_done,
-            mean_cost=self._cost / batch,
-            mean_rmse=self._rmse / count,
-            mean_depth=float(np.mean(self._depths)),
-            depth_counts=np.bincount(self._depths),
-        )
+        mean_cost = self._cost / count
         self._reset()
-        return record
+        return mean_cost
 
 
 def train_online(
@@ -364,20 +382,18 @@ def train_online(
     cfg: TrainConfig = TrainConfig(),
     eval_hook: Callable[[MinibatchRecord], None] | None = None,
 ) -> list[MinibatchRecord]:
-    """Train on a stream of observations, one Adam update per minibatch.
+    """Train on a stream of observations, one Adam update per minibatch, until
+    the stream ends; cut an unbounded stream with ``itertools.islice``.
 
-    Stream exhaustion terminates training normally; a trailing partial
-    minibatch is left unapplied. Returns the per-minibatch records (also passed
-    to ``eval_hook`` as they are produced).
+    A trailing partial minibatch is left unapplied. Returns the per-minibatch
+    records (also passed to ``eval_hook`` as they are produced).
     """
     trainer = OnlineTrainer(model, cfg)
     records: list[MinibatchRecord] = []
     iterator = iter(stream)
-    if cfg.total_samples is not None:
-        iterator = islice(iterator, cfg.total_samples)
     while len(batch := list(islice(iterator, cfg.minibatch_size))) == cfg.minibatch_size:
-        trainer.process_batch(batch)
-        record = trainer.end_minibatch()
+        estimates = trainer.process_batch(batch)
+        record = score_minibatch(len(records) + 1, batch, estimates, trainer.end_minibatch())
         records.append(record)
         if eval_hook is not None:
             eval_hook(record)

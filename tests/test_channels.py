@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -254,6 +255,44 @@ class TestStreamFiles:
         path = tmp_path / "bad.csv"
         path.write_text("index,snr_db\n0,1\n")
         with pytest.raises(ValueError):
+            load_stream(path)
+
+    def _dumped_lines(self, tmp_path, rng):
+        path = tmp_path / "stream.csv"
+        dump_stream(make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(4), rng).take(5), path)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, 2, 3, -1])
+    def test_load_rejects_non_finite_values(self, tmp_path, rng, bad, column):
+        path, lines = self._dumped_lines(tmp_path, rng)
+        fields = lines[3].split(",")
+        fields[column] = bad
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 4: non-finite value$"):
+            load_stream(path)
+
+    def test_load_rejects_swapped_rows(self, tmp_path, rng):
+        path, lines = self._dumped_lines(tmp_path, rng)
+        lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: index '2', expected 1$"):
+            load_stream(path)
+
+    @pytest.mark.parametrize("index", ["1", "-1", "0.0", "x"])
+    def test_load_rejects_an_index_out_of_order(self, tmp_path, rng, index):
+        path, lines = self._dumped_lines(tmp_path, rng)
+        lines[1] = ",".join([index] + lines[1].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: index '.*', expected 0$"):
+            load_stream(path)
+
+    def test_load_rejects_a_non_number(self, tmp_path, rng):
+        path, lines = self._dumped_lines(tmp_path, rng)
+        lines[5] = lines[5].replace(",", ",x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 6: a field is not a number$"):
             load_stream(path)
 
 

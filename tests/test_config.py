@@ -146,3 +146,38 @@ class TestLoadConfig:
         assert len(files) >= 9
         for path in files:
             load_config(path)
+
+
+class TestTrainingRanges:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("minibatch_size", 0),
+            ("decay_every", 0),
+            ("learning_rate", -0.01),
+            ("learning_rate", 0.0),
+            ("decay_factor", 0.0),
+            ("decay_factor", 1.5),
+            ("beta1", -0.1),
+            ("beta1", 1.0),
+            ("beta2", 1.5),
+            ("epsilon", 0.0),
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, key, value):
+        data = minimal_mapping(training={"minibatch_size": 100, key: value})
+        with pytest.raises(ConfigError, match=rf"^'training\.{key}' must be "):
+            config_from_mapping(data)
+
+    def test_range_edges_accepted(self):
+        training = {"minibatch_size": 1, "decay_every": 1, "decay_factor": 1.0, "beta1": 0.0, "beta2": 0.0}
+        cfg = config_from_mapping(minimal_mapping(training=training))
+        assert (cfg.training.decay, cfg.training.beta1, cfg.training.beta2) == (1.0, 0.0, 0.0)
+
+    def test_type_errors_unchanged(self):
+        with pytest.raises(ConfigError, match="'training.learning_rate' must be a number"):
+            config_from_mapping(minimal_mapping(training={"learning_rate": "fast"}))
+        with pytest.raises(ConfigError, match="'training.decay_every' must be an integer"):
+            config_from_mapping(minimal_mapping(training={"decay_every": 2.5}))
+        with pytest.raises(ConfigError, match="unknown key 'training.total_samples'"):
+            config_from_mapping(minimal_mapping(training={"total_samples": 400}))

@@ -5,6 +5,10 @@ minibatch gradient assembled from sparse per-sample columns.
 Batch sizes straddle the correlation tile, rules and noise variances are mixed
 within a batch, and every batch holds samples that stop before the first layer.
 Per-row results must not depend on the tile size or on the row order.
+
+The trainer itself must not read ground truth, must average over the samples
+it processed, and must give a roster entry the same result alone or among
+others.
 """
 
 import tracemalloc
@@ -16,10 +20,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpnetlab import estimators, mpnet
-from mpnetlab.arrays import Dictionary
-from mpnetlab.channels import ChannelSample
+from mpnetlab.arrays import Dictionary, make_ula
+from mpnetlab.channels import ChannelGenConfig, ChannelSample, FixedSnr, make_stream
 from mpnetlab.estimators import CORR_TILE, StoppingRule, matching_pursuit, omp, peel, pursuit_batch, row_dot, should_stop
+from mpnetlab.experiments import ArraySpec, ExperimentConfig, run_learning_experiment
 from mpnetlab.mpnet import MpNetModel, OnlineTrainer, TrainConfig, backward, forward, forward_batch
+from mpnetlab.utils import energy
 
 from conftest import make_incoherent_dictionary
 from reference import ref_matching_pursuit
@@ -273,3 +279,80 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak / 2**20 < self.PEAK_BOUND_MB
+
+
+class TestTrainerWithoutGroundTruth:
+    """The trainer sees observations and noise variances only; scoring happens
+    outside it, once per minibatch."""
+
+    def test_channels_do_not_reach_the_trainer(self):
+        d = make_incoherent_dictionary(8, 24, seed=3)
+        samples = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(3)).take(60)
+        rng = np.random.default_rng(4)
+        decoys = [
+            ChannelSample(10.0 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)), s.observation, s.noise_var, s.snr_db)
+            for s in samples
+        ]
+        runs = []
+        for stream in (samples, decoys):
+            trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.sc2()), TrainConfig(minibatch_size=20))
+            costs, channels = [], []
+            for start in range(0, len(stream), 20):
+                channels += [est.channel for est in trainer.process_batch(stream[start : start + 20])]
+                costs.append(trainer.end_minibatch())
+            runs.append((trainer, costs, channels))
+        (a, costs_a, channels_a), (b, costs_b, channels_b) = runs
+        assert np.array_equal(a.model.weights, b.model.weights)
+        assert np.array_equal(a.adam.m, b.adam.m)
+        assert np.array_equal(a.adam.v, b.adam.v)
+        assert costs_a == costs_b
+        assert all(np.array_equal(x, y) for x, y in zip(channels_a, channels_b))
+
+
+class TestPartialMinibatch:
+    def test_cost_and_gradient_are_means_over_the_samples_processed(self):
+        d = make_incoherent_dictionary(8, 24, seed=5)
+        model = trained_model(d, StoppingRule.sc2(), 5)
+        samples = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(5)).take(7)
+        cost, dense = 0.0, np.zeros(model.weights.shape, dtype=complex)
+        for sample in samples:
+            norm = np.linalg.norm(sample.observation)
+            x_unit = sample.observation / norm
+            _, trace = forward(model, x_unit, sample.noise_var / float(norm**2))
+            cost += 0.5 * energy(trace.final_residual)
+            dense += backward(model, trace, x_unit)
+
+        applied = []
+        trainer = OnlineTrainer(model, TrainConfig(minibatch_size=50))
+        trainer.process_batch(samples[:4])
+        trainer.process_batch(samples[4:])
+        with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
+            assert trainer.end_minibatch() == cost / 7
+        assert np.array_equal(applied[0], dense / 7)
+
+
+def _curve(path, column):
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    picks = [header.index(f"{column}_rmse_db"), header.index(f"{column}_mean_depth")]
+    return [[row[i] for i in picks] for row in rows]
+
+
+class TestRosterIndependence:
+    def test_an_entry_runs_the_same_alone_and_in_a_full_roster(self, tmp_path):
+        # every forward pass of a minibatch runs before any Adam step, so an
+        # entry must not see its neighbours through shared state or order
+        base = dict(
+            seed=11,
+            array=ArraySpec(shape=(16,), gain_std=0.3, pos_std=0.1),
+            n_atoms=64,
+            channel=ChannelGenConfig(snr=FixedSnr(10.0)),
+            training=TrainConfig(minibatch_size=50),
+            total_samples=300,
+        )
+        full = ("ls", "mpnet:xavier:sc2", "omp:oracle:sc2", "mpnet:nominal:sc2", "mp:nominal:sc2", "mpnet:nominal:fixed3")
+        for roster in (full, ("mpnet:nominal:sc2",)):
+            run_learning_experiment(ExperimentConfig(estimators=roster, **base), tmp_path / str(len(roster)))
+        alone, among = tmp_path / "1", tmp_path / str(len(full))
+        assert _curve(alone / "curves.csv", "mpnet_nominal_sc2") == _curve(among / "curves.csv", "mpnet_nominal_sc2")
+        checkpoint = "checkpoint_mpnet_nominal_sc2.npz"
+        assert (alone / checkpoint).read_bytes() == (among / checkpoint).read_bytes()

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -234,27 +236,27 @@ class TestTraining:
     def test_two_runs_identical_trajectory(self):
         d1, s1 = self._tiny_setup(3)
         d2, s2 = self._tiny_setup(3)
-        cfg = TrainConfig(minibatch_size=50, total_samples=400)
+        cfg = TrainConfig(minibatch_size=50)
         m1 = MpNetModel.from_dictionary(d1, StoppingRule.sc2())
         m2 = MpNetModel.from_dictionary(d2, StoppingRule.sc2())
-        r1 = train_online(m1, s1, cfg)
-        r2 = train_online(m2, s2, cfg)
+        r1 = train_online(m1, islice(s1, 400), cfg)
+        r2 = train_online(m2, islice(s2, 400), cfg)
         assert np.array_equal(m1.weights, m2.weights)
         assert [r.mean_rmse for r in r1] == [r.mean_rmse for r in r2]
 
     def test_partial_minibatch_not_applied(self):
         d, stream = self._tiny_setup(5)
-        cfg = TrainConfig(minibatch_size=50, total_samples=130)
+        cfg = TrainConfig(minibatch_size=50)
         model = MpNetModel.from_dictionary(d, StoppingRule.sc2())
-        records = train_online(model, stream, cfg)
+        records = train_online(model, islice(stream, 130), cfg)
         assert len(records) == 2  # the trailing 30 samples trigger no update
 
     def test_eval_hook_sees_every_record(self):
         d, stream = self._tiny_setup(6)
         seen = []
-        cfg = TrainConfig(minibatch_size=25, total_samples=100)
+        cfg = TrainConfig(minibatch_size=25)
         model = MpNetModel.from_dictionary(d, StoppingRule.sc2())
-        records = train_online(model, stream, cfg, eval_hook=seen.append)
+        records = train_online(model, islice(stream, 100), cfg, eval_hook=seen.append)
         assert seen == records
         assert [r.minibatch for r in records] == [1, 2, 3, 4]
         for record in records:
@@ -270,8 +272,8 @@ class TestTraining:
         d = build_dictionary(nominal, doa_grid_ula(128))
         stream = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), true, rng)
         model = MpNetModel.from_dictionary(d, StoppingRule.sc2())
-        cfg = TrainConfig(minibatch_size=200, total_samples=8000)
-        records = train_online(model, stream, cfg)
+        cfg = TrainConfig(minibatch_size=200)
+        records = train_online(model, islice(stream, 8000), cfg)
         assert records[-1].mean_rmse < records[0].mean_rmse * 0.9
 
     def test_trainer_rejects_zero_observation(self):
