@@ -41,7 +41,7 @@ def _join(path: str, key: str) -> str:
 
 def _require_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected a mapping")
+        raise ConfigError(f"{path}: expected a mapping" if path else "expected a mapping at the top level")
     return value
 
 
@@ -51,129 +51,102 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"unknown key '{_join(path, key)}'")
 
 
-def _get_int(mapping: dict, key: str, path: str, default=None, required=False):
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+
+
+def _get(mapping: dict, key: str, path: str, kind: type, default=None, required=False):
+    """Read ``mapping[key]`` as ``kind`` (int, float, str or bool). A float
+    also accepts an integer; bools count only as bools."""
     if key not in mapping:
         if required:
             raise ConfigError(f"missing required key '{_join(path, key)}'")
         return default
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{_join(path, key)}' must be an integer")
-    return value
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"'{_join(path, key)}' must be {_KIND_NAMES[kind]}")
+    return float(value) if kind is float else value
 
 
-def _get_float(mapping: dict, key: str, path: str, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"missing required key '{_join(path, key)}'")
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{_join(path, key)}' must be a number")
-    return float(value)
+def _fields(mapping: dict, table: dict, path: str) -> dict:
+    """Read the keys of ``table`` (YAML key -> (field, kind)) that ``mapping``
+    holds; absent keys are left out, so the dataclass supplies the default."""
+    return {field: _get(mapping, key, path, kind) for key, (field, kind) in table.items() if key in mapping}
 
 
-def _get_str(mapping: dict, key: str, path: str, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"missing required key '{_join(path, key)}'")
-        return default
-    value = mapping[key]
-    if not isinstance(value, str):
-        raise ConfigError(f"'{_join(path, key)}' must be a string")
-    return value
-
-
-def _get_bool(mapping: dict, key: str, path: str, default=False):
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"'{_join(path, key)}' must be a boolean")
-    return value
+_ARRAY_KEYS = {"spacing": ("spacing", float), "gain_std": ("gain_std", float), "pos_std": ("pos_std", float)}
 
 
 def _parse_array(data: dict) -> ArraySpec:
     data = _require_mapping(data, "array")
-    _check_keys(data, {"geometry", "n", "nx", "nz", "spacing", "gain_std", "pos_std"}, "array")
-    geometry = _get_str(data, "geometry", "array", default="ula")
+    _check_keys(data, {"geometry", "n", "nx", "nz", *_ARRAY_KEYS}, "array")
+    geometry = _get(data, "geometry", "array", str, default="ula")
     if geometry not in ("ula", "upa"):
         raise ConfigError("'array.geometry' must be 'ula' or 'upa'")
     if geometry == "ula":
         if "nx" in data or "nz" in data:
             raise ConfigError("'array.nx'/'array.nz' only apply to geometry 'upa'")
-        shape = (_get_int(data, "n", "array", required=True),)
+        shape = (_get(data, "n", "array", int, required=True),)
     else:
         if "n" in data:
             raise ConfigError("'array.n' only applies to geometry 'ula'")
-        shape = (
-            _get_int(data, "nx", "array", required=True),
-            _get_int(data, "nz", "array", required=True),
-        )
+        shape = (_get(data, "nx", "array", int, required=True), _get(data, "nz", "array", int, required=True))
+    fields = _fields(data, _ARRAY_KEYS, "array")
     try:
-        return ArraySpec(
-            shape=shape,
-            spacing=_get_float(data, "spacing", "array", default=0.5),
-            gain_std=_get_float(data, "gain_std", "array", default=0.0),
-            pos_std=_get_float(data, "pos_std", "array", default=0.0),
-        )
+        return ArraySpec(shape=shape, **fields)
     except ValueError as exc:
         raise ConfigError(f"array: {exc}") from None
 
 
+_TRUNCATED_GAUSSIAN_KEYS = {key: (key, float) for key in ("mean_db", "std_db", "floor_db")}
+
+
 def _parse_snr(data) -> FixedSnr | TruncatedGaussianSnr:
     data = _require_mapping(data, "snr")
-    model = _get_str(data, "model", "snr", required=True)
+    model = _get(data, "model", "snr", str, required=True)
+    if model == "fixed":
+        _check_keys(data, {"model", "value_db"}, "snr")
+        return FixedSnr(value_db=_get(data, "value_db", "snr", float, required=True))
+    if model != "truncated_gaussian":
+        raise ConfigError("'snr.model' must be 'fixed' or 'truncated_gaussian'")
+    _check_keys(data, {"model", *_TRUNCATED_GAUSSIAN_KEYS}, "snr")
+    fields = _fields(data, _TRUNCATED_GAUSSIAN_KEYS, "snr")
     try:
-        if model == "fixed":
-            _check_keys(data, {"model", "value_db"}, "snr")
-            return FixedSnr(value_db=_get_float(data, "value_db", "snr", required=True))
-        if model == "truncated_gaussian":
-            _check_keys(data, {"model", "mean_db", "std_db", "floor_db"}, "snr")
-            return TruncatedGaussianSnr(
-                mean_db=_get_float(data, "mean_db", "snr", default=10.0),
-                std_db=_get_float(data, "std_db", "snr", default=4.0),
-                floor_db=_get_float(data, "floor_db", "snr", default=1.0),
-            )
+        return TruncatedGaussianSnr(**fields)
     except ValueError as exc:
         raise ConfigError(f"snr: {exc}") from None
-    raise ConfigError("'snr.model' must be 'fixed' or 'truncated_gaussian'")
+
+
+_CHANNEL_KEYS = {"paths_min": ("paths_min", int), "paths_max": ("paths_max", int), "gain_decay": ("gain_decay", float)}
 
 
 def _parse_channel(data, snr) -> ChannelGenConfig:
     data = _require_mapping(data, "channel") if data is not None else {}
-    _check_keys(data, {"paths_min", "paths_max", "gain_decay", "cluster_std_deg"}, "channel")
-    cluster = None
-    if "cluster_std_deg" in data and data["cluster_std_deg"] is not None:
-        cluster = _get_float(data, "cluster_std_deg", "channel")
+    _check_keys(data, {*_CHANNEL_KEYS, "cluster_std_deg"}, "channel")
+    fields = _fields(data, _CHANNEL_KEYS, "channel")
+    if data.get("cluster_std_deg") is not None:  # null means no clustering
+        fields["cluster_std_deg"] = _get(data, "cluster_std_deg", "channel", float)
     try:
-        return ChannelGenConfig(
-            paths_min=_get_int(data, "paths_min", "channel", default=1),
-            paths_max=_get_int(data, "paths_max", "channel", default=10),
-            gain_decay=_get_float(data, "gain_decay", "channel", default=0.7),
-            cluster_std_deg=cluster,
-            snr=snr,
-        )
+        return ChannelGenConfig(snr=snr, **fields)
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}") from None
 
 
-# YAML key -> (TrainConfig field, reader); TrainConfig holds the defaults.
 _TRAINING_KEYS = {
-    "minibatch_size": ("minibatch_size", _get_int),
-    "learning_rate": ("base_rate", _get_float),
-    "decay_factor": ("decay", _get_float),
-    "decay_every": ("decay_every", _get_int),
-    "beta1": ("beta1", _get_float),
-    "beta2": ("beta2", _get_float),
-    "epsilon": ("eps", _get_float),
+    "minibatch_size": ("minibatch_size", int),
+    "learning_rate": ("base_rate", float),
+    "decay_factor": ("decay", float),
+    "decay_every": ("decay_every", int),
+    "beta1": ("beta1", float),
+    "beta2": ("beta2", float),
+    "epsilon": ("eps", float),
 }
 
 
 def _parse_training(data) -> TrainConfig:
     data = _require_mapping(data, "training") if data is not None else {}
     _check_keys(data, set(_TRAINING_KEYS), "training")
-    fields = {field: read(data, key, "training") for key, (field, read) in _TRAINING_KEYS.items() if key in data}
+    fields = _fields(data, _TRAINING_KEYS, "training")
     try:
         return TrainConfig(**fields)
     except ValueError as exc:
@@ -192,53 +165,53 @@ def _parse_anomalies(entries, total_samples: int) -> tuple[ArrayEvent, ...]:
         path = f"anomalies[{pos}]"
         entry = _require_mapping(entry, path)
         _check_keys(entry, {"kind", "index", "fraction", "gain_std", "steps", "every"}, path)
-        kind = _get_str(entry, "kind", path, required=True)
-        index = _get_int(entry, "index", path, required=True)
-        steps = _get_int(entry, "steps", path, default=1)
-        every = _get_int(entry, "every", path, default=0)
+        kind = _get(entry, "kind", path, str, required=True)
+        index = _get(entry, "index", path, int, required=True)
+        steps = _get(entry, "steps", path, int, default=1)
+        every = _get(entry, "every", path, int, default=0)
         if steps < 1:
             raise ConfigError(f"'{path}.steps' must be >= 1")
         if steps > 1 and every < 1:
             raise ConfigError(f"'{path}.every' must be >= 1 when steps > 1")
+        if kind == "break":
+            if steps != 1:
+                raise ConfigError(f"'{path}': break events do not repeat")
+            amount = {"fraction": _get(entry, "fraction", path, float, required=True)}
+        elif kind == "age":
+            amount = {"gain_std": _get(entry, "gain_std", path, float, required=True)}
+        else:
+            raise ConfigError(f"'{path}.kind' must be 'break' or 'age'")
+        if index + (steps - 1) * every >= total_samples:  # bound the schedule before expanding it
+            first = index if index >= total_samples else index - every * ((index - total_samples) // every)
+            raise ConfigError(f"anomaly index {first} is beyond the stream length {total_samples}")
         try:
-            if kind == "break":
-                if steps != 1:
-                    raise ConfigError(f"'{path}': break events do not repeat")
-                events.append(ArrayEvent(index, "break", fraction=_get_float(entry, "fraction", path, required=True)))
-            elif kind == "age":
-                gain_std = _get_float(entry, "gain_std", path, required=True)
-                for k in range(steps):
-                    events.append(ArrayEvent(index + k * every, "age", gain_std=gain_std))
-            else:
-                raise ConfigError(f"'{path}.kind' must be 'break' or 'age'")
-        except ConfigError:
-            raise
+            events.extend(ArrayEvent(index + k * every, kind, **amount) for k in range(steps))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    for event in events:
-        if event.index >= total_samples:
-            raise ConfigError(f"anomaly index {event.index} is beyond the stream length {total_samples}")
     return tuple(events)
+
+
+_SNR_LOSS_KEYS = {
+    "arrays": ("n_arrays", int),
+    "channels_per_array": ("channels_per_array", int),
+    "snr_db": ("snr_db", float),
+    "atoms": ("n_atoms", int),
+}
 
 
 def _parse_snr_loss(data) -> SnrLossSpec:
     data = _require_mapping(data, "snr_loss")
-    allowed = {"pos_stds", "gain_stds", "arrays", "channels_per_array", "snr_db", "atoms"}
-    _check_keys(data, allowed, "snr_loss")
+    _check_keys(data, {"pos_stds", "gain_stds", *_SNR_LOSS_KEYS}, "snr_loss")
+    fields = {}
     for key in ("pos_stds", "gain_stds"):
         if key not in data or not isinstance(data[key], list) or not data[key]:
             raise ConfigError(f"'snr_loss.{key}' must be a nonempty list")
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in data[key]):
             raise ConfigError(f"'snr_loss.{key}' must contain numbers")
+        fields[key] = tuple(float(v) for v in data[key])
+    fields.update(_fields(data, _SNR_LOSS_KEYS, "snr_loss"))
     try:
-        return SnrLossSpec(
-            pos_stds=tuple(float(v) for v in data["pos_stds"]),
-            gain_stds=tuple(float(v) for v in data["gain_stds"]),
-            n_arrays=_get_int(data, "arrays", "snr_loss", default=5),
-            channels_per_array=_get_int(data, "channels_per_array", "snr_loss", default=200),
-            snr_db=_get_float(data, "snr_db", "snr_loss", default=10.0),
-            n_atoms=_get_int(data, "atoms", "snr_loss", default=None),
-        )
+        return SnrLossSpec(**fields)
     except ValueError as exc:
         raise ConfigError(f"snr_loss: {exc}") from None
 
@@ -246,15 +219,15 @@ def _parse_snr_loss(data) -> SnrLossSpec:
 def config_from_mapping(data: dict) -> ExperimentConfig:
     data = _require_mapping(data, "")
     _check_keys(data, _TOP_KEYS, "")
-    seed = _get_int(data, "seed", "", required=True)
+    seed = _get(data, "seed", "", int, required=True)
     array = _parse_array(data.get("array", {"n": 64}))
-    dictionary = _require_mapping(data.get("dictionary", {"atoms": 8 * array.n_antennas}), "dictionary")
+    dictionary = _require_mapping(data.get("dictionary", {}), "dictionary")
     _check_keys(dictionary, {"atoms"}, "dictionary")
-    n_atoms = _get_int(dictionary, "atoms", "dictionary", default=8 * array.n_antennas)
-    snr = _parse_snr(data.get("snr", {"model": "fixed", "value_db": 10.0}))
+    n_atoms = _get(dictionary, "atoms", "dictionary", int, default=8 * array.n_antennas)
+    snr = _parse_snr(data["snr"]) if "snr" in data else FixedSnr()
     channel = _parse_channel(data.get("channel"), snr)
     training = _parse_training(data.get("training"))
-    total_samples = _get_int(data, "total_samples", "", default=0)
+    total_samples = _get(data, "total_samples", "", int, default=0)
 
     estimators = data.get("estimators", [])
     if estimators is None:
@@ -269,9 +242,11 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 
     stream = _require_mapping(data.get("stream", {}), "stream")
     _check_keys(stream, {"dump", "replay"}, "stream")
+    dump_stream = _get(stream, "dump", "stream", bool, default=False)
     replay = stream.get("replay")
     if replay is not None and not isinstance(replay, str):
         raise ConfigError("'stream.replay' must be a path string or null")
+    output_dir = _get(data, "output_dir", "", str)
 
     snr_loss = _parse_snr_loss(data["snr_loss"]) if "snr_loss" in data else None
     anomalies = _parse_anomalies(data.get("anomalies"), total_samples)
@@ -286,10 +261,10 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
             estimators=tuple(estimators),
             total_samples=total_samples,
             anomalies=anomalies,
-            dump_stream=_get_bool(stream, "dump", "stream", default=False),
+            dump_stream=dump_stream,
             replay_stream=replay,
             snr_loss=snr_loss,
-            output_dir=_get_str(data, "output_dir", "", default=None),
+            output_dir=output_dir,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -307,4 +282,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if data is None:
         raise ConfigError(f"{path}: empty config")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a mapping at the top level")
     return config_from_mapping(data)

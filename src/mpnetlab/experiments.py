@@ -286,9 +286,17 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         "ideal": build_dictionary(true_array, directions),
     }
 
+    batch_size = cfg.training.minibatch_size
+    n_minibatches = cfg.total_samples // batch_size
     channel_cfg = replace(cfg.channel, doa_domain=cfg.array.doa_domain)
     if cfg.replay_stream is not None:
-        stream = ReplayStream(load_stream(cfg.replay_stream))
+        samples = load_stream(cfg.replay_stream)
+        if len(samples) < n_minibatches * batch_size:
+            raise ValueError(
+                f"replay file {cfg.replay_stream} holds {len(samples)} samples;"
+                f" the run needs {n_minibatches * batch_size} ({n_minibatches} minibatches of {batch_size})"
+            )
+        stream = ReplayStream(samples)
         oracle = None
     else:
         stream = make_stream(channel_cfg, true_array, as_rng(stream_seed), cfg.anomalies)
@@ -308,8 +316,6 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         else:
             roster[spec.name] = _baseline_fn(spec, dictionaries, oracle)
 
-    batch_size = cfg.training.minibatch_size
-    n_minibatches = cfg.total_samples // batch_size
     names = tuple(roster)
     scored: dict[str, list[MinibatchRecord]] = {name: [] for name in names}
     snr_values: list[float] = []

@@ -178,15 +178,13 @@ def backward(model: MpNetModel, trace: ForwardTrace, x_unit: np.ndarray) -> np.n
     return grad
 
 
-@dataclass
-class AdamState:
-    """Adam moments on the stacked real/imaginary weight representation, with a
-    stepwise exponential learning-rate schedule (rate is multiplied by ``decay``
-    every ``decay_every`` updates)."""
+@dataclass(frozen=True)
+class TrainConfig:
+    """Online-training hyperparameters: minibatch size, Adam settings, and the
+    learning-rate schedule. Out-of-range values raise a ValueError whose
+    message starts with the field name."""
 
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
+    minibatch_size: int = 200
     base_rate: float = 1e-3
     decay: float = 0.9
     decay_every: int = 200
@@ -194,13 +192,40 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self) -> None:
+        for name, ok, bounds in (
+            ("minibatch_size", self.minibatch_size >= 1, ">= 1"),
+            ("base_rate", self.base_rate > 0.0, "> 0"),
+            ("decay", 0.0 < self.decay <= 1.0, "in (0, 1]"),
+            ("decay_every", self.decay_every >= 1, ">= 1"),
+            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+            ("eps", self.eps > 0.0, "> 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {bounds}")
+
+
+@dataclass
+class AdamState:
+    """Adam moments on the stacked real/imaginary weight representation and the
+    number of updates made. The hyperparameters are those of ``cfg``; the
+    learning rate starts at ``cfg.base_rate`` and is multiplied by
+    ``cfg.decay`` every ``cfg.decay_every`` updates."""
+
+    m: np.ndarray
+    v: np.ndarray
+    cfg: TrainConfig
+    step: int = 0
+
     @classmethod
-    def for_shape(cls, shape: tuple[int, ...], **kwargs) -> "AdamState":
-        return cls(m=np.zeros((2, *shape)), v=np.zeros((2, *shape)), **kwargs)
+    def for_shape(cls, shape: tuple[int, ...], **fields) -> "AdamState":
+        """Zero moments for weights of ``shape``; ``fields`` are TrainConfig fields."""
+        return cls(np.zeros((2, *shape)), np.zeros((2, *shape)), TrainConfig(**fields))
 
     @property
     def learning_rate(self) -> float:
-        return self.base_rate * self.decay ** (self.step // self.decay_every)
+        return self.cfg.base_rate * self.cfg.decay ** (self.step // self.cfg.decay_every)
 
 
 def adam_step(state: AdamState, weights: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -208,14 +233,15 @@ def adam_step(state: AdamState, weights: np.ndarray, grad: np.ndarray) -> np.nda
     if grad.shape != weights.shape:
         raise ValueError("gradient and weights must share a shape")
     g = np.stack([grad.real, grad.imag])
+    cfg = state.cfg
     rate = state.learning_rate
     state.step += 1
     t = state.step
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g**2
-    m_hat = state.m / (1.0 - state.beta1**t)
-    v_hat = state.v / (1.0 - state.beta2**t)
-    stacked = np.stack([weights.real, weights.imag]) - rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g**2
+    m_hat = state.m / (1.0 - cfg.beta1**t)
+    v_hat = state.v / (1.0 - cfg.beta2**t)
+    stacked = np.stack([weights.real, weights.imag]) - rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
     return stacked[0] + 1j * stacked[1]
 
 
@@ -246,34 +272,6 @@ def estimate(model: MpNetModel, x: np.ndarray, noise_var: float = 0.0) -> Estima
     x = np.asarray(x, dtype=complex)
     (norm,), (x_unit,), (trace,) = _unit_batch(model, [x], [noise_var])
     return _rescaled(norm, x_unit, trace)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Online-training hyperparameters: minibatch size, Adam settings, and the
-    learning-rate schedule. Out-of-range values raise a ValueError whose
-    message starts with the field name."""
-
-    minibatch_size: int = 200
-    base_rate: float = 1e-3
-    decay: float = 0.9
-    decay_every: int = 200
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        for name, ok, bounds in (
-            ("minibatch_size", self.minibatch_size >= 1, ">= 1"),
-            ("base_rate", self.base_rate > 0.0, "> 0"),
-            ("decay", 0.0 < self.decay <= 1.0, "in (0, 1]"),
-            ("decay_every", self.decay_every >= 1, ">= 1"),
-            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
-            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
-            ("eps", self.eps > 0.0, "> 0"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be {bounds}")
 
 
 @dataclass(frozen=True)
@@ -321,15 +319,8 @@ class OnlineTrainer:
     def __init__(self, model: MpNetModel, cfg: TrainConfig = TrainConfig(), name: str = "mpnet"):
         self.model = model
         self.name = name
-        self.adam = AdamState.for_shape(
-            model.weights.shape,
-            base_rate=cfg.base_rate,
-            decay=cfg.decay,
-            decay_every=cfg.decay_every,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            eps=cfg.eps,
-        )
+        moments = (2, *model.weights.shape)
+        self.adam = AdamState(np.zeros(moments), np.zeros(moments), cfg)
         self.minibatches_done = 0
         self._reset()
 
@@ -404,6 +395,10 @@ def _rule_fields(rule: StoppingRule) -> tuple[str, int, int]:
     return rule.kind, -1 if rule.depth is None else rule.depth, -1 if rule.max_depth is None else rule.max_depth
 
 
+# The TrainConfig fields a checkpoint stores as adam_<field>, in file order.
+_ADAM_FIELDS = ("base_rate", "decay", "decay_every", "beta1", "beta2", "eps")
+
+
 def save_checkpoint(path, model: MpNetModel, adam: AdamState | None = None) -> None:
     """Persist weights, stopping rule, and optimizer state to a versioned .npz file."""
     kind, depth, max_depth = _rule_fields(model.rule)
@@ -417,21 +412,14 @@ def save_checkpoint(path, model: MpNetModel, adam: AdamState | None = None) -> N
         "rule_max_depth": np.array(max_depth),
     }
     if adam is not None:
-        payload.update(
-            adam_m=adam.m,
-            adam_v=adam.v,
-            adam_step=np.array(adam.step),
-            adam_base_rate=np.array(adam.base_rate),
-            adam_decay=np.array(adam.decay),
-            adam_decay_every=np.array(adam.decay_every),
-            adam_beta1=np.array(adam.beta1),
-            adam_beta2=np.array(adam.beta2),
-            adam_eps=np.array(adam.eps),
-        )
+        payload.update(adam_m=adam.m, adam_v=adam.v, adam_step=np.array(adam.step))
+        payload.update({f"adam_{name}": np.array(getattr(adam.cfg, name)) for name in _ADAM_FIELDS})
     atomic_savez(path, **payload)
 
 
 def load_checkpoint(path) -> tuple[MpNetModel, AdamState | None]:
+    """Read a checkpoint back. The Adam hyperparameters are range-checked as a
+    TrainConfig; ``minibatch_size`` is not stored and keeps its default."""
     with np.load(path) as data:
         version = int(data["format_version"])
         if version != CHECKPOINT_VERSION:
@@ -451,15 +439,10 @@ def load_checkpoint(path) -> tuple[MpNetModel, AdamState | None]:
             for key in ("adam_m", "adam_v"):
                 if data[key].shape != expected:
                     raise ValueError(f"checkpoint {key} has shape {data[key].shape}, expected {expected} for the stored weights")
-            adam = AdamState(
-                m=data["adam_m"],
-                v=data["adam_v"],
-                step=int(data["adam_step"]),
-                base_rate=float(data["adam_base_rate"]),
-                decay=float(data["adam_decay"]),
-                decay_every=int(data["adam_decay_every"]),
-                beta1=float(data["adam_beta1"]),
-                beta2=float(data["adam_beta2"]),
-                eps=float(data["adam_eps"]),
-            )
+            fields = {name: data[f"adam_{name}"].item() for name in _ADAM_FIELDS}
+            try:
+                cfg = TrainConfig(**fields)
+            except ValueError as exc:  # TrainConfig names the field first
+                raise ValueError(f"checkpoint adam_{exc}") from None
+            adam = AdamState(data["adam_m"], data["adam_v"], cfg, int(data["adam_step"]))
     return model, adam

@@ -1,7 +1,19 @@
-import pytest
+import copy
+import math
+from pathlib import Path
 
-from mpnetlab.channels import FixedSnr, TruncatedGaussianSnr
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mpnetlab.config
+from mpnetlab.channels import ChannelGenConfig, FixedSnr, TruncatedGaussianSnr
 from mpnetlab.config import ConfigError, config_from_mapping, load_config
+from mpnetlab.experiments import ArraySpec, ExperimentConfig, SnrLossSpec
+from mpnetlab.mpnet import TrainConfig
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
 def minimal_mapping(**overrides):
@@ -181,3 +193,143 @@ class TestTrainingRanges:
             config_from_mapping(minimal_mapping(training={"decay_every": 2.5}))
         with pytest.raises(ConfigError, match="unknown key 'training.total_samples'"):
             config_from_mapping(minimal_mapping(training={"total_samples": 400}))
+
+
+class TestSectionTypeErrors:
+    """A type error inside a section names its dotted key once, with no
+    section prefix in front."""
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"array": {"geometry": "ula", "n": 16, "spacing": "wide"}}, "'array.spacing' must be a number"),
+            ({"array": {"geometry": "ula", "n": 16, "pos_std": True}}, "'array.pos_std' must be a number"),
+            ({"snr": {"model": "fixed", "value_db": "loud"}}, "'snr.value_db' must be a number"),
+            ({"snr": {"model": "truncated_gaussian", "std_db": [4.0]}}, "'snr.std_db' must be a number"),
+            ({"channel": {"paths_min": 2.5}}, "'channel.paths_min' must be an integer"),
+            ({"channel": {"gain_decay": "fast"}}, "'channel.gain_decay' must be a number"),
+            ({"channel": {"cluster_std_deg": "wide"}}, "'channel.cluster_std_deg' must be a number"),
+        ],
+    )
+    def test_message_is_exact(self, overrides, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(minimal_mapping(**overrides))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("arrays", "five", "'snr_loss.arrays' must be an integer"),
+            ("channels_per_array", 2.0, "'snr_loss.channels_per_array' must be an integer"),
+            ("snr_db", None, "'snr_loss.snr_db' must be a number"),
+            ("atoms", "many", "'snr_loss.atoms' must be an integer"),
+        ],
+    )
+    def test_snr_loss_message_is_exact(self, key, value, message):
+        data = {"seed": 1, "array": {"n": 16}, "snr_loss": {"pos_stds": [0.0], "gain_stds": [0.0], key: value}}
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(data)
+        assert str(exc.value) == message
+
+
+class TestDefaultsFromDataclasses:
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        data = minimal_mapping()
+        del data["snr"], data["training"]
+        cfg = config_from_mapping(data)
+        assert cfg.array == ArraySpec((16,))
+        assert cfg.channel == ChannelGenConfig(snr=FixedSnr())
+        assert cfg.training == TrainConfig()
+
+    def test_truncated_gaussian_defaults(self):
+        cfg = config_from_mapping(minimal_mapping(snr={"model": "truncated_gaussian"}))
+        assert cfg.channel.snr == TruncatedGaussianSnr()
+
+    def test_snr_loss_defaults(self):
+        data = {"seed": 1, "array": {"n": 16}, "snr_loss": {"pos_stds": [0.0], "gain_stds": [0.1]}}
+        assert config_from_mapping(data).snr_loss == SnrLossSpec((0.0,), (0.1,))
+
+
+class TestAnomalyScheduleBound:
+    def _counted(self, monkeypatch):
+        built = []
+        original = mpnetlab.config.ArrayEvent
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mpnetlab.config, "ArrayEvent", counting)
+        return built
+
+    def test_long_schedule_rejected_before_expansion(self, monkeypatch):
+        built = self._counted(monkeypatch)
+        event = {"kind": "age", "index": 100, "gain_std": 0.1, "steps": 100000, "every": 50}
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(minimal_mapping(anomalies=[event]))
+        assert str(exc.value) == "anomaly index 400 is beyond the stream length 400"
+        assert built == []
+
+    @pytest.mark.parametrize("index, steps, every, first", [(110, 9, 50, 410), (399, 3, 1, 400), (400, 1, 0, 400), (500, 2, 7, 500)])
+    def test_names_the_first_event_past_the_end(self, index, steps, every, first):
+        event = {"kind": "age", "index": index, "gain_std": 0.1, "steps": steps, "every": every}
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(minimal_mapping(anomalies=[event]))
+        assert str(exc.value) == f"anomaly index {first} is beyond the stream length 400"
+
+    def test_schedule_ending_on_the_last_sample_is_kept(self, monkeypatch):
+        built = self._counted(monkeypatch)
+        event = {"kind": "age", "index": 99, "gain_std": 0.1, "steps": 4, "every": 100}
+        cfg = config_from_mapping(minimal_mapping(anomalies=[event]))
+        assert [e.index for e in cfg.anomalies] == [99, 199, 299, 399]
+        assert len(built) == 4
+
+
+class TestTopLevel:
+    def test_list_document_rejected_with_file_name(self, tmp_path):
+        path = tmp_path / "list.yaml"
+        path.write_text("- seed: 3\n- total_samples: 200\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}: expected a mapping at the top level"
+
+    @pytest.mark.parametrize("data", [[1, 2], "seed: 3", 7])
+    def test_non_mapping_rejected(self, data):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(data)
+        assert str(exc.value) == "expected a mapping at the top level"
+
+
+SHIPPED = [yaml.safe_load(path.read_text(encoding="utf-8")) for path in sorted(CONFIG_DIR.glob("*.yaml"))]
+POOL = [None, True, False, 0, -1, 2.5, "", "x", "upa", "truncated_gaussian", [], {}, math.nan, math.inf]
+
+
+def _paths(node, prefix=()):
+    """Every position below ``node``: mapping keys and list items, depth first."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    data = copy.deepcopy(draw(st.sampled_from(SHIPPED)))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(POOL)))
+    return data
+
+
+class TestConfigFuzz:
+    @settings(derandomize=True, max_examples=1500, deadline=None)
+    @given(mutated_configs())
+    def test_mutated_shipped_config_is_a_config_or_a_config_error(self, data):
+        try:
+            cfg = config_from_mapping(data)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)

@@ -267,3 +267,32 @@ class TestSnrLossExperiment:
         )
         with pytest.raises(ValueError):
             snr_loss_experiment(cfg)
+
+
+class TestShortReplay:
+    def test_rejected_before_any_roster_entry_runs(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        import mpnetlab.experiments as experiments
+
+        cfg = small_config(dump_stream=True)
+        stream = run_learning_experiment(cfg, tmp_path / "live").output_files["stream"]
+        scored = []
+        original = experiments.score_minibatch
+        monkeypatch.setattr(experiments, "score_minibatch", lambda *args: scored.append(args) or original(*args))
+        longer = replace(cfg, dump_stream=False, replay_stream=str(stream), total_samples=560)
+        with pytest.raises(ValueError) as exc:
+            run_learning_experiment(longer, tmp_path / "replay")
+        assert str(exc.value) == f"replay file {stream} holds 500 samples; the run needs 550 (11 minibatches of 50)"
+        assert scored == []
+        assert not (tmp_path / "replay").exists()
+
+    def test_trailing_partial_minibatch_is_not_needed(self, tmp_path):
+        from dataclasses import replace
+
+        cfg = small_config(dump_stream=True)
+        live = tmp_path / "live"
+        stream = run_learning_experiment(cfg, live).output_files["stream"]
+        replay = replace(cfg, dump_stream=False, replay_stream=str(stream), total_samples=520)
+        run_learning_experiment(replay, tmp_path / "replay")
+        assert (tmp_path / "replay" / "curves.csv").read_bytes() == (live / "curves.csv").read_bytes()

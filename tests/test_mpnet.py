@@ -375,3 +375,45 @@ class TestComplexityStructure:
         nonzero_cols = np.flatnonzero(np.any(grad != 0.0, axis=0))
         assert set(nonzero_cols) <= set(trace.indices)
         assert len(nonzero_cols) <= trace.depth
+
+
+class TestAdamStateConfig:
+    def test_trainer_state_holds_its_config(self, rng):
+        cfg = TrainConfig(minibatch_size=4, base_rate=2e-3, decay_every=7, beta2=0.99)
+        trainer = OnlineTrainer(random_model(rng), cfg)
+        assert trainer.adam.cfg is cfg
+        assert trainer.adam.m.shape == trainer.adam.v.shape == (2, 6, 12)
+        assert trainer.adam.learning_rate == 2e-3
+
+    def test_for_shape_takes_train_config_fields(self):
+        state = AdamState.for_shape((3, 5), base_rate=1e-2, eps=1e-6)
+        assert state.cfg == TrainConfig(base_rate=1e-2, eps=1e-6)
+        assert state.m.shape == (2, 3, 5)
+        with pytest.raises(ValueError, match="^beta1 must be in"):
+            AdamState.for_shape((3, 5), beta1=1.0)
+
+    def test_checkpoint_keys_and_hyperparameters_round_trip(self, tmp_path, rng):
+        model = random_model(rng)
+        fields = dict(base_rate=5e-3, decay=0.5, decay_every=3, beta1=0.8, beta2=0.95, eps=1e-7)
+        save_checkpoint(tmp_path / "model.npz", model, AdamState.for_shape(model.weights.shape, **fields))
+        with np.load(tmp_path / "model.npz") as data:
+            adam_keys = [key for key in data.files if key.startswith("adam_")]
+        assert adam_keys == [
+            "adam_m", "adam_v", "adam_step", "adam_base_rate", "adam_decay",
+            "adam_decay_every", "adam_beta1", "adam_beta2", "adam_eps",
+        ]
+        _, adam = load_checkpoint(tmp_path / "model.npz")
+        assert adam.cfg == TrainConfig(**fields)
+        assert type(adam.cfg.decay_every) is int
+
+    @pytest.mark.parametrize("key, value", [("adam_beta2", 1.5), ("adam_decay_every", 0), ("adam_eps", -1.0)])
+    def test_out_of_range_hyperparameter_rejected(self, tmp_path, rng, key, value):
+        model = random_model(rng)
+        save_checkpoint(tmp_path / "model.npz", model, AdamState.for_shape(model.weights.shape))
+        with np.load(tmp_path / "model.npz") as data:
+            payload = dict(data)
+        payload[key] = np.array(value)
+        np.savez(tmp_path / "edited.npz", **payload)
+        with pytest.raises(ValueError, match=f"^checkpoint {key} must be ") as exc:
+            load_checkpoint(tmp_path / "edited.npz")
+        assert "\n" not in str(exc.value)
