@@ -32,12 +32,14 @@ from .channels import (
     sample_snr,
 )
 from .estimators import (
+    BatchEstimate,
     Estimate,
     StoppingRule,
     ls_estimate,
     matching_pursuit,
     omp,
     pursuit_batch,
+    pursuit_estimates,
     sc_threshold,
     should_stop,
 )

@@ -245,6 +245,10 @@ class ArrayEvent:
             raise ValueError("event kind must be 'break', 'age' or 'replace'")
         if self.kind == "replace" and self.array is None:
             raise ValueError("replace events need a replacement array")
+        if not 0.0 <= self.fraction <= 1.0:
+            raise ValueError("fraction must lie in [0, 1]")
+        if not self.gain_std >= 0.0:
+            raise ValueError("gain_std must be nonnegative")
 
     def apply(self, array: AntennaArray, rng) -> AntennaArray:
         if self.kind == "break":

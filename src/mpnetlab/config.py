@@ -65,7 +65,14 @@ def _get(mapping: dict, key: str, path: str, kind: type, default=None, required=
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"'{_join(path, key)}' must be {_KIND_NAMES[kind]}")
-    return float(value) if kind is float else value
+    return _float(value, _join(path, key)) if kind is float else value
+
+
+def _float(value, path: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ConfigError(f"'{path}' is too large for a float") from None
 
 
 def _fields(mapping: dict, table: dict, path: str) -> dict:
@@ -208,7 +215,7 @@ def _parse_snr_loss(data) -> SnrLossSpec:
             raise ConfigError(f"'snr_loss.{key}' must be a nonempty list")
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in data[key]):
             raise ConfigError(f"'snr_loss.{key}' must contain numbers")
-        fields[key] = tuple(float(v) for v in data[key])
+        fields[key] = tuple(_float(v, f"snr_loss.{key}") for v in data[key])
     fields.update(_fields(data, _SNR_LOSS_KEYS, "snr_loss"))
     try:
         return SnrLossSpec(**fields)

@@ -8,12 +8,12 @@ scale, with the noise variance divided by the input energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .arrays import Dictionary
-from .utils import energy
+from .utils import energy, row_energies
 
 # Residual energies at or below this fraction of the input energy count as an
 # exact representation: recovery of a pure atom leaves only rounding noise.
@@ -115,30 +115,22 @@ class Estimate:
             raise ValueError("residual energy must be nonnegative")
 
 
+@dataclass(frozen=True)
+class BatchEstimate:
+    """Channel estimates of a batch: one row of ``channel`` (B x N) and one entry
+    of ``depth`` (B) per sample. Indexing gives a sample's under the same names."""
+
+    channel: np.ndarray
+    depth: np.ndarray
+
+    def __getitem__(self, index) -> "BatchEstimate":
+        return BatchEstimate(self.channel[index], self.depth[index])
+
+
 def ls_estimate(x: np.ndarray) -> Estimate:
     """The raw observation itself: unbiased, depth-zero estimate."""
     x = np.asarray(x, dtype=complex)
     return Estimate(x.copy(), (), 0, 0.0)
-
-
-def _check_inputs(dictionary: Dictionary, X, rule: StoppingRule):
-    """Validate a (B, N) batch of inputs; returns the atoms, the batch and the
-    energy of every input."""
-    if not dictionary.normalized:
-        raise ValueError("greedy pursuit needs unit-norm atoms; build with normalize=True")
-    atoms = dictionary.atoms
-    X = np.asarray(X, dtype=complex)
-    if X.ndim != 2 or X.shape[1] != atoms.shape[0]:
-        raise ValueError(f"inputs must have shape (B, {atoms.shape[0]})")
-    energies = [energy(x) for x in X]
-    if rule.kind != "fixed" and 0.0 in energies:
-        raise ValueError("residual stopping rules are undefined for a zero input")
-    return atoms, X, energies
-
-
-def tiles(count: int) -> list[slice]:
-    """Consecutive slices of at most CORR_TILE rows that cover ``range(count)``."""
-    return [slice(start, min(start + CORR_TILE, count)) for start in range(0, count, CORR_TILE)]
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,7 +152,8 @@ def pursue(
     noise_var_norms: Sequence[float],
     rule: StoppingRule,
     orthogonal: bool = False,
-) -> tuple[list[tuple[int, ...]], list[np.ndarray], np.ndarray]:
+    on_tile: Callable[[list[tuple], np.ndarray], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Greedy pursuit of every row of ``X`` (B x N) over the columns of ``atoms``:
     the one kernel behind matching pursuit, OMP and the mpNet forward pass.
 
@@ -173,19 +166,28 @@ def pursue(
     against the row's basis and projects the residual off it; it raises
     numpy.linalg.LinAlgError when the support is linearly dependent or full.
 
-    Stopping compares the residual energy divided by the row's
-    ``input_energies`` entry against the rule. A row's results are the same
-    bytes whatever the batch and tile sizes, and within 1e-12 of a per-sample
-    loop. Returns the supports, the per-layer coefficients (onto the atom, or
-    onto the new basis vector for OMP) and the final residuals.
+    A row stops where ``should_stop`` first holds for its residual energy over
+    its ``input_energies`` entry, tested against bounds set once per tile. A
+    row's results are the same bytes whatever the batch and tile sizes, and
+    within 1e-12 of a per-sample loop. ``on_tile`` gets each finished tile's
+    final residual rows (a view) and its layers, one (live rows as ascending
+    tile positions, picked atoms, vectors peeled off, coefficients, residual
+    rows before the update) tuple each. Returns one array record: the depths
+    (B), the supports and coefficients (B x K, zero past a row's depth) and
+    the final residuals (B x N).
     """
     n, n_atoms = atoms.shape
     atoms_h, atom_rows = atoms.conj().T, atoms.T
     residuals = np.array(X, dtype=complex)
-    supports, coeffs = [], []
-    for tile in tiles(len(residuals)):
-        energies, noise = np.asarray(input_energies, dtype=float)[tile], np.asarray(noise_var_norms, dtype=float)[tile]
-        live = np.flatnonzero(~should_stop(rule, (energies > 0.0).astype(float), 0, noise, n))
+    input_energies, noise_var_norms = np.asarray(input_energies, dtype=float), np.asarray(noise_var_norms, dtype=float)
+    stop_depth = min(rule.depth, rule.cap(n)) if rule.kind == "fixed" else rule.cap(n)  # should_stop's depth test
+    found = []  # (rows, layer index, picks, coefficients) of every layer of every tile
+    for start in range(0, len(residuals), CORR_TILE):
+        tile = slice(start, start + CORR_TILE)
+        energies = input_energies[tile]
+        # should_stop's residual tests folded into one bound per row
+        limits = np.fmax(sc_threshold(rule, noise_var_norms[tile], n), ZERO_RESIDUAL_FLOOR)
+        live = np.flatnonzero((energies > 0.0).astype(float) > limits)
         R = residuals[tile][live]
         if orthogonal:  # each row's support and an orthonormal basis of it (at most N vectors)
             support = np.empty((len(energies), min(rule.cap(n), n)), dtype=np.intp)
@@ -203,18 +205,21 @@ def pursue(
             if orthogonal:
                 cols = _orthonormalize(cols, basis[live, :depth])
                 support[live, depth], basis[live, depth] = picks, cols
-            layers.append((live, picks, peel(cols, R)))
-            stop = should_stop(rule, row_dot(R, R).real / energies[live], depth + 1, noise[live], n)
-            residuals[tile.start + live[stop]] = R[stop]
+            coeffs = row_dot(cols, R)
+            layers.append((live, picks, cols, coeffs, R))
+            R = R - cols * coeffs[:, None]
+            stop = (row_dot(R, R).real / energies[live] <= limits[live]) | (depth + 1 >= stop_depth)
+            residuals[start + live[stop]] = R[stop]
             live, R = live[~stop], R[~stop]
-        picked = np.zeros((len(energies), len(layers)), dtype=np.intp)
-        table = np.zeros(picked.shape, dtype=complex)
-        depths = np.zeros(len(energies), dtype=int)
-        for k, (live, picks, layer_coeffs) in enumerate(layers):
-            picked[live, k], table[live, k], depths[live] = picks, layer_coeffs, k + 1
-        supports += [tuple(row[:depth]) for row, depth in zip(picked.tolist(), depths)]
-        coeffs += [row[:depth] for row, depth in zip(table, depths)]
-    return supports, coeffs, residuals
+        if on_tile is not None:
+            on_tile(layers, residuals[tile])
+        found += [(start + live, k, picks, coeffs) for k, (live, picks, _, coeffs, _) in enumerate(layers)]
+    supports = np.zeros((len(residuals), 1 + max((k for _, k, _, _ in found), default=-1)), dtype=np.intp)
+    coeffs = np.zeros(supports.shape, dtype=complex)
+    depths = np.zeros(len(residuals), dtype=int)
+    for rows, k, picks, layer_coeffs in found:
+        supports[rows, k], coeffs[rows, k], depths[rows] = picks, layer_coeffs, k + 1
+    return depths, supports, coeffs, residuals
 
 
 def _orthonormalize(cols: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -228,6 +233,22 @@ def _orthonormalize(cols: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return cols / norms[:, None]
 
 
+def _pursue_rows(dictionary: Dictionary, X, rule: StoppingRule, noise_vars: Sequence[float], orthogonal: bool):
+    """Validate a (B, N) batch of inputs and pursue every row under its own
+    noise variance; returns the batch and what ``pursue`` returns."""
+    if not dictionary.normalized:
+        raise ValueError("greedy pursuit needs unit-norm atoms; build with normalize=True")
+    atoms = dictionary.atoms
+    X = np.asarray(X, dtype=complex)
+    if X.ndim != 2 or X.shape[1] != atoms.shape[0]:
+        raise ValueError(f"inputs must have shape (B, {atoms.shape[0]})")
+    energies = row_energies(X)
+    if rule.kind != "fixed" and np.any(energies == 0.0):
+        raise ValueError("residual stopping rules are undefined for a zero input")
+    noise_var_norms = [v / e if e > 0.0 else 0.0 for v, e in zip(noise_vars, energies.tolist())]
+    return X, pursue(atoms, X, energies, noise_var_norms, rule, orthogonal)
+
+
 def pursuit_batch(
     dictionary: Dictionary,
     X,
@@ -236,11 +257,22 @@ def pursuit_batch(
     orthogonal: bool = False,
 ) -> list[Estimate]:
     """Matching pursuit (or OMP with ``orthogonal``) of every row of ``X``,
-    each with its own noise variance."""
-    atoms, X, energies = _check_inputs(dictionary, X, rule)
-    noise_var_norms = [v / e if e > 0.0 else 0.0 for v, e in zip(noise_vars, energies)]
-    supports, _, residuals = pursue(atoms, X, energies, noise_var_norms, rule, orthogonal)
-    return [Estimate(x - r, s, len(s), energy(r)) for x, s, r in zip(X, supports, residuals)]
+    each with its own noise variance; one Estimate per row."""
+    X, (depths, supports, _, residuals) = _pursue_rows(dictionary, X, rule, noise_vars, orthogonal)
+    rows = zip(X, supports.tolist(), depths.tolist(), residuals)
+    return [Estimate(x - r, tuple(s[:depth]), depth, energy(r)) for x, s, depth, r in rows]
+
+
+def pursuit_estimates(
+    dictionary: Dictionary,
+    X,
+    rule: StoppingRule,
+    noise_vars: Sequence[float],
+    orthogonal: bool = False,
+) -> BatchEstimate:
+    """``pursuit_batch`` as one columnar estimate: the channels and the depths."""
+    X, (depths, _, _, residuals) = _pursue_rows(dictionary, X, rule, noise_vars, orthogonal)
+    return BatchEstimate(X - residuals, depths)
 
 
 def matching_pursuit(dictionary: Dictionary, x, rule: StoppingRule, noise_var: float = 0.0) -> Estimate:

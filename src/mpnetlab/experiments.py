@@ -37,15 +37,15 @@ from .channels import (
     make_stream,
     sample_to_row,
 )
-from .estimators import Estimate, StoppingRule, ls_estimate, pursuit_batch
+from .estimators import BatchEstimate, StoppingRule, pursuit_estimates
 # the per-sample entry points stay importable from here: bench/spans.py wraps them by name
-from .estimators import matching_pursuit, omp  # noqa: F401
+from .estimators import ls_estimate, matching_pursuit, omp  # noqa: F401
 from .fileio import atomic_write_rows, fmt_float
 from .metrics import snr_histogram
 # not called here (mpnet.score_minibatch scores): bench/spans.py wraps it by name
 from .metrics import rmse  # noqa: F401
 from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch
-from .utils import as_rng, complex_normal, energy, from_db, to_db
+from .utils import as_rng, complex_normal, energy, from_db, row_energies, to_db
 
 CURVES_FILE = "curves.csv"
 DEPTH_HIST_FILE = "depth_hist.csv"
@@ -205,8 +205,10 @@ class MetricRecord:
 
 @dataclass
 class ExperimentResult:
+    """Every estimator's per-minibatch mean rMSE (linear) and mean depth, its
+    depth histogram, and the stream's SNR histogram."""
+
     estimator_names: tuple[str, ...]
-    records: list[MetricRecord]
     rmse_linear: dict[str, np.ndarray]
     mean_depth: dict[str, np.ndarray]
     depth_counts: dict[str, np.ndarray]
@@ -216,6 +218,15 @@ class ExperimentResult:
 
     def rmse_db(self, name: str) -> np.ndarray:
         return 10.0 * np.log10(self.rmse_linear[name])
+
+    @property
+    def records(self) -> list[MetricRecord]:
+        """The same numbers one row per minibatch, the rMSE in dB."""
+        names = self.estimator_names
+        return [
+            MetricRecord(b + 1, {n: to_db(self.rmse_linear[n][b]) for n in names}, {n: self.mean_depth[n][b] for n in names})
+            for b in range(len(self.rmse_linear[names[0]]))
+        ]
 
 
 class _OracleDictionary:
@@ -240,17 +251,19 @@ def _baseline_fn(
     spec: EstimatorSpec,
     dictionaries: dict[str, Dictionary],
     oracle: _OracleDictionary | None,
-) -> Callable[[Sequence[ChannelSample]], list[Estimate]]:
+) -> Callable[[Sequence[ChannelSample]], BatchEstimate]:
     if spec.family == "ls":
-        return lambda samples: [ls_estimate(sample.observation) for sample in samples]
+        return lambda samples: BatchEstimate(
+            np.array([s.observation for s in samples], dtype=complex), np.zeros(len(samples), dtype=int)
+        )
     if spec.source == "oracle" and oracle is None:
         raise ValueError("oracle estimators need a live stream (not a replay)")
     orthogonal = spec.family == "omp"
 
-    def run(samples: Sequence[ChannelSample]) -> list[Estimate]:
+    def run(samples: Sequence[ChannelSample]) -> BatchEstimate:
         dictionary = oracle.current() if spec.source == "oracle" else dictionaries[spec.source]
         X = np.array([sample.observation for sample in samples])
-        return pursuit_batch(dictionary, X, spec.rule, [sample.noise_var for sample in samples], orthogonal)
+        return pursuit_estimates(dictionary, X, spec.rule, [sample.noise_var for sample in samples], orthogonal)
 
     return run
 
@@ -303,7 +316,7 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         oracle = _OracleDictionary(stream, directions)
 
     xavier_rng = as_rng(xavier_seed)
-    roster: dict[str, Callable[[Sequence[ChannelSample]], list[Estimate]]] = {}
+    roster: dict[str, Callable[[Sequence[ChannelSample]], BatchEstimate]] = {}
     trainers: dict[str, OnlineTrainer] = {}
     for spec in specs:
         if spec.family == "mpnet":
@@ -334,28 +347,12 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     rmse_linear = {name: np.array([r.mean_rmse for r in scored[name]]) for name in names}
     mean_depth = {name: np.array([r.mean_depth for r in scored[name]]) for name in names}
     depth_counts = {name: reduce(_add_counts, (r.depth_counts for r in scored[name]), np.zeros(1, dtype=int)) for name in names}
-    records = [
-        MetricRecord(
-            minibatch=b + 1,
-            rmse_db={name: to_db(rmse_linear[name][b]) for name in names},
-            mean_depth={name: mean_depth[name][b] for name in names},
-        )
-        for b in range(n_minibatches)
-    ]
     edges, counts = snr_histogram(snr_values)
-    result = ExperimentResult(
-        estimator_names=names,
-        records=records,
-        rmse_linear=rmse_linear,
-        mean_depth=mean_depth,
-        depth_counts=depth_counts,
-        snr_edges=edges,
-        snr_counts=counts,
-    )
+    result = ExperimentResult(names, rmse_linear, mean_depth, depth_counts, edges, counts)
 
     if out_dir is not None:
         out_dir = Path(out_dir)
-        result.output_files["curves"] = _write_curves(out_dir / CURVES_FILE, specs, records)
+        result.output_files["curves"] = _write_curves(out_dir / CURVES_FILE, specs, result.records)
         result.output_files["depth_hist"] = _write_depth_hist(out_dir / DEPTH_HIST_FILE, specs, depth_counts)
         result.output_files["snr_hist"] = _write_snr_hist(out_dir / SNR_HIST_FILE, edges, counts)
         for spec in specs:
@@ -452,11 +449,11 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
                 H = np.array([steering_vector(true_array, np.array([np.sin(az), np.cos(az), 0.0])) for az in azimuths])
                 X = np.array([h + np.sqrt(energy(h) / (n * snr_lin)) * noise for h, noise in zip(H, noise_draws)])
                 no_noise_var = [0.0] * len(X)  # a fixed-depth rule never reads it
-                by_nominal = pursuit_batch(dict_nominal, X, rule, no_noise_var)
-                by_true = pursuit_batch(dict_true, X, rule, no_noise_var)
+                by_nominal = pursuit_estimates(dict_nominal, X, rule, no_noise_var).channel
+                by_true = pursuit_estimates(dict_true, X, rule, no_noise_var).channel
                 cell = 0.0
-                for h, est_nominal, est_true in zip(H, by_nominal, by_true):
-                    cell += energy(est_nominal.channel - h) / energy(est_true.channel - h)
+                for ratio in (row_energies(by_nominal - H) / row_energies(by_true - H)).tolist():
+                    cell += ratio
                 ratios[i, j] += cell / spec.channels_per_array
     ratios /= spec.n_arrays
     loss_db = 10.0 * np.log10(ratios)

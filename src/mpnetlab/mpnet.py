@@ -6,13 +6,14 @@ depth adapt to the input. Because a layer routes the signal through a single
 column, the exact gradient of the reconstruction cost is column-sparse and
 costs O(depth * N) to assemble, an order cheaper than the forward pass.
 
-The weights change only at a minibatch boundary, so a whole minibatch runs
-through the shared pursuit kernel (``estimators.pursue``) in one call, a tile
-at a time and layer by layer. The backward pass runs per tile the same way,
-replaying the tile's traces and summing each sample's gradient for the
-columns it visited; the trainer adds just those columns into the minibatch
-gradient, in arrival order. A sample's results do not depend on the batch or
-tile size and are within 1e-12 of the per-sample arithmetic.
+The weights change only at a minibatch boundary, so the trainer runs a whole
+minibatch through the shared pursuit kernel (``estimators.pursue``) in one
+fused pass, a tile at a time: as soon as a tile's layers are done, the reverse
+pass runs on the residual blocks the forward pass kept, sums each sample's
+gradient for the columns it visited, and folds those columns into the
+minibatch gradient in arrival order. Nothing is replayed; only the public
+``backward`` replays a trace. Results do not depend on the batch or tile size
+and are within 1e-12 of the per-sample arithmetic.
 
 Training is online and unsupervised: minibatches of noisy observations are
 both the inputs and the targets (the network is a denoising autoencoder), so
@@ -29,10 +30,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .channels import ChannelSample
-from .estimators import Estimate, StoppingRule, peel, pursue, row_dot, tiles
+from .estimators import BatchEstimate, Estimate, StoppingRule, peel, pursue, row_dot
 from .fileio import atomic_savez
-from .metrics import depth_histogram, rmse
-from .utils import as_rng, complex_normal, energy
+from .metrics import depth_histogram
+# not called here (score_minibatch works on arrays): bench/spans.py wraps it by name
+from .metrics import rmse  # noqa: F401
+from .utils import add_rows_at, as_rng, complex_normal, energy, row_energies
 
 UNIT_INPUT_TOL = 1e-9
 STALE_TRACE_TOL = 1e-9
@@ -113,8 +116,9 @@ def forward_batch(model: MpNetModel, X_unit: np.ndarray, noise_var_norms: Sequen
     X_unit = np.asarray(X_unit, dtype=complex)
     if np.any(np.abs(np.linalg.norm(X_unit, axis=1) - 1.0) > UNIT_INPUT_TOL):
         raise ValueError("forward expects unit-norm inputs")
-    supports, coeffs, residuals = pursue(model.weights, X_unit, np.ones(len(X_unit)), noise_var_norms, model.rule)
-    return [ForwardTrace(s, c, r) for s, c, r in zip(supports, coeffs, residuals)]
+    depths, supports, coeffs, residuals = pursue(model.weights, X_unit, np.ones(len(X_unit)), noise_var_norms, model.rule)
+    rows = zip(depths.tolist(), supports.tolist(), coeffs, residuals)
+    return [ForwardTrace(tuple(s[:depth]), c[:depth], r) for depth, s, c, r in rows]
 
 
 def forward(model: MpNetModel, x_unit: np.ndarray, noise_var_norm: float = 0.0) -> tuple[np.ndarray, ForwardTrace]:
@@ -129,38 +133,37 @@ def forward(model: MpNetModel, x_unit: np.ndarray, noise_var_norm: float = 0.0) 
     return x_unit - trace.final_residual, trace
 
 
-def _column_gradients(weights: np.ndarray, traces: Sequence[ForwardTrace], X_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero gradient columns of a tile of traces: one per distinct
-    (sample, weight column) pair, in sample and then column order, a sample's
-    repeat visits summed in reverse layer order. Replays the tile layer by
-    layer (O(depth * N) per sample) and raises when a trace no longer replays
-    on ``weights``. Returns the column indices and the columns."""
-    n, n_atoms = weights.shape
-    depths = np.array([trace.depth for trace in traces])
-    picked = np.zeros((len(traces), depths.max(initial=0)), dtype=np.intp)
-    for row, trace in zip(picked, traces):
-        row[: trace.depth] = trace.indices
-    R, layers = np.array(X_unit, dtype=complex), []
-    for k in range(picked.shape[1]):
-        live = np.flatnonzero(depths > k)
-        picks, before = picked[live, k], R[live]
-        cols, block = weights.T[picks], before.copy()
-        layers.append((live, picks, cols, peel(cols, block), before))
-        R[live] = block
-    final = np.array([trace.final_residual for trace in traces])
-    if final.shape != R.shape or np.max(np.abs(R - final), initial=0.0) > STALE_TRACE_TOL:
-        raise ValueError("stale trace: weights changed since the forward pass")
-    pairs, terms = [np.zeros(0, dtype=np.intp)], [np.zeros((0, n), dtype=complex)]  # a depth-0 tile has none
+def _reverse(n_atoms: int, layers: Sequence[tuple], final: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reverse pass over a tile's layers, from its final residual rows;
+    O(depth * N) per row. Returns the indices and values of the nonzero
+    gradient columns, one per distinct (row, weight column) pair in row and
+    then column order, a row's repeat visits summed in reverse layer order."""
+    R = np.array(final, dtype=complex)  # carries the adjoint from here on
+    pairs, terms = [np.zeros(0, dtype=np.intp)], [np.zeros((0, R.shape[1]), dtype=complex)]  # a depth-0 tile has none
     for live, picks, cols, coeffs, before in reversed(layers):
-        mu = R[live]  # R carries the adjoint from here on
+        mu = R[live]
         overlaps = row_dot(cols, mu)  # w_s^H mu
         pairs.append(live * n_atoms + picks)
         terms.append(np.conj(coeffs)[:, None] * mu + np.conj(overlaps)[:, None] * before)
         R[live] = mu - cols * overlaps[:, None]
     keys, slots = np.unique(np.concatenate(pairs), return_inverse=True)
-    columns = np.zeros((len(keys), n), dtype=complex)
-    np.subtract.at(columns, slots, np.concatenate(terms))  # repeated slots in turn
+    columns = np.zeros((len(keys), R.shape[1]), dtype=complex)
+    add_rows_at(columns, slots, -np.concatenate(terms))  # 0 - t, a sample's visits in turn
     return keys % n_atoms, columns
+
+
+def _replay(weights: np.ndarray, trace: ForwardTrace, x_unit: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """The layers of ``trace`` rebuilt on ``weights`` from its input, and its
+    final residual row; raises when the trace no longer replays there."""
+    r, live, layers = np.array(x_unit, dtype=complex)[None], np.zeros(1, dtype=np.intp), []
+    for s in trace.indices:
+        picks = np.array([s])
+        cols, before = weights.T[picks], r.copy()
+        layers.append((live, picks, cols, peel(cols, r), before))
+    final = trace.final_residual
+    if final.shape != r[0].shape or np.max(np.abs(r[0] - final), initial=0.0) > STALE_TRACE_TOL:
+        raise ValueError("stale trace: weights changed since the forward pass")
+    return layers, r
 
 
 def backward(model: MpNetModel, trace: ForwardTrace, x_unit: np.ndarray) -> np.ndarray:
@@ -169,10 +172,10 @@ def backward(model: MpNetModel, trace: ForwardTrace, x_unit: np.ndarray) -> np.n
 
     The gradient is returned as a complex matrix packaging the derivatives with
     respect to the real and imaginary parts (d/dRe + 1j * d/dIm). Only columns
-    visited by the trace are nonzero. Raises when the trace no longer replays
-    on the current weights.
+    visited by the trace are nonzero. Replays the trace, and raises when it no
+    longer replays on the current weights.
     """
-    indices, columns = _column_gradients(model.weights, [trace], np.asarray(x_unit, dtype=complex)[None])
+    indices, columns = _reverse(model.n_atoms, *_replay(model.weights, trace, x_unit))
     grad = np.zeros(model.weights.shape, dtype=complex)
     grad[:, indices] = columns.T
     return grad
@@ -245,33 +248,21 @@ def adam_step(state: AdamState, weights: np.ndarray, grad: np.ndarray) -> np.nda
     return stacked[0] + 1j * stacked[1]
 
 
-def _unit_batch(model: MpNetModel, observations: Sequence[np.ndarray], noise_vars: Sequence[float]):
-    """Normalize each observation and run the forward pass on the batch.
-
-    Returns the norms, the unit-norm inputs and the traces.
-    """
-    norms = [np.linalg.norm(x) for x in observations]
-    if 0.0 in norms:
+def _unit_rows(observations: Sequence[np.ndarray], noise_vars: Sequence[float]):
+    """The norm of each observation, the observations scaled to unit norm
+    (B x N), and each noise variance divided by the observation's energy."""
+    norms = np.array([np.linalg.norm(x) for x in observations])
+    if np.any(norms == 0.0):
         raise ValueError("cannot estimate from a zero observation")
-    X_unit = np.array([x / norm for x, norm in zip(observations, norms)], dtype=complex)
-    traces = forward_batch(model, X_unit, [v / float(norm**2) for v, norm in zip(noise_vars, norms)])
-    return norms, X_unit, traces
-
-
-def _rescaled(norm: float, x_unit: np.ndarray, trace: ForwardTrace) -> Estimate:
-    return Estimate(
-        norm * (x_unit - trace.final_residual),
-        trace.indices,
-        trace.depth,
-        float(norm**2) * energy(trace.final_residual),
-    )
+    X_unit = np.array(observations, dtype=complex) / norms[:, None]
+    return norms, X_unit, [v / float(norm**2) for v, norm in zip(noise_vars, norms)]
 
 
 def estimate(model: MpNetModel, x: np.ndarray, noise_var: float = 0.0) -> Estimate:
     """Inference only: normalize, run the forward pass, rescale the estimate."""
-    x = np.asarray(x, dtype=complex)
-    (norm,), (x_unit,), (trace,) = _unit_batch(model, [x], [noise_var])
-    return _rescaled(norm, x_unit, trace)
+    (norm,), (x_unit,), (noise_var_norm,) = _unit_rows([np.asarray(x, dtype=complex)], [noise_var])
+    unit_estimate, trace = forward(model, x_unit, noise_var_norm)
+    return Estimate(norm * unit_estimate, trace.indices, trace.depth, float(norm**2) * energy(trace.final_residual))
 
 
 @dataclass(frozen=True)
@@ -291,18 +282,23 @@ class MinibatchRecord:
 def score_minibatch(
     minibatch: int,
     samples: Sequence[ChannelSample],
-    estimates: Sequence[Estimate],
+    estimates: BatchEstimate,
     mean_cost: float = float("nan"),
 ) -> MinibatchRecord:
     """Score one minibatch of estimates against the samples' true channels: the
     rMSE summed in sample order and averaged, the mean depth, and the depth
     histogram. This is the only place where an estimate meets ground truth."""
-    depths = [est.depth for est in estimates]
-    counts = depth_histogram(depths)
+    truths = np.array([sample.channel for sample in samples], dtype=complex)
+    if truths.shape != estimates.channel.shape:
+        raise ValueError("need one estimate per sample")
+    truth_energies = row_energies(truths)
+    if np.any(truth_energies == 0.0):
+        raise ValueError("relative error is undefined for a zero ground truth")
     total = 0.0
-    for est, sample in zip(estimates, samples, strict=True):
-        total += rmse(est.channel, sample.channel)
-    return MinibatchRecord(minibatch, mean_cost, total / len(samples), float(np.mean(depths)), counts)
+    for error in (row_energies(estimates.channel - truths) / truth_energies).tolist():
+        total += error
+    counts = depth_histogram(estimates.depth)
+    return MinibatchRecord(minibatch, mean_cost, total / len(samples), float(np.mean(estimates.depth)), counts)
 
 
 class OnlineTrainer:
@@ -325,26 +321,26 @@ class OnlineTrainer:
         self._reset()
 
     def _reset(self) -> None:
-        self._grad = np.zeros(self.model.weights.shape, dtype=complex)
+        self._grad = np.zeros(self.model.weights.T.shape, dtype=complex)  # A x N: a weight column is a row
         self._cost = 0.0
         self._count = 0
 
-    def process_batch(self, samples: Sequence[ChannelSample]) -> list[Estimate]:
-        """Estimate the channels of a batch of observations and accumulate their gradients."""
-        norms, X_unit, traces = _unit_batch(self.model, [s.observation for s in samples], [s.noise_var for s in samples])
-        for tile in tiles(len(traces)):
-            indices, columns = _column_gradients(self.model.weights, traces[tile], X_unit[tile])
-            np.add.at(self._grad, (slice(None), indices), columns.T)
-        self._count += len(traces)
-        estimates = []
-        for norm, x_unit, trace in zip(norms, X_unit, traces):
-            self._cost += 0.5 * energy(trace.final_residual)
-            estimates.append(_rescaled(norm, x_unit, trace))
-        return estimates
+    def process_batch(self, samples: Sequence[ChannelSample]) -> BatchEstimate:
+        """Estimate the channels of a batch of observations; each tile's
+        gradient goes into the minibatch's as soon as its forward pass ends."""
+        norms, X_unit, noise_var_norms = _unit_rows([s.observation for s in samples], [s.noise_var for s in samples])
+        weights, rule = self.model.weights, self.model.rule
+        depths, _, _, residuals = pursue(weights, X_unit, np.ones(len(X_unit)), noise_var_norms, rule, on_tile=self._fold_tile)
+        self._count += len(samples)
+        for residual_energy in row_energies(residuals).tolist():
+            self._cost += 0.5 * residual_energy
+        return BatchEstimate(norms[:, None] * (X_unit - residuals), depths)
 
-    def process(self, sample: ChannelSample) -> Estimate:
-        """Estimate the channel from one observation and accumulate its gradient."""
-        return self.process_batch([sample])[0]
+    def _fold_tile(self, layers: Sequence[tuple], final: np.ndarray) -> None:
+        """Reverse pass of a tile just run forward; its columns go into the
+        gradient in arrival order."""
+        indices, columns = _reverse(self.model.n_atoms, layers, final)
+        add_rows_at(self._grad, indices, columns)
 
     def end_minibatch(self) -> float:
         """Apply the Adam update for the samples processed since the last one
@@ -357,7 +353,7 @@ class OnlineTrainer:
         count = self._count
         if count == 0:
             raise ValueError("no samples processed in this minibatch")
-        weights = adam_step(self.adam, self.model.weights, self._grad / count)
+        weights = adam_step(self.adam, self.model.weights, self._grad.T / count)
         if not np.all(np.isfinite(weights.view(float))):
             raise ValueError(f"{self.name}: non-finite weights after the Adam update of minibatch {self.minibatches_done + 1}")
         self.model.weights = weights

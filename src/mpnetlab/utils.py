@@ -28,6 +28,24 @@ def energy(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
 
 
+def row_energies(X: np.ndarray) -> np.ndarray:
+    """Squared l2 norm of every row of a (B, N) array, in one stacked product;
+    each equals ``energy`` of that row to the bit."""
+    return (X.conj()[:, None, :] @ X[:, :, None]).real[:, 0, 0]
+
+
+def add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(target, rows, values)`` to the bit (repeats of a row sum in
+    arrival order), as one vectorized add per repeat rank: the entries are
+    stable-sorted by row and ranked within it."""
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    rank = np.arange(len(rows)) - np.searchsorted(ranked, ranked)
+    for k in range(rank.max(initial=-1) + 1):
+        picked = order[rank == k]
+        target[rows[picked]] += values[picked]
+
+
 def to_db(x: float) -> float:
     return 10.0 * float(np.log10(x))
 

@@ -285,6 +285,41 @@ class TestAnomalyScheduleBound:
         assert len(built) == 4
 
 
+HUGE = 10**400  # 401 digits: past the float range
+
+
+class TestOutOfRangeValues:
+    """Values no float or no event can hold fail at load with a ConfigError
+    naming the key, not with a traceback or mid-run."""
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            ({"kind": "break", "index": 10, "fraction": 1.5}, "anomalies[0]: fraction must lie in [0, 1]"),
+            ({"kind": "break", "index": 10, "fraction": -0.1}, "anomalies[0]: fraction must lie in [0, 1]"),
+            ({"kind": "age", "index": 10, "gain_std": -0.1}, "anomalies[0]: gain_std must be nonnegative"),
+            ({"kind": "age", "index": 10, "gain_std": math.nan}, "anomalies[0]: gain_std must be nonnegative"),
+        ],
+    )
+    def test_anomaly_amount_checked_at_load(self, event, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(minimal_mapping(anomalies=[event]))
+        assert str(exc.value) == message
+
+    def test_huge_integer_for_a_float_key(self):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(minimal_mapping(array={"geometry": "ula", "n": 16, "spacing": HUGE}))
+        assert str(exc.value) == "'array.spacing' is too large for a float"
+
+    @pytest.mark.parametrize("key", ["pos_stds", "gain_stds"])
+    def test_huge_integer_in_an_snr_loss_list(self, key):
+        data = {"seed": 1, "array": {"n": 16}, "snr_loss": {"pos_stds": [0.0], "gain_stds": [0.0]}}
+        data["snr_loss"][key] = [0.0, HUGE]
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(data)
+        assert str(exc.value) == f"'snr_loss.{key}' is too large for a float"
+
+
 class TestTopLevel:
     def test_list_document_rejected_with_file_name(self, tmp_path):
         path = tmp_path / "list.yaml"
@@ -301,7 +336,7 @@ class TestTopLevel:
 
 
 SHIPPED = [yaml.safe_load(path.read_text(encoding="utf-8")) for path in sorted(CONFIG_DIR.glob("*.yaml"))]
-POOL = [None, True, False, 0, -1, 2.5, "", "x", "upa", "truncated_gaussian", [], {}, math.nan, math.inf]
+POOL = [None, True, False, 0, -1, 2.5, "", "x", "upa", "truncated_gaussian", [], {}, math.nan, math.inf, HUGE, 1.5, -0.1]
 
 
 def _paths(node, prefix=()):

@@ -7,8 +7,10 @@ within a batch, and every batch holds samples that stop before the first layer.
 Per-row results must not depend on the tile size or on the row order.
 
 The trainer itself must not read ground truth, must average over the samples
-it processed, and must give a roster entry the same result alone or among
-others.
+it processed, must not replay its forward pass, and must give a roster entry
+the same result alone or among others. The array helpers behind the fused
+pass (the ordered fold and the stacked energies) are bitwise equal to the
+numpy calls they replace.
 """
 
 import tracemalloc
@@ -25,7 +27,8 @@ from mpnetlab.channels import ChannelGenConfig, ChannelSample, FixedSnr, make_st
 from mpnetlab.estimators import CORR_TILE, StoppingRule, matching_pursuit, omp, peel, pursuit_batch, row_dot, should_stop
 from mpnetlab.experiments import ArraySpec, ExperimentConfig, run_learning_experiment
 from mpnetlab.mpnet import MpNetModel, OnlineTrainer, TrainConfig, backward, forward, forward_batch
-from mpnetlab.utils import energy
+from mpnetlab.metrics import rmse
+from mpnetlab.utils import add_rows_at, energy, row_energies
 
 from conftest import make_incoherent_dictionary
 from reference import ref_matching_pursuit
@@ -356,3 +359,81 @@ class TestRosterIndependence:
         assert _curve(alone / "curves.csv", "mpnet_nominal_sc2") == _curve(among / "curves.csv", "mpnet_nominal_sc2")
         checkpoint = "checkpoint_mpnet_nominal_sc2.npz"
         assert (alone / checkpoint).read_bytes() == (among / checkpoint).read_bytes()
+
+
+@st.composite
+def folds(draw):
+    """(target, rows, values): repeats of a row interleave with other rows, and
+    values span many magnitudes, so the order of a row's sum shows in its bits."""
+    n_rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rows = np.array(draw(st.lists(st.integers(0, n_rows - 1), max_size=40)), dtype=np.intp)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-8, 8, (len(rows), 1))
+    values = (rng.standard_normal((len(rows), width)) + 1j * rng.standard_normal((len(rows), width))) * scale
+    return rng.standard_normal((n_rows, width)) + 0j, rows, values
+
+
+class TestOrderedFold:
+    """utils.add_rows_at is np.add.at (and, on negated values, np.subtract.at) to the bit."""
+
+    @staticmethod
+    def check(target, rows, values):
+        for ufunc, signed in ((np.add, values), (np.subtract, -values)):
+            expected, got = target.copy(), target.copy()
+            ufunc.at(expected, rows, values)
+            add_rows_at(got, rows, signed)
+            assert got.tobytes() == expected.tobytes()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(folds())
+    def test_matches_the_ordered_scatter_add(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("rows", [[2] * 40, [0, 1, 0, 2, 1, 0, 2, 2, 0, 1], []])
+    def test_one_row_hit_by_all_interleaved_repeats_and_empty(self, rows):
+        rng = np.random.default_rng(len(rows))
+        values = rng.standard_normal((len(rows), 3)) * 10.0 ** rng.uniform(-8, 8, (len(rows), 1)) + 0j
+        self.check(rng.standard_normal((3, 3)) + 0j, np.array(rows, dtype=np.intp), values)
+
+
+class TestRowEnergies:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sampled_from([1, 16, 64]), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_energy_and_rmse(self, n, b, seed):
+        rng = np.random.default_rng(seed)
+        X, H = ((rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))) * 10.0 ** rng.uniform(-3, 3, (b, 1)) for _ in range(2))
+        assert row_energies(X).tolist() == [energy(x) for x in X]
+        assert (row_energies(X - H) / row_energies(H)).tolist() == [rmse(x, h) for x, h in zip(X, H)]
+
+
+class TestFusedPass:
+    """The trainer runs the reverse pass on the forward pass's own layers: the
+    replay that the public backward uses is never called."""
+
+    def _trainer_and_samples(self):
+        d = make_incoherent_dictionary(8, 24, seed=9)
+        samples = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(9)).take(2 * CORR_TILE + 3)
+        return OnlineTrainer(trained_model(d, StoppingRule.sc2(), 9), TrainConfig(minibatch_size=len(samples))), samples
+
+    def test_process_batch_replays_nothing(self):
+        trainer, samples = self._trainer_and_samples()
+        with patch.object(mpnet, "_replay", side_effect=AssertionError("replayed")):
+            estimates = trainer.process_batch(samples)
+            trainer.end_minibatch()
+            x_unit = samples[0].observation / np.linalg.norm(samples[0].observation)
+            _, trace = forward(trainer.model, x_unit)
+            with pytest.raises(AssertionError, match="replayed"):  # the patch does reach backward
+                backward(trainer.model, trace, x_unit)
+        assert estimates.channel.shape == (len(samples), 8)
+        assert estimates.depth.shape == (len(samples),)
+
+    def test_thresholds_once_per_tile_without_should_stop(self):
+        trainer, samples = self._trainer_and_samples()
+        calls = []
+        original = estimators.sc_threshold
+        with (
+            patch.object(estimators, "should_stop", side_effect=AssertionError("per-layer stop test")),
+            patch.object(estimators, "sc_threshold", lambda *args: calls.append(args) or original(*args)),
+        ):
+            trainer.process_batch(samples)
+        assert len(calls) == 3  # 2 * CORR_TILE + 3 rows make three tiles

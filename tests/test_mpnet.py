@@ -283,7 +283,7 @@ class TestTraining:
         trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.fixed(1)))
         dead = ChannelSample(np.ones(4, complex), np.zeros(4, complex), 0.0, 10.0)
         with pytest.raises(ValueError):
-            trainer.process(dead)
+            trainer.process_batch([dead])
 
 
 class TestCheckpoints:
@@ -292,8 +292,7 @@ class TestCheckpoints:
         model = MpNetModel.from_dictionary(d, StoppingRule.sc1(max_depth=5))
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=4))
         stream = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
-        for sample in stream.take(4):
-            trainer.process(sample)
+        trainer.process_batch(stream.take(4))
         trainer.end_minibatch()
         path = tmp_path / "model.npz"
         save_checkpoint(path, trainer.model, trainer.adam)
