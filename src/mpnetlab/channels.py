@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .arrays import AntennaArray, steering_matrix
-from .fileio import atomic_write_rows, fmt_float
+from .fileio import fmt_float, replacing
 from .utils import as_rng, complex_normal, energy, from_db
 
 
@@ -303,42 +303,41 @@ def make_stream(cfg: ChannelGenConfig, true_array: AntennaArray, rng, events: Se
 
 
 class ReplayStream:
-    """Serve previously recorded samples in their original order."""
+    """Serve recorded samples in their original order, drawing each from
+    ``samples`` (a sequence, or the lazy parser of :func:`open_stream`) only
+    when it is taken, so a stream file is read a minibatch at a time."""
 
     current_array = None
 
-    def __init__(self, samples: Sequence[ChannelSample]):
-        self._samples = list(samples)
-        self._pos = 0
+    def __init__(self, samples: Iterable[ChannelSample]):
+        self._samples = iter(samples)
 
     def __iter__(self) -> Iterator[ChannelSample]:
         return self
 
     def __next__(self) -> ChannelSample:
-        if self._pos >= len(self._samples):
-            raise StopIteration
-        sample = self._samples[self._pos]
-        self._pos += 1
-        return sample
+        return next(self._samples)
 
     def take(self, count: int) -> list[ChannelSample]:
         if count < 0:
             raise ValueError("count must be >= 0")
-        if self._pos + count > len(self._samples):
+        chunk = list(islice(self._samples, count))
+        if len(chunk) < count:
             raise ValueError("replay file has fewer samples than requested")
-        chunk = self._samples[self._pos : self._pos + count]
-        self._pos += count
         return chunk
 
 
-def _sample_header(n: int) -> list[str]:
+def stream_header(n: int) -> str:
+    """The header line of a stream file of ``n``-antenna samples."""
     header = ["index", "snr_db", "noise_var"]
     header += [f"x{i}_{p}" for i in range(n) for p in ("re", "im")]
     header += [f"h{i}_{p}" for i in range(n) for p in ("re", "im")]
-    return header
+    return ",".join(header) + "\n"
 
 
 def sample_to_row(index: int, sample: ChannelSample) -> list[str]:
+    """The fields of one stream-file row, one value at a time: the reference
+    that :func:`stream_rows` matches byte for byte."""
     row = [str(index), fmt_float(sample.snr_db), fmt_float(sample.noise_var)]
     for vec in (sample.observation, sample.channel):
         for value in vec:
@@ -347,46 +346,88 @@ def sample_to_row(index: int, sample: ChannelSample) -> list[str]:
     return row
 
 
+def stream_rows(start: int, samples: Sequence[ChannelSample]) -> Iterator[str]:
+    """The stream-file lines of consecutive samples numbered from ``start``:
+    index, snr_db, noise_var, then interleaved re/im parts of the observation
+    and of the ground-truth channel, each line ending in a newline. The values
+    are stacked into one float array and written in their shortest round-trip
+    form; a line is made when it is drawn, so only one row's Python floats
+    exist at a time (a whole minibatch of them is ~1.7 MB at N=64)."""
+    values = np.column_stack(
+        (
+            [s.snr_db for s in samples],
+            [s.noise_var for s in samples],
+            np.array([s.observation for s in samples]).view(float),
+            np.array([s.channel for s in samples]).view(float),
+        )
+    )
+    return (f"{index},{','.join(map(repr, row.tolist()))}\n" for index, row in enumerate(values, start))
+
+
+def _parse_row(path, line_no: int, line: str, n: int) -> ChannelSample:
+    """The sample on line ``line_no`` of a stream file of ``n``-antenna samples."""
+    fields = line.split(",")
+    if len(fields) != 3 + 4 * n:
+        raise ValueError(f"{path}: line {line_no}: malformed row with {len(fields)} fields")
+    if fields[0] != str(line_no - 2):
+        raise ValueError(f"{path}: line {line_no}: index {fields[0]!r}, expected {line_no - 2}")
+    try:
+        values = np.array([float(v) for v in fields[1:]])
+    except ValueError:
+        raise ValueError(f"{path}: line {line_no}: a field is not a number") from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: line {line_no}: non-finite value")
+    x = values[2 : 2 * n + 2 : 2] + 1j * values[3 : 2 * n + 2 : 2]
+    h = values[2 * n + 2 :: 2] + 1j * values[2 * n + 3 :: 2]
+    return ChannelSample(h, x, float(values[1]), float(values[0]))
+
+
+def _lines(path) -> Iterator[str]:
+    """The lines of a text file, read one at a time and split as
+    ``str.splitlines`` splits the whole text."""
+    with open(path, encoding="utf-8") as handle:
+        for physical in handle:
+            yield from physical.splitlines()
+
+
 def dump_stream(samples: Iterable[ChannelSample], path) -> None:
     """Record samples to CSV so another run (or implementation) can replay them.
 
-    One row per sample: index, snr_db, noise_var, then interleaved re/im parts
-    of the observation and of the ground-truth channel.
+    One row per sample, as :func:`stream_rows` writes it.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("refusing to dump an empty stream")
-    n = samples[0].channel.shape[0]
-    rows = [sample_to_row(i, s) for i, s in enumerate(samples)]
-    atomic_write_rows(path, _sample_header(n), rows)
+    with replacing(path) as handle:
+        handle.write(stream_header(samples[0].channel.shape[0]).encode("utf-8"))
+        handle.writelines(line.encode("utf-8") for line in stream_rows(0, samples))
+
+
+def open_stream(path) -> tuple[int, int, Iterator[ChannelSample]]:
+    """Check a stream dump's header and count its rows, reading one line at a
+    time. Returns the antenna count, the row count, and an iterator that
+    parses the rows in order as they are drawn. A row that is malformed,
+    holds a non-finite value or breaks the 0, 1, 2, ... index order raises a
+    one-line ValueError naming the file and the line when it is reached."""
+    lines = _lines(path)
+    header = next(lines, "")
+    count = sum(1 for _ in lines)
+    if count == 0:
+        raise ValueError(f"{path}: not a stream dump (no samples)")
+    fields = header.split(",")
+    if (len(fields) - 3) % 4 != 0 or fields[:3] != ["index", "snr_db", "noise_var"]:
+        raise ValueError(f"{path}: unrecognized stream header")
+    n = (len(fields) - 3) // 4
+
+    def samples() -> Iterator[ChannelSample]:
+        rows = _lines(path)
+        next(rows)
+        for line_no, line in enumerate(rows, start=2):
+            yield _parse_row(path, line_no, line, n)
+
+    return n, count, samples()
 
 
 def load_stream(path) -> list[ChannelSample]:
-    """Read a stream dump back. A row that is malformed, holds a non-finite
-    value or breaks the 0, 1, 2, ... index order raises a one-line ValueError
-    naming the file and the line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if len(lines) < 2:
-        raise ValueError(f"{path}: not a stream dump (no samples)")
-    header = lines[0].split(",")
-    if (len(header) - 3) % 4 != 0 or header[:3] != ["index", "snr_db", "noise_var"]:
-        raise ValueError(f"{path}: unrecognized stream header")
-    n = (len(header) - 3) // 4
-    samples = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        where = f"{path}: line {line_no}"
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise ValueError(f"{where}: malformed row with {len(fields)} fields")
-        if fields[0] != str(len(samples)):
-            raise ValueError(f"{where}: index {fields[0]!r}, expected {len(samples)}")
-        try:
-            values = np.array([float(v) for v in fields[1:]])
-        except ValueError:
-            raise ValueError(f"{where}: a field is not a number") from None
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{where}: non-finite value")
-        x = values[2 : 2 * n + 2 : 2] + 1j * values[3 : 2 * n + 2 : 2]
-        h = values[2 * n + 2 :: 2] + 1j * values[2 * n + 3 :: 2]
-        samples.append(ChannelSample(h, x, float(values[1]), float(values[0])))
-    return samples
+    """Read a whole stream dump back, with the checks of :func:`open_stream`."""
+    return list(open_stream(path)[2])

@@ -8,8 +8,9 @@ every output byte for byte.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -32,19 +33,21 @@ from .channels import (
     ChannelSample,
     ChannelStream,
     ReplayStream,
-    _sample_header,
-    load_stream,
     make_stream,
-    sample_to_row,
+    open_stream,
+    stream_header,
+    stream_rows,
 )
+# not called here (the run streams its rows): bench/spans.py wraps them by name
+from .channels import load_stream, sample_to_row  # noqa: F401
 from .estimators import BatchEstimate, StoppingRule, pursuit_estimates
 # the per-sample entry points stay importable from here: bench/spans.py wraps them by name
 from .estimators import ls_estimate, matching_pursuit, omp  # noqa: F401
-from .fileio import atomic_write_rows, fmt_float
+from .fileio import atomic_write_rows, fmt_float, replacing
 from .metrics import snr_histogram
 # not called here (mpnet.score_minibatch scores): bench/spans.py wraps it by name
 from .metrics import rmse  # noqa: F401
-from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch
+from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch, unit_rows
 from .utils import as_rng, complex_normal, energy, from_db, row_energies, to_db
 
 CURVES_FILE = "curves.csv"
@@ -247,23 +250,34 @@ class _OracleDictionary:
         return self._dictionary
 
 
+class _Observations:
+    """What the roster sees of one minibatch: the observations (B x N) and
+    noise variances, stacked once, and the unit-norm rows that every mpNet
+    entry shares, computed when the first one asks."""
+
+    def __init__(self, samples: Sequence[ChannelSample]):
+        self.X = np.array([s.observation for s in samples], dtype=complex)
+        self.noise_vars = [s.noise_var for s in samples]
+
+    @cached_property
+    def unit(self) -> tuple[np.ndarray, np.ndarray, list[float]]:
+        return unit_rows(self.X, self.noise_vars)
+
+
 def _baseline_fn(
     spec: EstimatorSpec,
     dictionaries: dict[str, Dictionary],
     oracle: _OracleDictionary | None,
-) -> Callable[[Sequence[ChannelSample]], BatchEstimate]:
+) -> Callable[[_Observations], BatchEstimate]:
     if spec.family == "ls":
-        return lambda samples: BatchEstimate(
-            np.array([s.observation for s in samples], dtype=complex), np.zeros(len(samples), dtype=int)
-        )
+        return lambda seen: BatchEstimate(seen.X, np.zeros(len(seen.X), dtype=int))
     if spec.source == "oracle" and oracle is None:
         raise ValueError("oracle estimators need a live stream (not a replay)")
     orthogonal = spec.family == "omp"
 
-    def run(samples: Sequence[ChannelSample]) -> BatchEstimate:
+    def run(seen: _Observations) -> BatchEstimate:
         dictionary = oracle.current() if spec.source == "oracle" else dictionaries[spec.source]
-        X = np.array([sample.observation for sample in samples])
-        return pursuit_estimates(dictionary, X, spec.rule, [sample.noise_var for sample in samples], orthogonal)
+        return pursuit_estimates(dictionary, seen.X, spec.rule, seen.noise_vars, orthogonal)
 
     return run
 
@@ -303,10 +317,12 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     n_minibatches = cfg.total_samples // batch_size
     channel_cfg = replace(cfg.channel, doa_domain=cfg.array.doa_domain)
     if cfg.replay_stream is not None:
-        samples = load_stream(cfg.replay_stream)
-        if len(samples) < n_minibatches * batch_size:
+        n_recorded, count, samples = open_stream(cfg.replay_stream)
+        if n_recorded != nominal.size:
+            raise ValueError(f"replay file {cfg.replay_stream} holds {n_recorded}-antenna samples; the array has {nominal.size}")
+        if count < n_minibatches * batch_size:
             raise ValueError(
-                f"replay file {cfg.replay_stream} holds {len(samples)} samples;"
+                f"replay file {cfg.replay_stream} holds {count} samples;"
                 f" the run needs {n_minibatches * batch_size} ({n_minibatches} minibatches of {batch_size})"
             )
         stream = ReplayStream(samples)
@@ -316,7 +332,7 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         oracle = _OracleDictionary(stream, directions)
 
     xavier_rng = as_rng(xavier_seed)
-    roster: dict[str, Callable[[Sequence[ChannelSample]], BatchEstimate]] = {}
+    roster: dict[str, Callable[[_Observations], BatchEstimate]] = {}
     trainers: dict[str, OnlineTrainer] = {}
     for spec in specs:
         if spec.family == "mpnet":
@@ -325,49 +341,58 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
             else:
                 model = MpNetModel.xavier(nominal.size, cfg.n_atoms, spec.rule, xavier_rng)
             trainers[spec.name] = OnlineTrainer(model, cfg.training, name=spec.name)
-            roster[spec.name] = trainers[spec.name].process_batch
+            roster[spec.name] = lambda seen, trainer=trainers[spec.name]: trainer.process_unit_rows(*seen.unit)
         else:
             roster[spec.name] = _baseline_fn(spec, dictionaries, oracle)
 
-    names = tuple(roster)
-    scored: dict[str, list[MinibatchRecord]] = {name: [] for name in names}
+    scored: dict[str, list[MinibatchRecord]] = {name: [] for name in roster}
     snr_values: list[float] = []
-    dump_rows: list[list[str]] = []
+    out_dir = None if out_dir is None else Path(out_dir)
+    dumping = cfg.dump_stream and out_dir is not None
 
-    for index in range(n_minibatches):
-        batch = stream.take(batch_size)
-        snr_values.extend(s.snr_db for s in batch)
-        if cfg.dump_stream:
-            dump_rows.extend(sample_to_row(index * batch_size + i, s) for i, s in enumerate(batch))
-        for name, estimate_batch in roster.items():
-            scored[name].append(score_minibatch(index + 1, batch, estimate_batch(batch)))
-        for trainer in trainers.values():
-            trainer.end_minibatch()
+    # the stream file grows a minibatch at a time and appears when the run ends
+    with (replacing(out_dir / STREAM_FILE) if dumping else nullcontext()) as dump:
+        if dumping:
+            dump.write(stream_header(nominal.size).encode("utf-8"))
+        for index in range(n_minibatches):
+            batch = stream.take(batch_size)
+            snr_values.extend(s.snr_db for s in batch)
+            if dumping:
+                dump.writelines(line.encode("utf-8") for line in stream_rows(index * batch_size, batch))
+            seen = _Observations(batch)
+            for name, estimate_batch in roster.items():
+                scored[name].append(score_minibatch(index + 1, batch, estimate_batch(seen)))
+            for trainer in trainers.values():
+                trainer.end_minibatch()
 
+        result = _summarize(scored, snr_values)
+        if out_dir is not None:
+            _write_artifacts(out_dir, specs, trainers, result)
+    if dumping:
+        result.output_files["stream"] = out_dir / STREAM_FILE
+    return result
+
+
+def _summarize(scored: dict[str, list[MinibatchRecord]], snr_values: Sequence[float]) -> ExperimentResult:
+    names = tuple(scored)
     rmse_linear = {name: np.array([r.mean_rmse for r in scored[name]]) for name in names}
     mean_depth = {name: np.array([r.mean_depth for r in scored[name]]) for name in names}
     depth_counts = {name: reduce(_add_counts, (r.depth_counts for r in scored[name]), np.zeros(1, dtype=int)) for name in names}
     edges, counts = snr_histogram(snr_values)
-    result = ExperimentResult(names, rmse_linear, mean_depth, depth_counts, edges, counts)
+    return ExperimentResult(names, rmse_linear, mean_depth, depth_counts, edges, counts)
 
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        result.output_files["curves"] = _write_curves(out_dir / CURVES_FILE, specs, result.records)
-        result.output_files["depth_hist"] = _write_depth_hist(out_dir / DEPTH_HIST_FILE, specs, depth_counts)
-        result.output_files["snr_hist"] = _write_snr_hist(out_dir / SNR_HIST_FILE, edges, counts)
-        for spec in specs:
-            if spec.family == "mpnet":
-                trainer = trainers[spec.name]
-                path = out_dir / f"checkpoint_{spec.column}.npz"
-                save_checkpoint(path, trainer.model, trainer.adam)
-                result.output_files[f"checkpoint_{spec.column}"] = path
-        if cfg.dump_stream:
-            if not dump_rows:
-                raise ValueError("nothing to dump: stream produced no samples")
-            path = out_dir / STREAM_FILE
-            atomic_write_rows(path, _sample_header(nominal.size), dump_rows)
-            result.output_files["stream"] = path
-    return result
+
+def _write_artifacts(out_dir: Path, specs: Sequence[EstimatorSpec], trainers: dict[str, OnlineTrainer], result: ExperimentResult) -> None:
+    """Write the curves, histograms and checkpoints, noting each in ``result.output_files``."""
+    result.output_files["curves"] = _write_curves(out_dir / CURVES_FILE, specs, result.records)
+    result.output_files["depth_hist"] = _write_depth_hist(out_dir / DEPTH_HIST_FILE, specs, result.depth_counts)
+    result.output_files["snr_hist"] = _write_snr_hist(out_dir / SNR_HIST_FILE, result.snr_edges, result.snr_counts)
+    for spec in specs:
+        if spec.family == "mpnet":
+            trainer = trainers[spec.name]
+            path = out_dir / f"checkpoint_{spec.column}.npz"
+            save_checkpoint(path, trainer.model, trainer.adam)
+            result.output_files[f"checkpoint_{spec.column}"] = path
 
 
 def _write_curves(path: Path, specs: Sequence[EstimatorSpec], records: Sequence[MetricRecord]) -> Path:

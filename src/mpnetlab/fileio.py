@@ -4,19 +4,24 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 
-def _replace_into(path: Path, writer) -> None:
+@contextmanager
+def replacing(path) -> Iterator[BinaryIO]:
+    """A binary handle on a temp file beside ``path``, written as the block
+    runs; the file replaces ``path`` when the block ends and is unlinked when
+    it raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            writer(handle)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -25,7 +30,8 @@ def _replace_into(path: Path, writer) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
-    _replace_into(Path(path), lambda handle: handle.write(text.encode("utf-8")))
+    with replacing(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 def atomic_write_rows(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -36,12 +42,8 @@ def atomic_write_rows(path, header: Sequence[str], rows: Iterable[Sequence[str]]
 
 
 def atomic_savez(path, **arrays) -> None:
-    path = Path(path)
-
-    def writer(handle):
+    with replacing(path) as handle:
         np.savez(handle, **arrays)
-
-    _replace_into(path, writer)
 
 
 def fmt_float(value: float) -> str:

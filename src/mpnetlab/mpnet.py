@@ -248,19 +248,22 @@ def adam_step(state: AdamState, weights: np.ndarray, grad: np.ndarray) -> np.nda
     return stacked[0] + 1j * stacked[1]
 
 
-def _unit_rows(observations: Sequence[np.ndarray], noise_vars: Sequence[float]):
+def unit_rows(observations: Sequence[np.ndarray], noise_vars: Sequence[float]):
     """The norm of each observation, the observations scaled to unit norm
-    (B x N), and each noise variance divided by the observation's energy."""
+    (B x N), and each noise variance divided by the observation's energy:
+    the inputs of :meth:`OnlineTrainer.process_unit_rows`. The norms are
+    taken row by row and squared one at a time, as the per-sample path does
+    (``np.linalg.norm(X, axis=1)`` and an array power round differently)."""
     norms = np.array([np.linalg.norm(x) for x in observations])
     if np.any(norms == 0.0):
         raise ValueError("cannot estimate from a zero observation")
-    X_unit = np.array(observations, dtype=complex) / norms[:, None]
+    X_unit = np.asarray(observations, dtype=complex) / norms[:, None]
     return norms, X_unit, [v / float(norm**2) for v, norm in zip(noise_vars, norms)]
 
 
 def estimate(model: MpNetModel, x: np.ndarray, noise_var: float = 0.0) -> Estimate:
     """Inference only: normalize, run the forward pass, rescale the estimate."""
-    (norm,), (x_unit,), (noise_var_norm,) = _unit_rows([np.asarray(x, dtype=complex)], [noise_var])
+    (norm,), (x_unit,), (noise_var_norm,) = unit_rows([np.asarray(x, dtype=complex)], [noise_var])
     unit_estimate, trace = forward(model, x_unit, noise_var_norm)
     return Estimate(norm * unit_estimate, trace.indices, trace.depth, float(norm**2) * energy(trace.final_residual))
 
@@ -326,12 +329,17 @@ class OnlineTrainer:
         self._count = 0
 
     def process_batch(self, samples: Sequence[ChannelSample]) -> BatchEstimate:
-        """Estimate the channels of a batch of observations; each tile's
-        gradient goes into the minibatch's as soon as its forward pass ends."""
-        norms, X_unit, noise_var_norms = _unit_rows([s.observation for s in samples], [s.noise_var for s in samples])
+        """Estimate the channels of a batch of samples from their observations
+        and noise variances alone."""
+        return self.process_unit_rows(*unit_rows([s.observation for s in samples], [s.noise_var for s in samples]))
+
+    def process_unit_rows(self, norms: np.ndarray, X_unit: np.ndarray, noise_var_norms: Sequence[float]) -> BatchEstimate:
+        """Estimate the channels of a batch from what :func:`unit_rows` returns
+        for it, leaving those arrays as they are; each tile's gradient goes
+        into the minibatch's as soon as its forward pass ends."""
         weights, rule = self.model.weights, self.model.rule
         depths, _, _, residuals = pursue(weights, X_unit, np.ones(len(X_unit)), noise_var_norms, rule, on_tile=self._fold_tile)
-        self._count += len(samples)
+        self._count += len(X_unit)
         for residual_energy in row_energies(residuals).tolist():
             self._cost += 0.5 * residual_energy
         return BatchEstimate(norms[:, None] * (X_unit - residuals), depths)

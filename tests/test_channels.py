@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula, perturb_array
@@ -20,7 +22,10 @@ from mpnetlab.channels import (
     load_stream,
     make_stream,
     observe,
+    open_stream,
     sample_snr,
+    sample_to_row,
+    stream_rows,
 )
 from mpnetlab.arrays import steering_vector
 from mpnetlab.utils import energy
@@ -294,6 +299,70 @@ class TestStreamFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 6: a field is not a number$"):
             load_stream(path)
+
+
+# values whose shortest round-trip form is easy to get wrong: signed zero, the
+# smallest subnormal, extremes of the exponent range and integer-valued floats
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 1.0, -7.0, 2.0**53, 1e16, 123456789.0]
+_stream_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(10**17), 10**17).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _stream_samples(draw):
+    n = draw(st.integers(1, 4))
+    vector = st.lists(_stream_floats, min_size=2 * n, max_size=2 * n).map(lambda v: np.array(v).view(complex))
+    return [
+        ChannelSample(draw(vector), draw(vector), draw(_stream_floats.filter(lambda v: v >= 0.0)), draw(_stream_floats))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+class TestStreamRows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(samples=_stream_samples(), start=st.integers(0, 10**6))
+    def test_matches_the_per_sample_rows(self, samples, start):
+        expected = "".join(",".join(sample_to_row(start + i, s)) + "\n" for i, s in enumerate(samples))
+        assert "".join(stream_rows(start, samples)) == expected
+
+    def test_edge_values_keep_their_form(self):
+        vector = np.array(EDGE_FLOATS).view(complex)
+        (row,) = stream_rows(3, [ChannelSample(vector, vector, 5e-324, -0.0)])
+        fields = row.rstrip("\n").split(",")
+        assert fields[:3] == ["3", "-0.0", "5e-324"]
+        assert fields[3:15] == [repr(v) for v in EDGE_FLOATS]
+
+
+class TestOpenStream:
+    def test_counts_rows_and_parses_lazily(self, tmp_path, rng):
+        path = tmp_path / "stream.csv"
+        dump_stream(make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(4), rng).take(8), path)
+        lines = path.read_text().splitlines()
+        lines[7] = lines[7].replace(",", ",x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        n, count, samples = open_stream(path)
+        assert (n, count) == (4, 8)
+        replay = ReplayStream(samples)
+        assert len(replay.take(6)) == 6  # lines 2-7
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 8: a field is not a number$"):
+            replay.take(1)
+
+    @pytest.mark.parametrize("text", ["", "index,snr_db,noise_var\n", "index,snr_db\n0,1\n"])
+    def test_checks_the_header_before_any_row(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: (not a stream dump|unrecognized stream header)"):
+            open_stream(path)
+
+    def test_lines_split_as_the_whole_text_splits(self, tmp_path, rng):
+        samples = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(2), rng).take(3)
+        path = tmp_path / "stream.csv"
+        dump_stream(samples, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert [s.snr_db for s in load_stream(path)] == [s.snr_db for s in samples]
 
 
 class TestChannelSampleInvariants:

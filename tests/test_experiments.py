@@ -296,3 +296,90 @@ class TestShortReplay:
         replay = replace(cfg, dump_stream=False, replay_stream=str(stream), total_samples=520)
         run_learning_experiment(replay, tmp_path / "replay")
         assert (tmp_path / "replay" / "curves.csv").read_bytes() == (live / "curves.csv").read_bytes()
+
+
+class TestStreamedStreamFile:
+    """The stream file is written and read a minibatch at a time."""
+
+    def _live(self, tmp_path, **overrides):
+        cfg = small_config(dump_stream=True, **overrides)
+        return cfg, run_learning_experiment(cfg, tmp_path / "live").output_files["stream"]
+
+    def test_corrupt_row_fails_when_its_minibatch_is_reached(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        import mpnetlab.experiments as experiments
+
+        cfg, stream = self._live(tmp_path)
+        lines = stream.read_text().splitlines()
+        lines[259] = lines[259].replace(",", ",nan,", 1)  # line 260 holds sample 258, in minibatch 6
+        stream.write_text("\n".join(lines) + "\n")
+        scored = []
+        original = experiments.score_minibatch
+        monkeypatch.setattr(experiments, "score_minibatch", lambda *args: scored.append(args[0]) or original(*args))
+        out = tmp_path / "replay"
+        with pytest.raises(ValueError) as exc:
+            run_learning_experiment(replace(cfg, dump_stream=False, replay_stream=str(stream)), out)
+        assert str(exc.value) == f"{stream}: line 260: malformed row with 68 fields"
+        assert max(scored) == 5  # the five minibatches before it ran
+        assert not out.exists()
+
+    def test_failed_dump_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import mpnetlab.experiments as experiments
+
+        original = experiments.score_minibatch
+
+        def score(minibatch, *args):
+            if minibatch == 3:
+                raise RuntimeError("minibatch 3 fails")
+            return original(minibatch, *args)
+
+        monkeypatch.setattr(experiments, "score_minibatch", score)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="minibatch 3 fails"):
+            run_learning_experiment(small_config(dump_stream=True), out)
+        assert [p.name for p in out.glob("*")] == []
+
+    def test_stream_is_not_formatted_without_an_output_directory(self, monkeypatch):
+        import mpnetlab.experiments as experiments
+
+        monkeypatch.setattr(experiments, "stream_rows", lambda *args: pytest.fail("formatted a stream nobody writes"))
+        result = run_learning_experiment(small_config(dump_stream=True))
+        assert "stream" not in result.output_files
+
+    def test_antenna_count_mismatch_rejected_before_the_first_minibatch(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        import mpnetlab.experiments as experiments
+
+        cfg, stream = self._live(tmp_path)
+        monkeypatch.setattr(experiments, "score_minibatch", lambda *args: pytest.fail("a minibatch ran"))
+        smaller = replace(cfg, array=ArraySpec(shape=(8,)), estimators=("ls",), dump_stream=False, replay_stream=str(stream))
+        with pytest.raises(ValueError) as exc:
+            run_learning_experiment(smaller, tmp_path / "replay")
+        assert str(exc.value) == f"replay file {stream} holds 16-antenna samples; the array has 8"
+
+    def test_peak_memory_does_not_grow_with_the_stream(self, tmp_path):
+        # tracemalloc peaks of an LS-only dump and replay (N=16, minibatches of
+        # 50): 0.32 MB and 0.18 MB at 400 samples, growing by 0.02 MB and
+        # 0.05 MB at 1600. Holding the whole stream, as rows or as samples,
+        # grows them by 11 MB and 3 MB.
+        import tracemalloc
+        from dataclasses import replace
+
+        def peaks(total):
+            cfg = small_config(estimators=("ls",), total_samples=total, dump_stream=True)
+            live, replay = tmp_path / f"live{total}", tmp_path / f"replay{total}"
+            out = []
+            for run_cfg, run_dir in ((cfg, live), (replace(cfg, dump_stream=False, replay_stream=str(live / "stream.csv")), replay)):
+                tracemalloc.start()
+                try:
+                    run_learning_experiment(run_cfg, run_dir)
+                    out.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return out
+
+        peaks(400)  # warm caches outside the measurement
+        short, long = peaks(400), peaks(1600)
+        assert all(b - a < 256 * 1024 for a, b in zip(short, long)), (short, long)
