@@ -39,7 +39,6 @@ from .estimators import (
     matching_pursuit,
     omp,
     pursuit_batch,
-    pursuit_estimates,
     sc_threshold,
     should_stop,
 )
@@ -47,7 +46,6 @@ from .experiments import (
     ArraySpec,
     ExperimentConfig,
     ExperimentResult,
-    MetricRecord,
     SnrLossSpec,
     parse_estimator,
     run_learning_experiment,

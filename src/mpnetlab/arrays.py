@@ -14,7 +14,6 @@ import numpy as np
 
 from .utils import as_rng, complex_normal
 
-_AXES = {"x": 0, "z": 2}
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 UNIT_TOL = 1e-12
@@ -109,34 +108,21 @@ def make_upa(nx: int, nz: int, spacing: float = 0.5) -> AntennaArray:
     return AntennaArray(positions, np.ones(nx * nz, dtype=complex), geometry="upa")
 
 
-def perturb_array(
-    array: AntennaArray,
-    gain_std: float,
-    pos_std: float,
-    rng,
-    axes: tuple[str, ...] | None = None,
-) -> AntennaArray:
+def perturb_array(array: AntennaArray, gain_std: float, pos_std: float, rng) -> AntennaArray:
     """True-array realization: jitter gains and positions around the nominal ones.
 
     Gains receive circularly-symmetric complex noise of variance ``gain_std**2``.
-    Each requested axis receives independent real position noise of standard
-    deviation ``pos_std`` (wavelengths). By default only x is jittered, or x
-    and z for planar geometries.
+    Positions receive independent real noise of standard deviation ``pos_std``
+    (wavelengths) along x, and then along z for planar geometries.
     """
     if gain_std < 0.0 or pos_std < 0.0:
         raise ValueError("noise standard deviations must be nonnegative")
-    if axes is None:
-        axes = ("x", "z") if array.geometry == "upa" else ("x",)
-    bad = [a for a in axes if a not in _AXES]
-    if bad:
-        raise ValueError(f"position noise axes must be in {{x, z}}, got {bad}")
     rng = as_rng(rng)
     n = array.size
     gains = array.gains + complex_normal(rng, n, gain_std**2)
     offsets = np.zeros((n, 3))
-    for axis in ("x", "z"):
-        if axis in axes:
-            offsets[:, _AXES[axis]] = rng.normal(0.0, pos_std, n)
+    for axis in (0, 2) if array.geometry == "upa" else (0,):
+        offsets[:, axis] = rng.normal(0.0, pos_std, n)
     return AntennaArray(array.positions + offsets, gains, geometry=array.geometry)
 
 

@@ -98,9 +98,6 @@ class TruncatedGaussianSnr:
         return 0.5 * math.erfc(z)
 
 
-SnrModel = "FixedSnr | TruncatedGaussianSnr"
-
-
 def sample_snr(model, rng) -> float:
     """Draw one SNR value (dB) from the configured model."""
     rng = as_rng(rng)
@@ -236,15 +233,12 @@ class ArrayEvent:
     kind: str
     fraction: float = 0.0
     gain_std: float = 0.0
-    array: AntennaArray | None = None
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError("event index must be >= 0")
-        if self.kind not in ("break", "age", "replace"):
-            raise ValueError("event kind must be 'break', 'age' or 'replace'")
-        if self.kind == "replace" and self.array is None:
-            raise ValueError("replace events need a replacement array")
+        if self.kind not in ("break", "age"):
+            raise ValueError("event kind must be 'break' or 'age'")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must lie in [0, 1]")
         if not self.gain_std >= 0.0:
@@ -253,9 +247,7 @@ class ArrayEvent:
     def apply(self, array: AntennaArray, rng) -> AntennaArray:
         if self.kind == "break":
             return break_antennas(array, self.fraction, rng)
-        if self.kind == "age":
-            return age_antennas(array, self.gain_std, rng)
-        return self.array
+        return age_antennas(array, self.gain_std, rng)
 
 
 class ChannelStream:

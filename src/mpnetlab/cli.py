@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .experiments import ExperimentConfig, run_learning_experiment, snr_loss_experiment
+from .utils import to_db
 
 _COMMANDS = {
     "snr-loss": "sweep the estimation penalty of an uncertain array model",
@@ -95,9 +96,9 @@ def _run(args) -> int:
             _log(args, f"running {cfg.total_samples} samples ({batches} minibatches) with {len(cfg.estimators)} estimators")
             result = run_learning_experiment(cfg, out_dir)
             if args.verbose:
-                for record in result.records:
-                    parts = " ".join(f"{k}={v:.2f}dB" for k, v in record.rmse_db.items())
-                    print(f"minibatch {record.minibatch}: {parts}", file=sys.stderr)
+                for minibatch, record in enumerate(result.records, 1):
+                    parts = " ".join(f"{name}={to_db(r.mean_rmse):.2f}dB" for name, r in record.items())
+                    print(f"minibatch {minibatch}: {parts}", file=sys.stderr)
         _log(args, f"wrote results to {out_dir}")
     except Exception as exc:  # surface a one-line cause, leave no partial files
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arrays import Dictionary
-from .utils import energy, row_energies
+from .utils import row_energies
 
 # Residual energies at or below this fraction of the input energy count as an
 # exact representation: recovery of a pure atom leaves only rounding noise.
@@ -117,14 +117,21 @@ class Estimate:
 
 @dataclass(frozen=True)
 class BatchEstimate:
-    """Channel estimates of a batch: one row of ``channel`` (B x N) and one entry
-    of ``depth`` (B) per sample. Indexing gives a sample's under the same names."""
+    """Estimates of a batch, one row per sample: channels (B x N), depths (B),
+    supports in selection order (B x K, zero past a row's depth) and residual
+    energies (B). ``len`` gives the row count and ``batch[i]`` row i's Estimate."""
 
     channel: np.ndarray
     depth: np.ndarray
+    support: np.ndarray
+    residual_energy: np.ndarray
 
-    def __getitem__(self, index) -> "BatchEstimate":
-        return BatchEstimate(self.channel[index], self.depth[index])
+    def __len__(self) -> int:
+        return len(self.depth)
+
+    def __getitem__(self, i: int) -> Estimate:
+        depth = int(self.depth[i])
+        return Estimate(self.channel[i], tuple(self.support[i, :depth].tolist()), depth, float(self.residual_energy[i]))
 
 
 def ls_estimate(x: np.ndarray) -> Estimate:
@@ -233,9 +240,15 @@ def _orthonormalize(cols: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return cols / norms[:, None]
 
 
-def _pursue_rows(dictionary: Dictionary, X, rule: StoppingRule, noise_vars: Sequence[float], orthogonal: bool):
-    """Validate a (B, N) batch of inputs and pursue every row under its own
-    noise variance; returns the batch and what ``pursue`` returns."""
+def pursuit_batch(
+    dictionary: Dictionary,
+    X,
+    rule: StoppingRule,
+    noise_vars: Sequence[float],
+    orthogonal: bool = False,
+) -> BatchEstimate:
+    """Matching pursuit (or OMP with ``orthogonal``) of every row of ``X``
+    (B x N), each under its own noise variance."""
     if not dictionary.normalized:
         raise ValueError("greedy pursuit needs unit-norm atoms; build with normalize=True")
     atoms = dictionary.atoms
@@ -246,33 +259,8 @@ def _pursue_rows(dictionary: Dictionary, X, rule: StoppingRule, noise_vars: Sequ
     if rule.kind != "fixed" and np.any(energies == 0.0):
         raise ValueError("residual stopping rules are undefined for a zero input")
     noise_var_norms = [v / e if e > 0.0 else 0.0 for v, e in zip(noise_vars, energies.tolist())]
-    return X, pursue(atoms, X, energies, noise_var_norms, rule, orthogonal)
-
-
-def pursuit_batch(
-    dictionary: Dictionary,
-    X,
-    rule: StoppingRule,
-    noise_vars: Sequence[float],
-    orthogonal: bool = False,
-) -> list[Estimate]:
-    """Matching pursuit (or OMP with ``orthogonal``) of every row of ``X``,
-    each with its own noise variance; one Estimate per row."""
-    X, (depths, supports, _, residuals) = _pursue_rows(dictionary, X, rule, noise_vars, orthogonal)
-    rows = zip(X, supports.tolist(), depths.tolist(), residuals)
-    return [Estimate(x - r, tuple(s[:depth]), depth, energy(r)) for x, s, depth, r in rows]
-
-
-def pursuit_estimates(
-    dictionary: Dictionary,
-    X,
-    rule: StoppingRule,
-    noise_vars: Sequence[float],
-    orthogonal: bool = False,
-) -> BatchEstimate:
-    """``pursuit_batch`` as one columnar estimate: the channels and the depths."""
-    X, (depths, _, _, residuals) = _pursue_rows(dictionary, X, rule, noise_vars, orthogonal)
-    return BatchEstimate(X - residuals, depths)
+    depths, supports, _, residuals = pursue(atoms, X, energies, noise_var_norms, rule, orthogonal)
+    return BatchEstimate(X - residuals, depths, supports, row_energies(residuals))
 
 
 def matching_pursuit(dictionary: Dictionary, x, rule: StoppingRule, noise_var: float = 0.0) -> Estimate:

@@ -8,6 +8,8 @@ every output byte for byte.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
@@ -40,11 +42,11 @@ from .channels import (
 )
 # not called here (the run streams its rows): bench/spans.py wraps them by name
 from .channels import load_stream, sample_to_row  # noqa: F401
-from .estimators import BatchEstimate, StoppingRule, pursuit_estimates
+from .estimators import BatchEstimate, StoppingRule, pursuit_batch
 # the per-sample entry points stay importable from here: bench/spans.py wraps them by name
 from .estimators import ls_estimate, matching_pursuit, omp  # noqa: F401
 from .fileio import atomic_write_rows, fmt_float, replacing
-from .metrics import snr_histogram
+from .metrics import snr_bins
 # not called here (mpnet.score_minibatch scores): bench/spans.py wraps it by name
 from .metrics import rmse  # noqa: F401
 from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch, unit_rows
@@ -197,39 +199,35 @@ class ExperimentConfig:
             raise ValueError("config describes neither a learning run nor an SNR-loss sweep")
 
 
-@dataclass(frozen=True)
-class MetricRecord:
-    """One evaluation row: per-estimator mean rMSE (dB) and mean depth."""
-
-    minibatch: int
-    rmse_db: dict[str, float]
-    mean_depth: dict[str, float]
-
-
 @dataclass
 class ExperimentResult:
-    """Every estimator's per-minibatch mean rMSE (linear) and mean depth, its
-    depth histogram, and the stream's SNR histogram."""
+    """One ``{estimator: MinibatchRecord}`` per minibatch, in roster order, and
+    the stream's SNR histogram. The per-estimator curves and depth histograms
+    are derived from the records."""
 
-    estimator_names: tuple[str, ...]
-    rmse_linear: dict[str, np.ndarray]
-    mean_depth: dict[str, np.ndarray]
-    depth_counts: dict[str, np.ndarray]
+    records: list[dict[str, MinibatchRecord]]
     snr_edges: np.ndarray
     snr_counts: np.ndarray
     output_files: dict[str, Path] = field(default_factory=dict)
 
-    def rmse_db(self, name: str) -> np.ndarray:
-        return 10.0 * np.log10(self.rmse_linear[name])
+    @property
+    def estimator_names(self) -> tuple[str, ...]:
+        return tuple(self.records[0])
 
     @property
-    def records(self) -> list[MetricRecord]:
-        """The same numbers one row per minibatch, the rMSE in dB."""
-        names = self.estimator_names
-        return [
-            MetricRecord(b + 1, {n: to_db(self.rmse_linear[n][b]) for n in names}, {n: self.mean_depth[n][b] for n in names})
-            for b in range(len(self.rmse_linear[names[0]]))
-        ]
+    def rmse_linear(self) -> dict[str, np.ndarray]:
+        return {name: np.array([r[name].mean_rmse for r in self.records]) for name in self.estimator_names}
+
+    @property
+    def mean_depth(self) -> dict[str, np.ndarray]:
+        return {name: np.array([r[name].mean_depth for r in self.records]) for name in self.estimator_names}
+
+    @property
+    def depth_counts(self) -> dict[str, np.ndarray]:
+        return {name: reduce(_add_counts, (r[name].depth_counts for r in self.records), np.zeros(1, dtype=int)) for name in self.estimator_names}
+
+    def rmse_db(self, name: str) -> np.ndarray:
+        return 10.0 * np.log10(self.rmse_linear[name])
 
 
 class _OracleDictionary:
@@ -270,14 +268,16 @@ def _baseline_fn(
     oracle: _OracleDictionary | None,
 ) -> Callable[[_Observations], BatchEstimate]:
     if spec.family == "ls":
-        return lambda seen: BatchEstimate(seen.X, np.zeros(len(seen.X), dtype=int))
+        return lambda seen: BatchEstimate(
+            seen.X, np.zeros(len(seen.X), dtype=int), np.zeros((len(seen.X), 0), dtype=np.intp), np.zeros(len(seen.X))
+        )
     if spec.source == "oracle" and oracle is None:
         raise ValueError("oracle estimators need a live stream (not a replay)")
     orthogonal = spec.family == "omp"
 
     def run(seen: _Observations) -> BatchEstimate:
         dictionary = oracle.current() if spec.source == "oracle" else dictionaries[spec.source]
-        return pursuit_estimates(dictionary, seen.X, spec.rule, seen.noise_vars, orthogonal)
+        return pursuit_batch(dictionary, seen.X, spec.rule, seen.noise_vars, orthogonal)
 
     return run
 
@@ -345,8 +345,9 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         else:
             roster[spec.name] = _baseline_fn(spec, dictionaries, oracle)
 
-    scored: dict[str, list[MinibatchRecord]] = {name: [] for name in roster}
-    snr_values: list[float] = []
+    records: list[dict[str, MinibatchRecord]] = []
+    snr_floors: Counter[int] = Counter()  # the SNR histogram, kept as the run goes
+    snr_top = -np.inf
     out_dir = None if out_dir is None else Path(out_dir)
     dumping = cfg.dump_stream and out_dir is not None
 
@@ -356,30 +357,22 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
             dump.write(stream_header(nominal.size).encode("utf-8"))
         for index in range(n_minibatches):
             batch = stream.take(batch_size)
-            snr_values.extend(s.snr_db for s in batch)
+            snr_floors.update(math.floor(s.snr_db) for s in batch)
+            snr_top = max(snr_top, *(s.snr_db for s in batch))
             if dumping:
                 dump.writelines(line.encode("utf-8") for line in stream_rows(index * batch_size, batch))
             seen = _Observations(batch)
-            for name, estimate_batch in roster.items():
-                scored[name].append(score_minibatch(index + 1, batch, estimate_batch(seen)))
-            for trainer in trainers.values():
-                trainer.end_minibatch()
+            record = {name: score_minibatch(index + 1, batch, estimate_batch(seen)) for name, estimate_batch in roster.items()}
+            for name, trainer in trainers.items():
+                record[name] = replace(record[name], mean_cost=trainer.end_minibatch())
+            records.append(record)
 
-        result = _summarize(scored, snr_values)
+        result = ExperimentResult(records, *snr_bins(snr_floors, snr_top))
         if out_dir is not None:
             _write_artifacts(out_dir, specs, trainers, result)
     if dumping:
         result.output_files["stream"] = out_dir / STREAM_FILE
     return result
-
-
-def _summarize(scored: dict[str, list[MinibatchRecord]], snr_values: Sequence[float]) -> ExperimentResult:
-    names = tuple(scored)
-    rmse_linear = {name: np.array([r.mean_rmse for r in scored[name]]) for name in names}
-    mean_depth = {name: np.array([r.mean_depth for r in scored[name]]) for name in names}
-    depth_counts = {name: reduce(_add_counts, (r.depth_counts for r in scored[name]), np.zeros(1, dtype=int)) for name in names}
-    edges, counts = snr_histogram(snr_values)
-    return ExperimentResult(names, rmse_linear, mean_depth, depth_counts, edges, counts)
 
 
 def _write_artifacts(out_dir: Path, specs: Sequence[EstimatorSpec], trainers: dict[str, OnlineTrainer], result: ExperimentResult) -> None:
@@ -395,15 +388,15 @@ def _write_artifacts(out_dir: Path, specs: Sequence[EstimatorSpec], trainers: di
             result.output_files[f"checkpoint_{spec.column}"] = path
 
 
-def _write_curves(path: Path, specs: Sequence[EstimatorSpec], records: Sequence[MetricRecord]) -> Path:
+def _write_curves(path: Path, specs: Sequence[EstimatorSpec], records: Sequence[dict[str, MinibatchRecord]]) -> Path:
     header = ["minibatch"]
     for spec in specs:
         header += [f"{spec.column}_rmse_db", f"{spec.column}_mean_depth"]
     rows = []
-    for record in records:
-        row = [str(record.minibatch)]
+    for minibatch, record in enumerate(records, 1):
+        row = [str(minibatch)]
         for spec in specs:
-            row += [fmt_float(record.rmse_db[spec.name]), fmt_float(record.mean_depth[spec.name])]
+            row += [fmt_float(to_db(record[spec.name].mean_rmse)), fmt_float(record[spec.name].mean_depth)]
         rows.append(row)
     atomic_write_rows(path, header, rows)
     return path
@@ -474,8 +467,8 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
                 H = np.array([steering_vector(true_array, np.array([np.sin(az), np.cos(az), 0.0])) for az in azimuths])
                 X = np.array([h + np.sqrt(energy(h) / (n * snr_lin)) * noise for h, noise in zip(H, noise_draws)])
                 no_noise_var = [0.0] * len(X)  # a fixed-depth rule never reads it
-                by_nominal = pursuit_estimates(dict_nominal, X, rule, no_noise_var).channel
-                by_true = pursuit_estimates(dict_true, X, rule, no_noise_var).channel
+                by_nominal = pursuit_batch(dict_nominal, X, rule, no_noise_var).channel
+                by_true = pursuit_batch(dict_true, X, rule, no_noise_var).channel
                 cell = 0.0
                 for ratio in (row_energies(by_nominal - H) / row_energies(by_true - H)).tolist():
                     cell += ratio

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections import Counter
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,15 +45,23 @@ def depth_histogram(depths: Sequence[int]) -> np.ndarray:
     return np.bincount(depths)
 
 
+def snr_bins(floor_counts: Mapping[int, int], top: float) -> tuple[np.ndarray, np.ndarray]:
+    """1-dB histogram of SNR values (dB) from the count of each value's floor
+    and the largest value; returns (bin_edges, counts). The edges are the
+    integers from the lowest floor to ceil(top), one bin at least, so a value's
+    bin is its floor, except that a value on the top edge falls in the last bin
+    (as in np.histogram)."""
+    lo = min(floor_counts)
+    hi = max(math.ceil(top), lo + 1)
+    counts = np.zeros(hi - lo, dtype=int)
+    for floor, count in floor_counts.items():
+        counts[min(floor, hi - 1) - lo] += count
+    return np.arange(lo, hi + 1, dtype=float), counts
+
+
 def snr_histogram(snr_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Counts of SNR values (dB) in 1-dB bins; returns (bin_edges, counts)."""
-    values = np.asarray(snr_values, dtype=float)
-    if values.size == 0:
+    values = np.asarray(snr_values, dtype=float).tolist()
+    if not values:
         raise ValueError("need at least one SNR value")
-    lo = math.floor(values.min())
-    hi = math.ceil(values.max())
-    if hi <= lo:
-        hi = lo + 1
-    edges = np.arange(lo, hi + 1, dtype=float)
-    counts, _ = np.histogram(values, bins=edges)
-    return edges, counts
+    return snr_bins(Counter(math.floor(v) for v in values), max(values))

@@ -338,11 +338,13 @@ class OnlineTrainer:
         for it, leaving those arrays as they are; each tile's gradient goes
         into the minibatch's as soon as its forward pass ends."""
         weights, rule = self.model.weights, self.model.rule
-        depths, _, _, residuals = pursue(weights, X_unit, np.ones(len(X_unit)), noise_var_norms, rule, on_tile=self._fold_tile)
+        depths, supports, _, residuals = pursue(weights, X_unit, np.ones(len(X_unit)), noise_var_norms, rule, on_tile=self._fold_tile)
         self._count += len(X_unit)
-        for residual_energy in row_energies(residuals).tolist():
+        unit_energies = row_energies(residuals).tolist()
+        for residual_energy in unit_energies:
             self._cost += 0.5 * residual_energy
-        return BatchEstimate(norms[:, None] * (X_unit - residuals), depths)
+        energies = np.array([float(norm**2) * e for norm, e in zip(norms, unit_energies)])  # row by row, as estimate does
+        return BatchEstimate(norms[:, None] * (X_unit - residuals), depths, supports, energies)
 
     def _fold_tile(self, layers: Sequence[tuple], final: np.ndarray) -> None:
         """Reverse pass of a tile just run forward; its columns go into the

@@ -26,7 +26,7 @@ from mpnetlab.arrays import Dictionary, make_ula
 from mpnetlab.channels import ChannelGenConfig, ChannelSample, FixedSnr, make_stream
 from mpnetlab.estimators import CORR_TILE, StoppingRule, matching_pursuit, omp, peel, pursuit_batch, row_dot, should_stop
 from mpnetlab.experiments import ArraySpec, ExperimentConfig, run_learning_experiment
-from mpnetlab.mpnet import MpNetModel, OnlineTrainer, TrainConfig, backward, forward, forward_batch
+from mpnetlab.mpnet import MpNetModel, OnlineTrainer, TrainConfig, backward, estimate, forward, forward_batch
 from mpnetlab.metrics import rmse
 from mpnetlab.utils import add_rows_at, energy, row_energies
 
@@ -194,6 +194,22 @@ def minibatch_gradient(model, samples):
     with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
         trainer.end_minibatch()
     return applied[0]
+
+
+class TestTrainerBatchRows:
+    @settings(max_examples=20, deadline=None)
+    @given(batches())
+    def test_rows_equal_estimate(self, case):
+        d, X, noise_vars, rule = case
+        samples = [ChannelSample(x, x, v, 10.0) for x, v in zip(X, noise_vars) if np.any(x != 0.0)]
+        assume(samples)
+        model = trained_model(d, rule, len(X))
+        batch = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples))).process_batch(samples)
+        assert len(batch) == len(samples)
+        for i, sample in enumerate(samples):  # before end_minibatch: same weights
+            row, single = batch[i], estimate(model, sample.observation, sample.noise_var)
+            assert (row.support, row.depth, row.residual_energy) == (single.support, single.depth, single.residual_energy)
+            assert np.array_equal(row.channel, single.channel)
 
 
 class TestTileAndOrderInvariance:

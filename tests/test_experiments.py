@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from mpnetlab.channels import ArrayEvent, ChannelGenConfig, FixedSnr, TruncatedGaussianSnr
+from mpnetlab.arrays import build_dictionary
+from mpnetlab.channels import ArrayEvent, ChannelGenConfig, FixedSnr, TruncatedGaussianSnr, load_stream
 from mpnetlab.estimators import StoppingRule
 from mpnetlab.experiments import (
     ArraySpec,
@@ -11,7 +14,8 @@ from mpnetlab.experiments import (
     run_learning_experiment,
     snr_loss_experiment,
 )
-from mpnetlab.mpnet import TrainConfig
+from mpnetlab.metrics import snr_histogram
+from mpnetlab.mpnet import MpNetModel, TrainConfig, train_online
 
 
 def small_config(**overrides):
@@ -267,6 +271,26 @@ class TestSnrLossExperiment:
         )
         with pytest.raises(ValueError):
             snr_loss_experiment(cfg)
+
+
+class TestRunRecords:
+    def test_records_equal_train_online_on_the_dumped_stream(self, tmp_path):
+        cfg = small_config(channel=ChannelGenConfig(snr=TruncatedGaussianSnr(mean_db=10.0, std_db=4.0, floor_db=1.0)), dump_stream=True)
+        result = run_learning_experiment(cfg, tmp_path)
+        samples = load_stream(result.output_files["stream"])
+        nominal = build_dictionary(cfg.array.build_nominal(), cfg.array.doa_grid(cfg.n_atoms))
+        expected = train_online(MpNetModel.from_dictionary(nominal, StoppingRule.sc2()), samples, cfg.training)
+        assert [list(record) for record in result.records] == [list(cfg.estimators)] * 10
+        assert len(expected) == 10
+        for record, other in zip(result.records, expected):
+            got = record["mpnet:nominal:sc2"]
+            assert (got.minibatch, got.mean_cost, got.mean_rmse, got.mean_depth) == (other.minibatch, other.mean_cost, other.mean_rmse, other.mean_depth)
+            assert np.array_equal(got.depth_counts, other.depth_counts)
+            assert math.isfinite(got.mean_cost)
+            assert math.isnan(record["ls"].mean_cost) and math.isnan(record["mp:nominal:sc2"].mean_cost)
+        edges, counts = snr_histogram([s.snr_db for s in samples])
+        assert len(counts) > 1
+        assert np.array_equal(result.snr_edges, edges) and np.array_equal(result.snr_counts, counts)
 
 
 class TestShortReplay:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpnetlab.metrics import depth_histogram, rmse, snr_histogram, snr_out
 
@@ -81,3 +83,36 @@ class TestSnrHistogram:
         edges, counts = snr_histogram([2.5, 3.5, 9.9])
         assert np.allclose(np.diff(edges), 1.0)
         assert counts.sum() == 3
+
+
+_edge_ints = st.integers(-30, 60)
+_snr_values = st.one_of(
+    st.floats(-50.0, 80.0),
+    st.floats(-50.0, 80.0).map(lambda v: round(v, 1)),
+    _edge_ints.map(float),
+    st.tuples(_edge_ints, st.sampled_from([-math.inf, math.inf])).map(lambda t: math.nextafter(t[0], t[1])),
+)
+_snr_lists = st.one_of(
+    st.lists(_snr_values, min_size=1, max_size=40),
+    st.tuples(_snr_values, st.integers(1, 5)).map(lambda t: [t[0]] * t[1]),  # all equal
+)
+
+
+class TestSnrBinning:
+    """One binning rule: the integers from floor(min) to ceil(max) (one bin at
+    least) as edges, counted as np.histogram counts them."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(_snr_lists)
+    def test_matches_numpy_histogram_on_integer_edges(self, values):
+        lo = math.floor(min(values))
+        expected_edges = np.arange(lo, max(math.ceil(max(values)), lo + 1) + 1, dtype=float)
+        expected_counts, _ = np.histogram(values, bins=expected_edges)
+        edges, counts = snr_histogram(values)
+        assert np.array_equal(edges, expected_edges)
+        assert np.array_equal(counts, expected_counts)
+
+    def test_value_on_the_top_edge_falls_in_the_last_bin(self):
+        edges, counts = snr_histogram([-1.5, 1.0])
+        assert edges.tolist() == [-2.0, -1.0, 0.0, 1.0]
+        assert counts.tolist() == [1, 0, 1]
