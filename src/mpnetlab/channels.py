@@ -73,7 +73,13 @@ class ChannelSample:
 
 @dataclass(frozen=True)
 class FixedSnr:
+    """One SNR for every sample; ``inf`` means noiseless observations."""
+
     value_db: float = 10.0
+
+    def __post_init__(self) -> None:
+        if math.isnan(self.value_db):
+            raise ValueError("value_db must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -86,9 +92,10 @@ class TruncatedGaussianSnr:
     floor_db: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.std_db < 0.0:
+        # NaN fails both checks: sample_snr would never accept a NaN draw
+        if not self.std_db >= 0.0:
             raise ValueError("std_db must be nonnegative")
-        if self.acceptance_probability() < 1e-6:
+        if not self.acceptance_probability() >= 1e-6:
             raise ValueError("SNR floor leaves a negligible acceptance probability")
 
     def acceptance_probability(self) -> float:
@@ -142,7 +149,7 @@ class ChannelGenConfig:
             raise ValueError("gain_decay must lie in (0, 1]")
         if self.doa_domain not in ("azimuth", "hemisphere"):
             raise ValueError("doa_domain must be 'azimuth' or 'hemisphere'")
-        if self.cluster_std_deg is not None and self.cluster_std_deg < 0.0:
+        if self.cluster_std_deg is not None and not self.cluster_std_deg >= 0.0:
             raise ValueError("cluster_std_deg must be nonnegative")
 
 
@@ -299,16 +306,8 @@ class ReplayStream:
     ``samples`` (a sequence, or the lazy parser of :func:`open_stream`) only
     when it is taken, so a stream file is read a minibatch at a time."""
 
-    current_array = None
-
     def __init__(self, samples: Iterable[ChannelSample]):
         self._samples = iter(samples)
-
-    def __iter__(self) -> Iterator[ChannelSample]:
-        return self
-
-    def __next__(self) -> ChannelSample:
-        return next(self._samples)
 
     def take(self, count: int) -> list[ChannelSample]:
         if count < 0:

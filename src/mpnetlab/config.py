@@ -11,7 +11,7 @@ from pathlib import Path
 import yaml
 
 from .channels import ArrayEvent, ChannelGenConfig, FixedSnr, TruncatedGaussianSnr
-from .experiments import ArraySpec, ExperimentConfig, SnrLossSpec, parse_estimator
+from .experiments import ArraySpec, ExperimentConfig, SnrLossSpec
 from .mpnet import TrainConfig
 
 
@@ -81,6 +81,14 @@ def _fields(mapping: dict, table: dict, path: str) -> dict:
     return {field: _get(mapping, key, path, kind) for key, (field, kind) in table.items() if key in mapping}
 
 
+def _build(cls, prefix: str, **fields):
+    """``cls(**fields)``, its ValueError raised as a ConfigError headed by ``prefix``."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
 _ARRAY_KEYS = {"spacing": ("spacing", float), "gain_std": ("gain_std", float), "pos_std": ("pos_std", float)}
 
 
@@ -98,11 +106,7 @@ def _parse_array(data: dict) -> ArraySpec:
         if "n" in data:
             raise ConfigError("'array.n' only applies to geometry 'ula'")
         shape = (_get(data, "nx", "array", int, required=True), _get(data, "nz", "array", int, required=True))
-    fields = _fields(data, _ARRAY_KEYS, "array")
-    try:
-        return ArraySpec(shape=shape, **fields)
-    except ValueError as exc:
-        raise ConfigError(f"array: {exc}") from None
+    return _build(ArraySpec, "array: ", shape=shape, **_fields(data, _ARRAY_KEYS, "array"))
 
 
 _TRUNCATED_GAUSSIAN_KEYS = {key: (key, float) for key in ("mean_db", "std_db", "floor_db")}
@@ -113,15 +117,11 @@ def _parse_snr(data) -> FixedSnr | TruncatedGaussianSnr:
     model = _get(data, "model", "snr", str, required=True)
     if model == "fixed":
         _check_keys(data, {"model", "value_db"}, "snr")
-        return FixedSnr(value_db=_get(data, "value_db", "snr", float, required=True))
+        return _build(FixedSnr, "snr: ", value_db=_get(data, "value_db", "snr", float, required=True))
     if model != "truncated_gaussian":
         raise ConfigError("'snr.model' must be 'fixed' or 'truncated_gaussian'")
     _check_keys(data, {"model", *_TRUNCATED_GAUSSIAN_KEYS}, "snr")
-    fields = _fields(data, _TRUNCATED_GAUSSIAN_KEYS, "snr")
-    try:
-        return TruncatedGaussianSnr(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"snr: {exc}") from None
+    return _build(TruncatedGaussianSnr, "snr: ", **_fields(data, _TRUNCATED_GAUSSIAN_KEYS, "snr"))
 
 
 _CHANNEL_KEYS = {"paths_min": ("paths_min", int), "paths_max": ("paths_max", int), "gain_decay": ("gain_decay", float)}
@@ -133,10 +133,7 @@ def _parse_channel(data, snr) -> ChannelGenConfig:
     fields = _fields(data, _CHANNEL_KEYS, "channel")
     if data.get("cluster_std_deg") is not None:  # null means no clustering
         fields["cluster_std_deg"] = _get(data, "cluster_std_deg", "channel", float)
-    try:
-        return ChannelGenConfig(snr=snr, **fields)
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from None
+    return _build(ChannelGenConfig, "channel: ", snr=snr, **fields)
 
 
 _TRAINING_KEYS = {
@@ -191,10 +188,7 @@ def _parse_anomalies(entries, total_samples: int) -> tuple[ArrayEvent, ...]:
         if index + (steps - 1) * every >= total_samples:  # bound the schedule before expanding it
             first = index if index >= total_samples else index - every * ((index - total_samples) // every)
             raise ConfigError(f"anomaly index {first} is beyond the stream length {total_samples}")
-        try:
-            events.extend(ArrayEvent(index + k * every, kind, **amount) for k in range(steps))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        events.extend(_build(ArrayEvent, f"{path}: ", index=index + k * every, kind=kind, **amount) for k in range(steps))
     return tuple(events)
 
 
@@ -216,11 +210,7 @@ def _parse_snr_loss(data) -> SnrLossSpec:
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in data[key]):
             raise ConfigError(f"'snr_loss.{key}' must contain numbers")
         fields[key] = tuple(_float(v, f"snr_loss.{key}") for v in data[key])
-    fields.update(_fields(data, _SNR_LOSS_KEYS, "snr_loss"))
-    try:
-        return SnrLossSpec(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"snr_loss: {exc}") from None
+    return _build(SnrLossSpec, "snr_loss: ", **fields, **_fields(data, _SNR_LOSS_KEYS, "snr_loss"))
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
@@ -241,11 +231,6 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
         estimators = []
     if not isinstance(estimators, list) or any(not isinstance(e, str) for e in estimators):
         raise ConfigError("'estimators' must be a list of strings")
-    for spec in estimators:
-        try:
-            parse_estimator(spec)
-        except ValueError as exc:
-            raise ConfigError(f"estimators: {exc}") from None
 
     stream = _require_mapping(data.get("stream", {}), "stream")
     _check_keys(stream, {"dump", "replay"}, "stream")
@@ -258,23 +243,22 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     snr_loss = _parse_snr_loss(data["snr_loss"]) if "snr_loss" in data else None
     anomalies = _parse_anomalies(data.get("anomalies"), total_samples)
 
-    try:
-        return ExperimentConfig(
-            seed=seed,
-            array=array,
-            n_atoms=n_atoms,
-            channel=channel,
-            training=training,
-            estimators=tuple(estimators),
-            total_samples=total_samples,
-            anomalies=anomalies,
-            dump_stream=dump_stream,
-            replay_stream=replay,
-            snr_loss=snr_loss,
-            output_dir=output_dir,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _build(
+        ExperimentConfig,
+        "",
+        seed=seed,
+        array=array,
+        n_atoms=n_atoms,
+        channel=channel,
+        training=training,
+        estimators=tuple(estimators),
+        total_samples=total_samples,
+        anomalies=anomalies,
+        dump_stream=dump_stream,
+        replay_stream=replay,
+        snr_loss=snr_loss,
+        output_dir=output_dir,
+    )
 
 
 def load_config(path) -> ExperimentConfig:

@@ -12,15 +12,14 @@ import math
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import reduce
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .arrays import (
     AntennaArray,
-    Dictionary,
     build_dictionary,
     doa_grid_ula,
     doa_grid_upa,
@@ -32,8 +31,6 @@ from .arrays import (
 from .channels import (
     ArrayEvent,
     ChannelGenConfig,
-    ChannelSample,
-    ChannelStream,
     ReplayStream,
     make_stream,
     open_stream,
@@ -71,9 +68,9 @@ class ArraySpec:
     def __post_init__(self) -> None:
         if len(self.shape) not in (1, 2) or any(d < 1 for d in self.shape):
             raise ValueError("array shape must be (n,) for a ULA or (nx, nz) for a UPA")
-        if self.spacing <= 0.0:
+        if not self.spacing > 0.0:
             raise ValueError("spacing must be positive")
-        if self.gain_std < 0.0 or self.pos_std < 0.0:
+        if not (self.gain_std >= 0.0 and self.pos_std >= 0.0):
             raise ValueError("uncertainty standard deviations must be nonnegative")
 
     @property
@@ -111,8 +108,10 @@ class SnrLossSpec:
     def __post_init__(self) -> None:
         if not self.pos_stds or not self.gain_stds:
             raise ValueError("the sweep needs at least one value per axis")
-        if any(v < 0 for v in self.pos_stds) or any(v < 0 for v in self.gain_stds):
+        if not all(v >= 0 for v in (*self.pos_stds, *self.gain_stds)):
             raise ValueError("uncertainty values must be nonnegative")
+        if math.isnan(self.snr_db):
+            raise ValueError("snr_db must not be NaN")
         if self.n_arrays < 1 or self.channels_per_array < 1:
             raise ValueError("trial counts must be >= 1")
 
@@ -188,13 +187,13 @@ class ExperimentConfig:
         for event in self.anomalies:
             if event.index >= self.total_samples:
                 raise ValueError(f"anomaly at index {event.index} falls beyond the stream")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ValueError("duplicate estimator roster entries")
+        for spec in self.estimators:
+            parse_estimator(spec)
         if self.total_samples > 0:
             if not self.estimators:
                 raise ValueError("a learning run needs a nonempty estimator roster")
-            if len(set(self.estimators)) != len(self.estimators):
-                raise ValueError("duplicate estimator roster entries")
-            for spec in self.estimators:
-                parse_estimator(spec)
         elif self.snr_loss is None:
             raise ValueError("config describes neither a learning run nor an SNR-loss sweep")
 
@@ -230,58 +229,6 @@ class ExperimentResult:
         return 10.0 * np.log10(self.rmse_linear[name])
 
 
-class _OracleDictionary:
-    """Rebuilds a dictionary from the stream's current true array whenever it
-    changes (refreshed at minibatch granularity)."""
-
-    def __init__(self, stream: ChannelStream, directions: np.ndarray):
-        self._stream = stream
-        self._directions = directions
-        self._array: AntennaArray | None = None
-        self._dictionary: Dictionary | None = None
-
-    def current(self) -> Dictionary:
-        array = self._stream.current_array
-        if array is not self._array:
-            self._array = array
-            self._dictionary = build_dictionary(array, self._directions)
-        return self._dictionary
-
-
-class _Observations:
-    """What the roster sees of one minibatch: the observations (B x N) and
-    noise variances, stacked once, and the unit-norm rows that every mpNet
-    entry shares, computed when the first one asks."""
-
-    def __init__(self, samples: Sequence[ChannelSample]):
-        self.X = np.array([s.observation for s in samples], dtype=complex)
-        self.noise_vars = [s.noise_var for s in samples]
-
-    @cached_property
-    def unit(self) -> tuple[np.ndarray, np.ndarray, list[float]]:
-        return unit_rows(self.X, self.noise_vars)
-
-
-def _baseline_fn(
-    spec: EstimatorSpec,
-    dictionaries: dict[str, Dictionary],
-    oracle: _OracleDictionary | None,
-) -> Callable[[_Observations], BatchEstimate]:
-    if spec.family == "ls":
-        return lambda seen: BatchEstimate(
-            seen.X, np.zeros(len(seen.X), dtype=int), np.zeros((len(seen.X), 0), dtype=np.intp), np.zeros(len(seen.X))
-        )
-    if spec.source == "oracle" and oracle is None:
-        raise ValueError("oracle estimators need a live stream (not a replay)")
-    orthogonal = spec.family == "omp"
-
-    def run(seen: _Observations) -> BatchEstimate:
-        dictionary = oracle.current() if spec.source == "oracle" else dictionaries[spec.source]
-        return pursuit_batch(dictionary, seen.X, spec.rule, seen.noise_vars, orthogonal)
-
-    return run
-
-
 def _add_counts(total: np.ndarray, extra: np.ndarray) -> np.ndarray:
     if extra.shape[0] > total.shape[0]:
         total = np.pad(total, (0, extra.shape[0] - total.shape[0]))
@@ -297,8 +244,6 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     is used exclusively for the reported rMSE.
     """
     specs = [parse_estimator(s) for s in cfg.estimators]
-    if not specs:
-        raise ValueError("estimator roster is empty")
     if cfg.total_samples < cfg.training.minibatch_size:
         raise ValueError("total_samples is smaller than one minibatch")
 
@@ -312,6 +257,10 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         "nominal": build_dictionary(nominal, directions),
         "ideal": build_dictionary(true_array, directions),
     }
+    # the oracle dictionary follows the stream's true array, rebuilt at
+    # minibatch granularity whenever an anomaly has replaced it
+    has_oracle = any(spec.source == "oracle" for spec in specs)
+    oracle_array = None
 
     batch_size = cfg.training.minibatch_size
     n_minibatches = cfg.total_samples // batch_size
@@ -325,14 +274,13 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
                 f"replay file {cfg.replay_stream} holds {count} samples;"
                 f" the run needs {n_minibatches * batch_size} ({n_minibatches} minibatches of {batch_size})"
             )
+        if has_oracle:
+            raise ValueError("oracle estimators need a live stream (not a replay)")
         stream = ReplayStream(samples)
-        oracle = None
     else:
         stream = make_stream(channel_cfg, true_array, as_rng(stream_seed), cfg.anomalies)
-        oracle = _OracleDictionary(stream, directions)
 
     xavier_rng = as_rng(xavier_seed)
-    roster: dict[str, Callable[[_Observations], BatchEstimate]] = {}
     trainers: dict[str, OnlineTrainer] = {}
     for spec in specs:
         if spec.family == "mpnet":
@@ -341,9 +289,6 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
             else:
                 model = MpNetModel.xavier(nominal.size, cfg.n_atoms, spec.rule, xavier_rng)
             trainers[spec.name] = OnlineTrainer(model, cfg.training, name=spec.name)
-            roster[spec.name] = lambda seen, trainer=trainers[spec.name]: trainer.process_unit_rows(*seen.unit)
-        else:
-            roster[spec.name] = _baseline_fn(spec, dictionaries, oracle)
 
     records: list[dict[str, MinibatchRecord]] = []
     snr_floors: Counter[int] = Counter()  # the SNR histogram, kept as the run goes
@@ -357,12 +302,28 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
             dump.write(stream_header(nominal.size).encode("utf-8"))
         for index in range(n_minibatches):
             batch = stream.take(batch_size)
+            if has_oracle and stream.current_array is not oracle_array:
+                oracle_array = stream.current_array
+                dictionaries["oracle"] = build_dictionary(oracle_array, directions)
             snr_floors.update(math.floor(s.snr_db) for s in batch)
             snr_top = max(snr_top, *(s.snr_db for s in batch))
             if dumping:
                 dump.writelines(line.encode("utf-8") for line in stream_rows(index * batch_size, batch))
-            seen = _Observations(batch)
-            record = {name: score_minibatch(index + 1, batch, estimate_batch(seen)) for name, estimate_batch in roster.items()}
+            # what the roster sees: the observations and noise variances,
+            # stacked once, and the unit-norm rows that every mpNet entry shares
+            X = np.array([s.observation for s in batch], dtype=complex)
+            noise_vars = [s.noise_var for s in batch]
+            unit = unit_rows(X, noise_vars) if trainers else None
+            record = {}
+            for spec in specs:
+                if spec.family == "mpnet":
+                    estimates = trainers[spec.name].process_unit_rows(*unit)
+                elif spec.family == "ls":
+                    estimates = BatchEstimate(X, np.zeros(len(X), dtype=int), np.zeros((len(X), 0), dtype=np.intp), np.zeros(len(X)))
+                else:
+                    estimates = pursuit_batch(dictionaries[spec.source], X, spec.rule, noise_vars, spec.family == "omp")
+                record[spec.name] = score_minibatch(index + 1, batch, estimates)
+            # every forward pass of the minibatch has run: now the Adam steps
             for name, trainer in trainers.items():
                 record[name] = replace(record[name], mean_cost=trainer.end_minibatch())
             records.append(record)

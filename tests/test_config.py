@@ -288,6 +288,12 @@ class TestAnomalyScheduleBound:
 HUGE = 10**400  # 401 digits: past the float range
 
 
+def _snr_loss_with(key, value):
+    data = {"seed": 1, "array": {"n": 16}, "snr_loss": {"pos_stds": [0.0], "gain_stds": [0.0]}}
+    data["snr_loss"][key] = value
+    return data
+
+
 class TestOutOfRangeValues:
     """Values no float or no event can hold fail at load with a ConfigError
     naming the key, not with a traceback or mid-run."""
@@ -318,6 +324,51 @@ class TestOutOfRangeValues:
         with pytest.raises(ConfigError) as exc:
             config_from_mapping(data)
         assert str(exc.value) == f"'snr_loss.{key}' is too large for a float"
+
+    # a NaN fails the range check of the key that holds it, with that check's
+    # own message, instead of failing mid-run or never returning (a NaN SNR
+    # draw is never above the floor)
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (minimal_mapping(array={"n": 16, "spacing": math.nan}), "array: spacing must be positive"),
+            (minimal_mapping(array={"n": 16, "gain_std": math.nan}), "array: uncertainty standard deviations must be nonnegative"),
+            (minimal_mapping(array={"n": 16, "pos_std": math.nan}), "array: uncertainty standard deviations must be nonnegative"),
+            (minimal_mapping(channel={"cluster_std_deg": math.nan}), "channel: cluster_std_deg must be nonnegative"),
+            (minimal_mapping(snr={"model": "fixed", "value_db": math.nan}), "snr: value_db must not be NaN"),
+            (minimal_mapping(snr={"model": "truncated_gaussian", "mean_db": math.nan}), "snr: SNR floor leaves a negligible acceptance probability"),
+            (minimal_mapping(snr={"model": "truncated_gaussian", "std_db": math.nan}), "snr: std_db must be nonnegative"),
+            (minimal_mapping(snr={"model": "truncated_gaussian", "floor_db": math.nan}), "snr: SNR floor leaves a negligible acceptance probability"),
+            (_snr_loss_with("pos_stds", [0.0, math.nan]), "snr_loss: uncertainty values must be nonnegative"),
+            (_snr_loss_with("gain_stds", [math.nan]), "snr_loss: uncertainty values must be nonnegative"),
+            (_snr_loss_with("snr_db", math.nan), "snr_loss: snr_db must not be NaN"),
+        ],
+        ids=[
+            "array.spacing",
+            "array.gain_std",
+            "array.pos_std",
+            "channel.cluster_std_deg",
+            "snr.value_db",
+            "snr.mean_db",
+            "snr.std_db",
+            "snr.floor_db",
+            "snr_loss.pos_stds",
+            "snr_loss.gain_stds",
+            "snr_loss.snr_db",
+        ],
+    )
+    def test_nan_fails_its_range_check(self, data, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(data)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field", ["mean_db", "std_db", "floor_db"])
+    def test_truncated_gaussian_rejects_a_nan_field(self, field):
+        with pytest.raises(ValueError):
+            TruncatedGaussianSnr(**{field: math.nan})
+
+    def test_infinite_fixed_snr_stays_valid(self):
+        assert config_from_mapping(minimal_mapping(snr={"model": "fixed", "value_db": math.inf})).channel.snr == FixedSnr(math.inf)
 
 
 class TestTopLevel:

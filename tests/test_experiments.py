@@ -74,6 +74,19 @@ class TestConfigValidation:
         )
         assert cfg.total_samples == 0
 
+    def test_snr_loss_only_config_checks_its_roster(self):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(
+                seed=1,
+                array=ArraySpec(shape=(8,)),
+                n_atoms=64,
+                channel=ChannelGenConfig(),
+                training=TrainConfig(),
+                estimators=("mp:wrong:sc2",),
+                snr_loss=SnrLossSpec(pos_stds=(0.0,), gain_stds=(0.0,)),
+            )
+        assert str(exc.value) == "estimator 'mp:wrong:sc2': dictionary must be nominal, ideal or oracle"
+
 
 class TestLearningExperiment:
     def test_ls_only_curve_is_flat_at_minus_snr(self):
@@ -407,3 +420,53 @@ class TestStreamedStreamFile:
         peaks(400)  # warm caches outside the measurement
         short, long = peaks(400), peaks(1600)
         assert all(b - a < 256 * 1024 for a, b in zip(short, long)), (short, long)
+
+
+class TestOracleRefresh:
+    """The oracle dictionary is rebuilt from the stream's true array at
+    minibatch granularity, and only when an anomaly has replaced the array."""
+
+    EVENTS = (
+        ArrayEvent(250, "break", fraction=0.3),  # in minibatch 3
+        ArrayEvent(610, "age", gain_std=0.1),  # both in minibatch 7
+        ArrayEvent(650, "age", gain_std=0.1),
+    )
+
+    def _builds(self, monkeypatch, estimators):
+        """Each dictionary build's array, and how many minibatches had been
+        scored when it ran."""
+        import mpnetlab.experiments as experiments
+
+        scored, built = [0], []
+        original_score, original_build = experiments.score_minibatch, experiments.build_dictionary
+        monkeypatch.setattr(experiments, "score_minibatch", lambda *args: scored.append(args[0]) or original_score(*args))
+        monkeypatch.setattr(experiments, "build_dictionary", lambda *args: built.append((max(scored), args[0])) or original_build(*args))
+        cfg = small_config(estimators=estimators, total_samples=800, training=TrainConfig(minibatch_size=100), anomalies=self.EVENTS)
+        run_learning_experiment(cfg)
+        return built
+
+    def test_rebuilt_in_the_minibatches_that_change_the_array(self, monkeypatch):
+        built = self._builds(monkeypatch, ("omp:oracle:sc2",))
+        # nominal and ideal before the run, then minibatches 1, 3 and 7
+        assert [before for before, _ in built] == [0, 0, 0, 2, 6]
+        ideal, first, broken, aged = (array for _, array in built[1:])
+        assert first is ideal
+        assert np.count_nonzero(broken.gains == 0) == 5  # round(0.3 * 16)
+        assert np.count_nonzero(aged.gains == 0) == 0
+
+    def test_not_built_without_an_oracle_entry(self, monkeypatch):
+        assert [before for before, _ in self._builds(monkeypatch, ("ls", "omp:ideal:sc2"))] == [0, 0]
+
+    def test_replay_with_an_oracle_entry_fails_before_the_first_minibatch(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        import mpnetlab.experiments as experiments
+
+        cfg = small_config(estimators=("ls",), dump_stream=True)
+        stream = run_learning_experiment(cfg, tmp_path / "live").output_files["stream"]
+        monkeypatch.setattr(experiments, "score_minibatch", lambda *args: pytest.fail("a minibatch ran"))
+        oracle = replace(cfg, estimators=("ls", "omp:oracle:sc2"), dump_stream=False, replay_stream=str(stream))
+        with pytest.raises(ValueError) as exc:
+            run_learning_experiment(oracle, tmp_path / "replay")
+        assert str(exc.value) == "oracle estimators need a live stream (not a replay)"
+        assert not (tmp_path / "replay").exists()
