@@ -141,16 +141,35 @@ def steering_vector(array: AntennaArray, direction) -> np.ndarray:
     return array.gains * np.exp(-2j * np.pi * (array.positions @ u))
 
 
-def steering_matrix(array: AntennaArray, directions: np.ndarray) -> np.ndarray:
-    """Stack steering vectors for several directions as the columns of an (N, A) matrix."""
+def _check_directions(directions) -> np.ndarray:
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3 or dirs.shape[0] == 0:
         raise ValueError("directions must have shape (A, 3) with A >= 1")
     norms = np.linalg.norm(dirs, axis=1)
     if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
         raise ValueError("directions must have unit norm")
-    phases = array.positions @ dirs.T
-    return array.gains[:, None] * np.exp(-2j * np.pi * phases)
+    return dirs
+
+
+def unit_response(positions: np.ndarray, directions) -> np.ndarray:
+    """Unit-gain responses exp(-2j*pi * p_i . u) of antennas at ``positions``
+    (N x 3), one column per direction: the geometry part of
+    :func:`steering_matrix`, shared by every array with these positions."""
+    phases = positions @ _check_directions(directions).T
+    return np.exp(-2j * np.pi * phases)
+
+
+def steering_matrix(array: AntennaArray, directions: np.ndarray, response: np.ndarray | None = None) -> np.ndarray:
+    """Stack steering vectors for several directions as the columns of an (N, A) matrix.
+
+    ``response`` is a precomputed ``unit_response(array.positions, directions)``;
+    only the gains are then applied, with the same bits.
+    """
+    if response is None:
+        response = unit_response(array.positions, directions)
+    elif response.shape != (array.size, _check_directions(directions).shape[0]):
+        raise ValueError("response must have shape (N, A) matching the array and directions")
+    return array.gains[:, None] * response
 
 
 def doa_grid_ula(count: int) -> np.ndarray:
@@ -178,12 +197,15 @@ def doa_grid_upa(count: int) -> np.ndarray:
     return _readonly(dirs)
 
 
-def build_dictionary(array: AntennaArray, directions: np.ndarray, normalize: bool = True) -> Dictionary:
-    """Dictionary of steering vectors on ``directions``; columns unit-norm by default."""
-    atoms = steering_matrix(array, directions)
+def build_dictionary(
+    array: AntennaArray, directions: np.ndarray, normalize: bool = True, response: np.ndarray | None = None
+) -> Dictionary:
+    """Dictionary of steering vectors on ``directions``; columns unit-norm by
+    default. ``response`` is as in :func:`steering_matrix`."""
+    atoms = steering_matrix(array, directions, response)
     if normalize:
         norms = np.linalg.norm(atoms, axis=0)
         if np.any(norms == 0.0):
             raise ValueError("cannot normalize a zero steering vector (all gains zero)")
-        atoms = atoms / norms
+        atoms /= norms
     return Dictionary(atoms, np.asarray(directions, dtype=float), normalized=normalize)

@@ -73,13 +73,16 @@ class ChannelSample:
 
 @dataclass(frozen=True)
 class FixedSnr:
-    """One SNR for every sample; ``inf`` means noiseless observations."""
+    """One SNR for every sample; ``inf`` means noiseless observations, and
+    ``-inf`` (no signal) is rejected."""
 
     value_db: float = 10.0
 
     def __post_init__(self) -> None:
         if math.isnan(self.value_db):
             raise ValueError("value_db must not be NaN")
+        if self.value_db == -math.inf:
+            raise ValueError("value_db must not be -inf")
 
 
 @dataclass(frozen=True)

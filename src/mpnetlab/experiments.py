@@ -26,8 +26,11 @@ from .arrays import (
     make_ula,
     make_upa,
     perturb_array,
-    steering_vector,
+    steering_matrix,
+    unit_response,
 )
+# not called here (the sweep builds whole response matrices): bench/spans.py wraps it by name
+from .arrays import steering_vector  # noqa: F401
 from .channels import (
     ArrayEvent,
     ChannelGenConfig,
@@ -47,7 +50,7 @@ from .metrics import snr_bins
 # not called here (mpnet.score_minibatch scores): bench/spans.py wraps it by name
 from .metrics import rmse  # noqa: F401
 from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch, unit_rows
-from .utils import as_rng, complex_normal, energy, from_db, row_energies, to_db
+from .utils import as_rng, complex_normal, from_db, row_energies, to_db
 
 CURVES_FILE = "curves.csv"
 DEPTH_HIST_FILE = "depth_hist.csv"
@@ -112,8 +115,12 @@ class SnrLossSpec:
             raise ValueError("uncertainty values must be nonnegative")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
+        if self.snr_db == -math.inf:
+            raise ValueError("snr_db must not be -inf")
         if self.n_arrays < 1 or self.channels_per_array < 1:
             raise ValueError("trial counts must be >= 1")
+        if self.n_atoms is not None and self.n_atoms < 1:
+            raise ValueError("dictionary size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -410,30 +417,34 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
     ratios = np.zeros((pos_stds.size, gain_stds.size))
     snr_lin = from_db(spec.snr_db)
 
+    no_noise_var = [0.0] * spec.channels_per_array  # a fixed-depth rule never reads it
     for _ in range(spec.n_arrays):
         gain_noise = complex_normal(rng, n, 1.0)
         pos_noise = rng.standard_normal(n)
         azimuths = rng.uniform(-np.pi / 2.0, np.pi / 2.0, spec.channels_per_array)
         noise_draws = complex_normal(rng, (spec.channels_per_array, n), 1.0)
+        chan_dirs = np.column_stack([np.sin(azimuths), np.cos(azimuths), np.zeros(azimuths.size)])
         for i, pos_std in enumerate(pos_stds):
+            # the gain cells of one position spread share the geometry part of
+            # every response; each cell only scales it by its own gains
+            offsets = np.zeros((n, 3))
+            offsets[:, 0] = pos_std * pos_noise
+            positions = nominal.positions + offsets
+            atom_response = unit_response(positions, directions)
+            chan_response = unit_response(positions, chan_dirs)
             for j, gain_std in enumerate(gain_stds):
-                offsets = np.zeros((n, 3))
-                offsets[:, 0] = pos_std * pos_noise
-                true_array = AntennaArray(
-                    nominal.positions + offsets,
-                    nominal.gains + gain_std * gain_noise,
-                    geometry="ula",
-                )
-                dict_true = build_dictionary(true_array, directions)
-                H = np.array([steering_vector(true_array, np.array([np.sin(az), np.cos(az), 0.0])) for az in azimuths])
-                X = np.array([h + np.sqrt(energy(h) / (n * snr_lin)) * noise for h, noise in zip(H, noise_draws)])
-                no_noise_var = [0.0] * len(X)  # a fixed-depth rule never reads it
+                true_array = AntennaArray(positions, nominal.gains + gain_std * gain_noise, geometry="ula")
+                dict_true = build_dictionary(true_array, directions, response=atom_response)
+                # C order: pursue and row_energies give other bits on a transposed view
+                H = np.ascontiguousarray(steering_matrix(true_array, chan_dirs, response=chan_response).T)
+                X = H + np.sqrt(row_energies(H) / (n * snr_lin))[:, None] * noise_draws
                 by_nominal = pursuit_batch(dict_nominal, X, rule, no_noise_var).channel
                 by_true = pursuit_batch(dict_true, X, rule, no_noise_var).channel
                 cell = 0.0
                 for ratio in (row_energies(by_nominal - H) / row_energies(by_true - H)).tolist():
                     cell += ratio
                 ratios[i, j] += cell / spec.channels_per_array
+                del dict_true, H, X, by_nominal, by_true
     ratios /= spec.n_arrays
     loss_db = 10.0 * np.log10(ratios)
 

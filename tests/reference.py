@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written in plain loops, deliberately sharing no code with
-the package under test.
+the package under test, except :func:`ref_snr_loss`: it restates the SNR-loss
+sweep cell by cell over the package's per-array building blocks, so that the
+whole-matrix sweep can be held to the same bits.
 """
 
 from __future__ import annotations
@@ -9,6 +11,10 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+
+from mpnetlab.arrays import AntennaArray, build_dictionary, doa_grid_ula, steering_vector
+from mpnetlab.estimators import StoppingRule, pursuit_batch
+from mpnetlab.utils import as_rng, complex_normal, energy, from_db, row_energies
 
 
 def ref_matching_pursuit(atoms: np.ndarray, x: np.ndarray, depth: int):
@@ -73,3 +79,40 @@ def selection_margin(weights: np.ndarray, x: np.ndarray, depth: int) -> float:
         s = int(np.argmax(mags))
         r = r - weights[:, s] * np.vdot(weights[:, s], r)
     return margin
+
+
+def ref_snr_loss(cfg) -> np.ndarray:
+    """``snr_loss_experiment(cfg)``'s loss_db, one cell at a time: a new
+    ``AntennaArray`` and dictionary per cell, one ``steering_vector`` per
+    azimuth and one observation per channel."""
+    spec = cfg.snr_loss
+    nominal = cfg.array.build_nominal()
+    n = nominal.size
+    directions = doa_grid_ula(spec.n_atoms if spec.n_atoms is not None else 32 * n)
+    dict_nominal = build_dictionary(nominal, directions)
+    rule = StoppingRule.fixed(1)
+    rng = as_rng(np.random.SeedSequence(cfg.seed))
+    snr_lin = from_db(spec.snr_db)
+    ratios = np.zeros((len(spec.pos_stds), len(spec.gain_stds)))
+    for _ in range(spec.n_arrays):
+        gain_noise = complex_normal(rng, n, 1.0)
+        pos_noise = rng.standard_normal(n)
+        azimuths = rng.uniform(-np.pi / 2.0, np.pi / 2.0, spec.channels_per_array)
+        noise_draws = complex_normal(rng, (spec.channels_per_array, n), 1.0)
+        for i, pos_std in enumerate(spec.pos_stds):
+            for j, gain_std in enumerate(spec.gain_stds):
+                offsets = np.zeros((n, 3))
+                offsets[:, 0] = pos_std * pos_noise
+                true_array = AntennaArray(nominal.positions + offsets, nominal.gains + gain_std * gain_noise, geometry="ula")
+                dict_true = build_dictionary(true_array, directions)
+                H = np.array([steering_vector(true_array, np.array([np.sin(az), np.cos(az), 0.0])) for az in azimuths])
+                X = np.array([h + np.sqrt(energy(h) / (n * snr_lin)) * noise for h, noise in zip(H, noise_draws)])
+                no_noise_var = [0.0] * len(X)
+                by_nominal = pursuit_batch(dict_nominal, X, rule, no_noise_var).channel
+                by_true = pursuit_batch(dict_true, X, rule, no_noise_var).channel
+                cell = 0.0
+                for ratio in (row_energies(by_nominal - H) / row_energies(by_true - H)).tolist():
+                    cell += ratio
+                ratios[i, j] += cell / spec.channels_per_array
+    ratios /= spec.n_arrays
+    return 10.0 * np.log10(ratios)

@@ -13,6 +13,7 @@ from mpnetlab.arrays import (
     perturb_array,
     steering_matrix,
     steering_vector,
+    unit_response,
 )
 
 
@@ -236,3 +237,59 @@ class TestBuildDictionary:
     def test_steering_matrix_rejects_bad_directions(self):
         with pytest.raises(ValueError):
             steering_matrix(make_ula(4), np.ones((3, 3)))
+
+
+def _perturbed_arrays():
+    rng = np.random.default_rng(11)
+    ula = perturb_array(make_ula(16), 0.2, 0.05, rng)
+    upa = perturb_array(make_upa(4, 3), 0.2, 0.05, rng)
+    return [(ula, doa_grid_ula(40)), (upa, doa_grid_upa(40))]
+
+
+class TestPrecomputedResponse:
+    """A response computed once for some positions stands in for the one
+    ``steering_matrix`` and ``build_dictionary`` would compute, to the bit."""
+
+    @pytest.mark.parametrize("arr, dirs", _perturbed_arrays(), ids=["ula", "upa"])
+    def test_steering_matrix_is_bit_equal(self, arr, dirs):
+        response = unit_response(arr.positions, dirs)
+        given = steering_matrix(arr, dirs, response=response)
+        assert np.array_equal(given, steering_matrix(arr, dirs))
+        assert np.array_equal(given, arr.gains[:, None] * np.exp(-2j * np.pi * (arr.positions @ dirs.T)))
+
+    @pytest.mark.parametrize("arr, dirs", _perturbed_arrays(), ids=["ula", "upa"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_build_dictionary_is_bit_equal(self, arr, dirs, normalize):
+        given = build_dictionary(arr, dirs, normalize=normalize, response=unit_response(arr.positions, dirs))
+        own = build_dictionary(arr, dirs, normalize=normalize)
+        assert np.array_equal(given.atoms, own.atoms)
+        assert given.normalized == own.normalized == normalize
+        raw = steering_matrix(arr, dirs)
+        expected = raw / np.linalg.norm(raw, axis=0) if normalize else raw
+        assert np.array_equal(own.atoms, expected)
+
+    def test_one_response_serves_every_gain_draw(self):
+        arr = make_ula(8)
+        dirs = doa_grid_ula(24)
+        response = unit_response(arr.positions, dirs)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            gains = arr.gains + 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+            other = AntennaArray(arr.positions, gains, geometry="ula")
+            assert np.array_equal(build_dictionary(other, dirs, response=response).atoms, build_dictionary(other, dirs).atoms)
+
+    @pytest.mark.parametrize("shape", [(40, 16), (15, 40), (16, 39), (16,)])
+    def test_wrong_shape_raises(self, shape):
+        arr = make_ula(16)
+        dirs = doa_grid_ula(40)
+        with pytest.raises(ValueError, match="response must have shape"):
+            steering_matrix(arr, dirs, response=np.ones(shape, complex))
+        with pytest.raises(ValueError, match="response must have shape"):
+            build_dictionary(arr, dirs, response=np.ones(shape, complex))
+
+    def test_directions_still_checked(self):
+        arr = make_ula(4)
+        with pytest.raises(ValueError, match="unit norm"):
+            steering_matrix(arr, np.ones((3, 3)), response=np.ones((4, 3), complex))
+        with pytest.raises(ValueError, match="unit norm"):
+            unit_response(arr.positions, np.ones((3, 3)))

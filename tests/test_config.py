@@ -367,6 +367,29 @@ class TestOutOfRangeValues:
         with pytest.raises(ValueError):
             TruncatedGaussianSnr(**{field: math.nan})
 
+    # -inf dB is no signal: the noise variance would divide by zero mid-run
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (minimal_mapping(snr={"model": "fixed", "value_db": -math.inf}), "snr: value_db must not be -inf"),
+            (_snr_loss_with("snr_db", -math.inf), "snr_loss: snr_db must not be -inf"),
+        ],
+        ids=["snr.value_db", "snr_loss.snr_db"],
+    )
+    def test_minus_infinite_snr_fails_at_load(self, data, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(data)
+        assert str(exc.value) == message
+
+    def test_infinite_snr_loss_snr_stays_valid(self):
+        assert config_from_mapping(_snr_loss_with("snr_db", math.inf)).snr_loss.snr_db == math.inf
+
+    @pytest.mark.parametrize("atoms", [0, -3])
+    def test_snr_loss_atom_count_below_one(self, atoms):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(_snr_loss_with("atoms", atoms))
+        assert str(exc.value) == "snr_loss: dictionary size must be >= 1"
+
     def test_infinite_fixed_snr_stays_valid(self):
         assert config_from_mapping(minimal_mapping(snr={"model": "fixed", "value_db": math.inf})).channel.snr == FixedSnr(math.inf)
 

@@ -17,6 +17,8 @@ from mpnetlab.experiments import (
 from mpnetlab.metrics import snr_histogram
 from mpnetlab.mpnet import MpNetModel, TrainConfig, train_online
 
+from reference import ref_snr_loss
+
 
 def small_config(**overrides):
     base = dict(
@@ -235,10 +237,10 @@ class TestDepthDistributions:
 
 
 class TestSnrLossExperiment:
-    def _config(self, pos, gain, arrays=2, channels=50):
+    def _config(self, pos, gain, arrays=2, channels=50, n=32, atoms=32 * 32, snr_db=10.0):
         return ExperimentConfig(
             seed=3,
-            array=ArraySpec(shape=(32,)),
+            array=ArraySpec(shape=(n,)),
             n_atoms=64,
             channel=ChannelGenConfig(),
             training=TrainConfig(),
@@ -247,9 +249,24 @@ class TestSnrLossExperiment:
                 gain_stds=tuple(gain),
                 n_arrays=arrays,
                 channels_per_array=channels,
-                n_atoms=32 * 32,
+                snr_db=snr_db,
+                n_atoms=atoms,
             ),
         )
+
+    # the sweep shares each position draw's response across its gain cells and
+    # builds a cell's channels as one matrix; the per-cell loop must give its bits
+    @pytest.mark.parametrize("n, atoms, arrays, channels", [(16, 128, 2, 20), (64, None, 1, 10)])
+    def test_matches_the_per_cell_loop(self, n, atoms, arrays, channels):
+        cfg = self._config([0.0, 0.05, 0.1], [0.0, 0.1, 0.3], arrays=arrays, channels=channels, n=n, atoms=atoms)
+        assert np.array_equal(snr_loss_experiment(cfg)[2], ref_snr_loss(cfg))
+
+    def test_noiseless_sweep_is_finite(self):
+        cfg = self._config([0.0, 0.05], [0.0, 0.1], arrays=2, channels=20, n=16, atoms=128, snr_db=math.inf)
+        loss = snr_loss_experiment(cfg)[2]
+        assert np.all(np.isfinite(loss))
+        assert loss[0, 0] == 0.0
+        assert np.array_equal(loss, ref_snr_loss(cfg))
 
     def test_zero_cell_is_exactly_zero(self):
         cfg = self._config([0.0], [0.0])
