@@ -21,6 +21,7 @@ from .channels import (
     FixedSnr,
     MultipathChannel,
     ReplayStream,
+    SampleBatch,
     TruncatedGaussianSnr,
     age_antennas,
     break_antennas,

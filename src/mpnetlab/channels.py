@@ -4,7 +4,9 @@ Ground-truth channels are built from unnormalized steering vectors of the true
 array (that is the physics); the dictionaries used by estimators are a separate,
 normalized object. Stream production is sequential: the sample order is part of
 the contract and every randomized operation is a pure function of its inputs
-and the generator state.
+and the generator state. A stream's ``take`` gives one columnar
+:class:`SampleBatch`, drawn live (:class:`ChannelStream`) or parsed from a
+stream dump (:class:`ReplayStream`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -72,6 +74,32 @@ class ChannelSample:
 
 
 @dataclass(frozen=True)
+class SampleBatch:
+    """Samples of a batch, one row each: channels and observations (B x N),
+    noise variances and SNRs (B). ``batch[i]`` builds row i's ChannelSample."""
+
+    channel: np.ndarray
+    observation: np.ndarray
+    noise_var: np.ndarray
+    snr_db: np.ndarray
+
+    @classmethod
+    def of(cls, samples: Sequence[ChannelSample]) -> "SampleBatch":
+        return cls(
+            np.array([s.channel for s in samples], dtype=complex),
+            np.array([s.observation for s in samples], dtype=complex),
+            np.array([s.noise_var for s in samples], dtype=float),
+            np.array([s.snr_db for s in samples], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.noise_var)
+
+    def __getitem__(self, i: int) -> ChannelSample:
+        return ChannelSample(self.channel[i], self.observation[i], float(self.noise_var[i]), float(self.snr_db[i]))
+
+
+@dataclass(frozen=True)
 class FixedSnr:
     """One SNR for every sample; ``inf`` means noiseless observations, and
     ``-inf`` (no signal) is rejected."""
@@ -95,9 +123,12 @@ class TruncatedGaussianSnr:
     floor_db: float = 1.0
 
     def __post_init__(self) -> None:
-        # NaN fails both checks: sample_snr would never accept a NaN draw
+        # NaN fails a range check (sample_snr would never accept a NaN draw); an infinity draws infinite SNRs
         if not self.std_db >= 0.0:
             raise ValueError("std_db must be nonnegative")
+        for name in ("std_db", "mean_db"):
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.acceptance_probability() >= 1e-6:
             raise ValueError("SNR floor leaves a negligible acceptance probability")
 
@@ -294,31 +325,14 @@ class ChannelStream:
         self._index += 1
         return sample
 
-    def take(self, count: int) -> list[ChannelSample]:
+    def take(self, count: int) -> SampleBatch:
         if count < 0:
             raise ValueError("count must be >= 0")
-        return [next(self) for _ in range(count)]
+        return SampleBatch.of([next(self) for _ in range(count)])
 
 
 def make_stream(cfg: ChannelGenConfig, true_array: AntennaArray, rng, events: Sequence[ArrayEvent] = ()) -> ChannelStream:
     return ChannelStream(cfg, true_array, rng, events)
-
-
-class ReplayStream:
-    """Serve recorded samples in their original order, drawing each from
-    ``samples`` (a sequence, or the lazy parser of :func:`open_stream`) only
-    when it is taken, so a stream file is read a minibatch at a time."""
-
-    def __init__(self, samples: Iterable[ChannelSample]):
-        self._samples = iter(samples)
-
-    def take(self, count: int) -> list[ChannelSample]:
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        chunk = list(islice(self._samples, count))
-        if len(chunk) < count:
-            raise ValueError("replay file has fewer samples than requested")
-        return chunk
 
 
 def stream_header(n: int) -> str:
@@ -340,26 +354,19 @@ def sample_to_row(index: int, sample: ChannelSample) -> list[str]:
     return row
 
 
-def stream_rows(start: int, samples: Sequence[ChannelSample]) -> Iterator[str]:
-    """The stream-file lines of consecutive samples numbered from ``start``:
+def stream_rows(start: int, batch: SampleBatch) -> Iterator[str]:
+    """The stream-file lines of a batch's samples numbered from ``start``:
     index, snr_db, noise_var, then interleaved re/im parts of the observation
-    and of the ground-truth channel, each line ending in a newline. The values
-    are stacked into one float array and written in their shortest round-trip
-    form; a line is made when it is drawn, so only one row's Python floats
-    exist at a time (a whole minibatch of them is ~1.7 MB at N=64)."""
-    values = np.column_stack(
-        (
-            [s.snr_db for s in samples],
-            [s.noise_var for s in samples],
-            np.array([s.observation for s in samples]).view(float),
-            np.array([s.channel for s in samples]).view(float),
-        )
-    )
+    and of the ground-truth channel, each line ending in a newline. The
+    columns go into one float array and are written in their shortest
+    round-trip form; a line is made when it is drawn, so only one row's Python
+    floats exist at a time (a whole minibatch of them is ~1.7 MB at N=64)."""
+    values = np.column_stack((batch.snr_db, batch.noise_var, batch.observation.view(float), batch.channel.view(float)))
     return (f"{index},{','.join(map(repr, row.tolist()))}\n" for index, row in enumerate(values, start))
 
 
-def _parse_row(path, line_no: int, line: str, n: int) -> ChannelSample:
-    """The sample on line ``line_no`` of a stream file of ``n``-antenna samples."""
+def _parse_row(path, line_no: int, line: str, n: int) -> np.ndarray:
+    """The values after the index on line ``line_no`` of a stream file of ``n``-antenna samples."""
     fields = line.split(",")
     if len(fields) != 3 + 4 * n:
         raise ValueError(f"{path}: line {line_no}: malformed row with {len(fields)} fields")
@@ -371,9 +378,9 @@ def _parse_row(path, line_no: int, line: str, n: int) -> ChannelSample:
         raise ValueError(f"{path}: line {line_no}: a field is not a number") from None
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: line {line_no}: non-finite value")
-    x = values[2 : 2 * n + 2 : 2] + 1j * values[3 : 2 * n + 2 : 2]
-    h = values[2 * n + 2 :: 2] + 1j * values[2 * n + 3 :: 2]
-    return ChannelSample(h, x, float(values[1]), float(values[0]))
+    if values[1] < 0.0:
+        raise ValueError(f"{path}: line {line_no}: noise variance must be nonnegative")
+    return values
 
 
 def _lines(path) -> Iterator[str]:
@@ -384,44 +391,51 @@ def _lines(path) -> Iterator[str]:
             yield from physical.splitlines()
 
 
-def dump_stream(samples: Iterable[ChannelSample], path) -> None:
-    """Record samples to CSV so another run (or implementation) can replay them.
-
-    One row per sample, as :func:`stream_rows` writes it.
-    """
-    samples = list(samples)
-    if not samples:
+def dump_stream(batch: SampleBatch, path) -> None:
+    """Record a batch to CSV for a replay, one row per sample as :func:`stream_rows` writes it."""
+    if not len(batch):
         raise ValueError("refusing to dump an empty stream")
     with replacing(path) as handle:
-        handle.write(stream_header(samples[0].channel.shape[0]).encode("utf-8"))
-        handle.writelines(line.encode("utf-8") for line in stream_rows(0, samples))
+        handle.write(stream_header(batch.channel.shape[1]).encode("utf-8"))
+        handle.writelines(line.encode("utf-8") for line in stream_rows(0, batch))
 
 
-def open_stream(path) -> tuple[int, int, Iterator[ChannelSample]]:
-    """Check a stream dump's header and count its rows, reading one line at a
-    time. Returns the antenna count, the row count, and an iterator that
-    parses the rows in order as they are drawn. A row that is malformed,
-    holds a non-finite value or breaks the 0, 1, 2, ... index order raises a
-    one-line ValueError naming the file and the line when it is reached."""
-    lines = _lines(path)
-    header = next(lines, "")
-    count = sum(1 for _ in lines)
-    if count == 0:
-        raise ValueError(f"{path}: not a stream dump (no samples)")
-    fields = header.split(",")
-    if (len(fields) - 3) % 4 != 0 or fields[:3] != ["index", "snr_db", "noise_var"]:
-        raise ValueError(f"{path}: unrecognized stream header")
-    n = (len(fields) - 3) // 4
+class ReplayStream:
+    """Serve a stream dump's samples in order, reading one line at a time.
+    Opening the file checks its header and counts its rows (``n_antennas``,
+    ``count``); ``take`` parses rows as they are taken. A row that is
+    malformed, holds a non-finite value or a negative noise variance, or breaks
+    the 0, 1, 2, ... index order raises a ValueError naming the file and line."""
 
-    def samples() -> Iterator[ChannelSample]:
-        rows = _lines(path)
-        next(rows)
-        for line_no, line in enumerate(rows, start=2):
-            yield _parse_row(path, line_no, line, n)
+    def __init__(self, path):
+        lines = _lines(path)
+        header = next(lines, "")
+        self.count = sum(1 for _ in lines)
+        if self.count == 0:
+            raise ValueError(f"{path}: not a stream dump (no samples)")
+        fields = header.split(",")
+        if (len(fields) - 3) % 4 != 0 or fields[:3] != ["index", "snr_db", "noise_var"]:
+            raise ValueError(f"{path}: unrecognized stream header")
+        self.n_antennas = (len(fields) - 3) // 4
+        self._path = path
+        self._rows = enumerate(islice(_lines(path), 1, None), start=2)
 
-    return n, count, samples()
+    def take(self, count: int) -> SampleBatch:
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        n = self.n_antennas
+        values = np.empty((count, 2 + 4 * n))
+        for row in values:
+            line_no, line = next(self._rows, (0, None))
+            if line is None:
+                raise ValueError("replay file has fewer samples than requested")
+            row[:] = _parse_row(self._path, line_no, line, n)
+        x = values[:, 2 : 2 * n + 2 : 2] + 1j * values[:, 3 : 2 * n + 2 : 2]
+        h = values[:, 2 * n + 2 :: 2] + 1j * values[:, 2 * n + 3 :: 2]
+        return SampleBatch(h, x, values[:, 1], values[:, 0])
 
 
-def load_stream(path) -> list[ChannelSample]:
-    """Read a whole stream dump back, with the checks of :func:`open_stream`."""
-    return list(open_stream(path)[2])
+def load_stream(path) -> SampleBatch:
+    """Read a whole stream dump back, with the checks of :class:`ReplayStream`."""
+    stream = ReplayStream(path)
+    return stream.take(stream.count)

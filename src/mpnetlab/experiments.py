@@ -34,9 +34,9 @@ from .arrays import steering_vector  # noqa: F401
 from .channels import (
     ArrayEvent,
     ChannelGenConfig,
+    FixedSnr,
     ReplayStream,
     make_stream,
-    open_stream,
     stream_header,
     stream_rows,
 )
@@ -273,18 +273,19 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     n_minibatches = cfg.total_samples // batch_size
     channel_cfg = replace(cfg.channel, doa_domain=cfg.array.doa_domain)
     if cfg.replay_stream is not None:
-        n_recorded, count, samples = open_stream(cfg.replay_stream)
-        if n_recorded != nominal.size:
-            raise ValueError(f"replay file {cfg.replay_stream} holds {n_recorded}-antenna samples; the array has {nominal.size}")
-        if count < n_minibatches * batch_size:
+        stream = ReplayStream(cfg.replay_stream)
+        if stream.n_antennas != nominal.size:
+            raise ValueError(f"replay file {cfg.replay_stream} holds {stream.n_antennas}-antenna samples; the array has {nominal.size}")
+        if stream.count < n_minibatches * batch_size:
             raise ValueError(
-                f"replay file {cfg.replay_stream} holds {count} samples;"
+                f"replay file {cfg.replay_stream} holds {stream.count} samples;"
                 f" the run needs {n_minibatches * batch_size} ({n_minibatches} minibatches of {batch_size})"
             )
         if has_oracle:
             raise ValueError("oracle estimators need a live stream (not a replay)")
-        stream = ReplayStream(samples)
     else:
+        if cfg.channel.snr == FixedSnr(math.inf):
+            raise ValueError("snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)")
         stream = make_stream(channel_cfg, true_array, as_rng(stream_seed), cfg.anomalies)
 
     xavier_rng = as_rng(xavier_seed)
@@ -312,27 +313,25 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
             if has_oracle and stream.current_array is not oracle_array:
                 oracle_array = stream.current_array
                 dictionaries["oracle"] = build_dictionary(oracle_array, directions)
-            snr_floors.update(math.floor(s.snr_db) for s in batch)
-            snr_top = max(snr_top, *(s.snr_db for s in batch))
+            snr_floors.update(math.floor(v) for v in batch.snr_db.tolist())
+            snr_top = max(snr_top, *batch.snr_db.tolist())
             if dumping:
                 dump.writelines(line.encode("utf-8") for line in stream_rows(index * batch_size, batch))
-            # what the roster sees: the observations and noise variances,
-            # stacked once, and the unit-norm rows that every mpNet entry shares
-            X = np.array([s.observation for s in batch], dtype=complex)
-            noise_vars = [s.noise_var for s in batch]
+            # the roster sees the observations and noise variances; every mpNet entry shares their unit-norm rows
+            X, noise_vars = batch.observation, batch.noise_var
             unit = unit_rows(X, noise_vars) if trainers else None
             record = {}
             for spec in specs:
+                mean_cost = math.nan
                 if spec.family == "mpnet":
+                    # trainers share no state: each Adam step follows its own forward pass
                     estimates = trainers[spec.name].process_unit_rows(*unit)
+                    mean_cost = trainers[spec.name].end_minibatch()
                 elif spec.family == "ls":
                     estimates = BatchEstimate(X, np.zeros(len(X), dtype=int), np.zeros((len(X), 0), dtype=np.intp), np.zeros(len(X)))
                 else:
                     estimates = pursuit_batch(dictionaries[spec.source], X, spec.rule, noise_vars, spec.family == "omp")
-                record[spec.name] = score_minibatch(index + 1, batch, estimates)
-            # every forward pass of the minibatch has run: now the Adam steps
-            for name, trainer in trainers.items():
-                record[name] = replace(record[name], mean_cost=trainer.end_minibatch())
+                record[spec.name] = score_minibatch(index + 1, batch.channel, estimates, mean_cost)
             records.append(record)
 
         result = ExperimentResult(records, *snr_bins(snr_floors, snr_top))

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .channels import ChannelSample
+from .channels import ChannelSample, SampleBatch
 from .estimators import BatchEstimate, Estimate, StoppingRule, peel, pursue, row_dot
 from .fileio import atomic_savez
 from .metrics import depth_histogram
@@ -282,16 +282,10 @@ class MinibatchRecord:
     depth_counts: np.ndarray
 
 
-def score_minibatch(
-    minibatch: int,
-    samples: Sequence[ChannelSample],
-    estimates: BatchEstimate,
-    mean_cost: float = float("nan"),
-) -> MinibatchRecord:
-    """Score one minibatch of estimates against the samples' true channels: the
+def score_minibatch(minibatch: int, truths: np.ndarray, estimates: BatchEstimate, mean_cost: float = float("nan")) -> MinibatchRecord:
+    """Score one minibatch of estimates against the true channels (B x N): the
     rMSE summed in sample order and averaged, the mean depth, and the depth
     histogram. This is the only place where an estimate meets ground truth."""
-    truths = np.array([sample.channel for sample in samples], dtype=complex)
     if truths.shape != estimates.channel.shape:
         raise ValueError("need one estimate per sample")
     truth_energies = row_energies(truths)
@@ -301,7 +295,7 @@ def score_minibatch(
     for error in (row_energies(estimates.channel - truths) / truth_energies).tolist():
         total += error
     counts = depth_histogram(estimates.depth)
-    return MinibatchRecord(minibatch, mean_cost, total / len(samples), float(np.mean(estimates.depth)), counts)
+    return MinibatchRecord(minibatch, mean_cost, total / len(truths), float(np.mean(estimates.depth)), counts)
 
 
 class OnlineTrainer:
@@ -328,10 +322,9 @@ class OnlineTrainer:
         self._cost = 0.0
         self._count = 0
 
-    def process_batch(self, samples: Sequence[ChannelSample]) -> BatchEstimate:
-        """Estimate the channels of a batch of samples from their observations
-        and noise variances alone."""
-        return self.process_unit_rows(*unit_rows([s.observation for s in samples], [s.noise_var for s in samples]))
+    def process_batch(self, batch: SampleBatch) -> BatchEstimate:
+        """Estimate the channels of a batch from its observations and noise variances alone."""
+        return self.process_unit_rows(*unit_rows(batch.observation, batch.noise_var))
 
     def process_unit_rows(self, norms: np.ndarray, X_unit: np.ndarray, noise_var_norms: Sequence[float]) -> BatchEstimate:
         """Estimate the channels of a batch from what :func:`unit_rows` returns
@@ -382,15 +375,17 @@ def train_online(
     """Train on a stream of observations, one Adam update per minibatch, until
     the stream ends; cut an unbounded stream with ``itertools.islice``.
 
-    A trailing partial minibatch is left unapplied. Returns the per-minibatch
+    A minibatch runs the step of a run's mpNet entry: forward pass, Adam step,
+    scoring. A trailing partial minibatch is left unapplied. Returns the
     records (also passed to ``eval_hook`` as they are produced).
     """
     trainer = OnlineTrainer(model, cfg)
     records: list[MinibatchRecord] = []
     iterator = iter(stream)
-    while len(batch := list(islice(iterator, cfg.minibatch_size))) == cfg.minibatch_size:
+    while len(chunk := list(islice(iterator, cfg.minibatch_size))) == cfg.minibatch_size:
+        batch = SampleBatch.of(chunk)
         estimates = trainer.process_batch(batch)
-        record = score_minibatch(len(records) + 1, batch, estimates, trainer.end_minibatch())
+        record = score_minibatch(len(records) + 1, batch.channel, estimates, trainer.end_minibatch())
         records.append(record)
         if eval_hook is not None:
             eval_hook(record)

@@ -12,8 +12,10 @@ from mpnetlab.channels import (
     ArrayEvent,
     ChannelGenConfig,
     ChannelSample,
+    ChannelStream,
     FixedSnr,
     ReplayStream,
+    SampleBatch,
     TruncatedGaussianSnr,
     age_antennas,
     break_antennas,
@@ -22,7 +24,6 @@ from mpnetlab.channels import (
     load_stream,
     make_stream,
     observe,
-    open_stream,
     sample_snr,
     sample_to_row,
     stream_rows,
@@ -205,14 +206,14 @@ class TestStream:
 
     def test_take_zero(self, rng):
         stream = make_stream(ChannelGenConfig(), make_ula(4), rng)
-        assert stream.take(0) == []
+        assert len(stream.take(0)) == 0
 
     def test_break_event_switches_array(self):
         arr = make_ula(32)
         cfg = ChannelGenConfig(snr=FixedSnr(math.inf))
         events = [ArrayEvent(index=5, kind="break", fraction=0.5)]
         stream = make_stream(cfg, arr, np.random.default_rng(0), events)
-        samples = stream.take(10)
+        samples = list(stream.take(10))
         # noiseless samples expose the channel: before the event no antenna is
         # silenced, afterwards the same 16 entries are zero in every sample
         assert all(np.all(s.channel != 0.0) for s in samples[:5])
@@ -248,9 +249,11 @@ class TestStreamFiles:
             assert s.noise_var == t.noise_var
             assert s.snr_db == t.snr_db
 
-    def test_replay_stream_interface(self, rng):
-        samples = make_stream(ChannelGenConfig(), make_ula(4), rng).take(6)
-        replay = ReplayStream(samples)
+    def test_replay_stream_interface(self, tmp_path, rng):
+        path = tmp_path / "stream.csv"
+        dump_stream(make_stream(ChannelGenConfig(), make_ula(4), rng).take(6), path)
+        replay = ReplayStream(path)
+        assert (replay.n_antennas, replay.count) == (4, 6)
         assert len(replay.take(2)) == 2
         assert len(replay.take(4)) == 4
         with pytest.raises(ValueError):
@@ -276,6 +279,16 @@ class TestStreamFiles:
         lines[3] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 4: non-finite value$"):
+            load_stream(path)
+
+    @pytest.mark.parametrize("bad", ["-5e-324", "-0.1", "-1e308"])
+    def test_load_rejects_a_negative_noise_variance(self, tmp_path, rng, bad):
+        path, lines = self._dumped_lines(tmp_path, rng)
+        fields = lines[3].split(",")
+        fields[2] = bad
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 4: noise variance must be nonnegative$"):
             load_stream(path)
 
     def test_load_rejects_swapped_rows(self, tmp_path, rng):
@@ -326,26 +339,27 @@ class TestStreamRows:
     @given(samples=_stream_samples(), start=st.integers(0, 10**6))
     def test_matches_the_per_sample_rows(self, samples, start):
         expected = "".join(",".join(sample_to_row(start + i, s)) + "\n" for i, s in enumerate(samples))
-        assert "".join(stream_rows(start, samples)) == expected
+        assert "".join(stream_rows(start, SampleBatch.of(samples))) == expected
 
     def test_edge_values_keep_their_form(self):
         vector = np.array(EDGE_FLOATS).view(complex)
-        (row,) = stream_rows(3, [ChannelSample(vector, vector, 5e-324, -0.0)])
+        (row,) = stream_rows(3, SampleBatch.of([ChannelSample(vector, vector, 5e-324, -0.0)]))
         fields = row.rstrip("\n").split(",")
         assert fields[:3] == ["3", "-0.0", "5e-324"]
         assert fields[3:15] == [repr(v) for v in EDGE_FLOATS]
 
 
 class TestOpenStream:
+    """Opening a stream dump as a ReplayStream."""
+
     def test_counts_rows_and_parses_lazily(self, tmp_path, rng):
         path = tmp_path / "stream.csv"
         dump_stream(make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(4), rng).take(8), path)
         lines = path.read_text().splitlines()
         lines[7] = lines[7].replace(",", ",x", 1)
         path.write_text("\n".join(lines) + "\n")
-        n, count, samples = open_stream(path)
-        assert (n, count) == (4, 8)
-        replay = ReplayStream(samples)
+        replay = ReplayStream(path)
+        assert (replay.n_antennas, replay.count) == (4, 8)
         assert len(replay.take(6)) == 6  # lines 2-7
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 8: a field is not a number$"):
             replay.take(1)
@@ -355,7 +369,7 @@ class TestOpenStream:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: (not a stream dump|unrecognized stream header)"):
-            open_stream(path)
+            ReplayStream(path)
 
     def test_lines_split_as_the_whole_text_splits(self, tmp_path, rng):
         samples = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(2), rng).take(3)
@@ -363,6 +377,39 @@ class TestOpenStream:
         dump_stream(samples, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert [s.snr_db for s in load_stream(path)] == [s.snr_db for s in samples]
+
+
+COLUMNS = ("channel", "observation", "noise_var", "snr_db")
+
+
+class TestSampleBatch:
+    def test_take_stacks_the_draws_of_next(self):
+        cfg = ChannelGenConfig(snr=TruncatedGaussianSnr())
+        events = [ArrayEvent(index=4, kind="break", fraction=0.5)]
+        batch = make_stream(cfg, make_ula(8), np.random.default_rng(4), events).take(9)
+        twin = make_stream(cfg, make_ula(8), np.random.default_rng(4), events)
+        drawn = [next(twin) for _ in range(9)]
+        expected = SampleBatch.of(drawn)
+        for column in COLUMNS:
+            assert np.array_equal(getattr(batch, column), getattr(expected, column))
+        assert len(batch) == len(list(batch)) == 9
+        for row, sample in zip(batch, drawn):
+            assert np.array_equal(row.channel, sample.channel) and np.array_equal(row.observation, sample.observation)
+            assert (row.noise_var, row.snr_db) == (sample.noise_var, sample.snr_db)
+
+    def test_replayed_takes_equal_the_dumped_batch(self, tmp_path, rng):
+        batch = make_stream(ChannelGenConfig(snr=TruncatedGaussianSnr()), make_ula(4), rng).take(8)
+        path = tmp_path / "stream.csv"
+        dump_stream(batch, path)
+        replay = ReplayStream(path)
+        first, second = replay.take(3), replay.take(5)
+        for column in COLUMNS:
+            assert np.array_equal(np.concatenate([getattr(first, column), getattr(second, column)]), getattr(batch, column))
+
+    @pytest.mark.parametrize("stream", [ChannelStream, ReplayStream])
+    def test_take_is_defined_in_the_class_body(self, stream):
+        # the benchmark times minibatches by wrapping each class's own take
+        assert "take" in stream.__dict__
 
 
 class TestChannelSampleInvariants:

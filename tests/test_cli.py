@@ -191,3 +191,12 @@ class TestDivergence:
         err = capsys.readouterr().err
         assert "mpnet:nominal:sc2: non-finite weights" in err and "minibatch 1" in err
         assert list(out.iterdir()) == []
+
+
+class TestInfiniteSnr:
+    def test_noiseless_fixed_snr_exits_1_without_artifacts(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL.replace("value_db: 10.0", "value_db: .inf"))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "snr.value_db must be finite" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []

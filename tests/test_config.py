@@ -393,6 +393,20 @@ class TestOutOfRangeValues:
     def test_infinite_fixed_snr_stays_valid(self):
         assert config_from_mapping(minimal_mapping(snr={"model": "fixed", "value_db": math.inf})).channel.snr == FixedSnr(math.inf)
 
+    # an infinite mean or spread draws infinite SNRs, which no histogram bin holds
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("mean_db", math.inf, "snr: mean_db must be finite"),
+            ("mean_db", -math.inf, "snr: mean_db must be finite"),
+            ("std_db", math.inf, "snr: std_db must be finite"),
+        ],
+    )
+    def test_infinite_truncated_gaussian_fails_at_load(self, field, value, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(minimal_mapping(snr={"model": "truncated_gaussian", field: value}))
+        assert str(exc.value) == message
+
 
 class TestTopLevel:
     def test_list_document_rejected_with_file_name(self, tmp_path):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from mpnetlab import estimators, mpnet
 from mpnetlab.arrays import Dictionary, make_ula
-from mpnetlab.channels import ChannelGenConfig, ChannelSample, FixedSnr, make_stream
+from mpnetlab.channels import ChannelGenConfig, ChannelSample, FixedSnr, SampleBatch, make_stream
 from mpnetlab.estimators import CORR_TILE, StoppingRule, matching_pursuit, omp, peel, pursuit_batch, row_dot, should_stop
 from mpnetlab.experiments import ArraySpec, ExperimentConfig, run_learning_experiment
 from mpnetlab.mpnet import MpNetModel, OnlineTrainer, TrainConfig, backward, estimate, forward, forward_batch
@@ -165,7 +165,7 @@ class TestMinibatchGradient:
 
         applied = []
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples)))
-        trainer.process_batch(samples)
+        trainer.process_batch(SampleBatch.of(samples))
         with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
             trainer.end_minibatch()
         assert np.array_equal(applied[0], dense / len(samples))
@@ -190,7 +190,7 @@ def trained_model(d, rule, seed):
 def minibatch_gradient(model, samples):
     applied = []
     trainer = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples)))
-    trainer.process_batch(samples)
+    trainer.process_batch(SampleBatch.of(samples))
     with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
         trainer.end_minibatch()
     return applied[0]
@@ -204,7 +204,7 @@ class TestTrainerBatchRows:
         samples = [ChannelSample(x, x, v, 10.0) for x, v in zip(X, noise_vars) if np.any(x != 0.0)]
         assume(samples)
         model = trained_model(d, rule, len(X))
-        batch = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples))).process_batch(samples)
+        batch = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples))).process_batch(SampleBatch.of(samples))
         assert len(batch) == len(samples)
         for i, sample in enumerate(samples):  # before end_minibatch: same weights
             row, single = batch[i], estimate(model, sample.observation, sample.noise_var)
@@ -290,10 +290,11 @@ class TestMemory:
         X = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
         samples = [ChannelSample(x, x, 1e-4 * np.vdot(x, x).real, 10.0) for x in X]
         trainer = OnlineTrainer(trained_model(d, StoppingRule.fixed(8), 7), TrainConfig(minibatch_size=b))
-        trainer.process_batch(samples[:CORR_TILE])  # warm caches outside the measurement
+        trainer.process_batch(SampleBatch.of(samples[:CORR_TILE]))  # warm caches outside the measurement
+        batch = SampleBatch.of(samples)
         tracemalloc.start()
         try:
-            trainer.process_batch(samples)
+            trainer.process_batch(batch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -306,7 +307,7 @@ class TestTrainerWithoutGroundTruth:
 
     def test_channels_do_not_reach_the_trainer(self):
         d = make_incoherent_dictionary(8, 24, seed=3)
-        samples = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(3)).take(60)
+        samples = list(make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(3)).take(60))
         rng = np.random.default_rng(4)
         decoys = [
             ChannelSample(10.0 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)), s.observation, s.noise_var, s.snr_db)
@@ -317,7 +318,7 @@ class TestTrainerWithoutGroundTruth:
             trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.sc2()), TrainConfig(minibatch_size=20))
             costs, channels = [], []
             for start in range(0, len(stream), 20):
-                channels += [est.channel for est in trainer.process_batch(stream[start : start + 20])]
+                channels += [est.channel for est in trainer.process_batch(SampleBatch.of(stream[start : start + 20]))]
                 costs.append(trainer.end_minibatch())
             runs.append((trainer, costs, channels))
         (a, costs_a, channels_a), (b, costs_b, channels_b) = runs
@@ -332,7 +333,7 @@ class TestPartialMinibatch:
     def test_cost_and_gradient_are_means_over_the_samples_processed(self):
         d = make_incoherent_dictionary(8, 24, seed=5)
         model = trained_model(d, StoppingRule.sc2(), 5)
-        samples = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(5)).take(7)
+        samples = list(make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(5)).take(7))
         cost, dense = 0.0, np.zeros(model.weights.shape, dtype=complex)
         for sample in samples:
             norm = np.linalg.norm(sample.observation)
@@ -343,8 +344,8 @@ class TestPartialMinibatch:
 
         applied = []
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=50))
-        trainer.process_batch(samples[:4])
-        trainer.process_batch(samples[4:])
+        trainer.process_batch(SampleBatch.of(samples[:4]))
+        trainer.process_batch(SampleBatch.of(samples[4:]))
         with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
             assert trainer.end_minibatch() == cost / 7
         assert np.array_equal(applied[0], dense / 7)

@@ -323,6 +323,18 @@ class TestRunRecords:
         assert np.array_equal(result.snr_edges, edges) and np.array_equal(result.snr_counts, counts)
 
 
+class TestInfiniteSnr:
+    def test_live_run_rejects_a_noiseless_fixed_snr_before_any_output(self, tmp_path, monkeypatch):
+        import mpnetlab.experiments as experiments
+
+        monkeypatch.setattr(experiments, "score_minibatch", lambda *args: pytest.fail("a minibatch ran"))
+        cfg = small_config(channel=ChannelGenConfig(snr=FixedSnr(math.inf)), dump_stream=True)
+        with pytest.raises(ValueError) as exc:
+            run_learning_experiment(cfg, tmp_path / "out")
+        assert str(exc.value) == "snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)"
+        assert not (tmp_path / "out").exists()
+
+
 class TestShortReplay:
     def test_rejected_before_any_roster_entry_runs(self, tmp_path, monkeypatch):
         from dataclasses import replace

@@ -277,13 +277,13 @@ class TestTraining:
         assert records[-1].mean_rmse < records[0].mean_rmse * 0.9
 
     def test_trainer_rejects_zero_observation(self):
-        from mpnetlab.channels import ChannelSample
+        from mpnetlab.channels import ChannelSample, SampleBatch
 
         d = make_incoherent_dictionary(4, 8)
         trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.fixed(1)))
         dead = ChannelSample(np.ones(4, complex), np.zeros(4, complex), 0.0, 10.0)
         with pytest.raises(ValueError):
-            trainer.process_batch([dead])
+            trainer.process_batch(SampleBatch.of([dead]))
 
 
 class TestCheckpoints:
