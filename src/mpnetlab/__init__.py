@@ -28,7 +28,6 @@ from .channels import (
     dump_stream,
     generate_channel,
     load_stream,
-    make_stream,
     observe,
     sample_snr,
 )

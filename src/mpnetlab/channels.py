@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -292,13 +291,11 @@ class ArrayEvent:
 
 
 class ChannelStream:
-    """Deterministic ordered source of channel observations.
-
-    Iteration is unbounded; use :meth:`take` for a finite prefix. Scheduled
-    :class:`ArrayEvent` entries swap the true array mid-stream at their declared
-    sample indices. The sequence of emitted samples is a pure function of the
-    configuration, the base array, the events, and the generator seed.
-    """
+    """Deterministic ordered source of channel observations, read through
+    :meth:`take`; each ``take`` continues where the last one stopped.
+    Scheduled :class:`ArrayEvent` entries swap the true array mid-stream at
+    their declared sample indices. The samples are a pure function of the
+    configuration, the base array, the events, and the generator seed."""
 
     def __init__(self, cfg: ChannelGenConfig, true_array: AntennaArray, rng, events: Sequence[ArrayEvent] = ()):
         self._cfg = cfg
@@ -312,27 +309,18 @@ class ChannelStream:
     def current_array(self) -> AntennaArray:
         return self._array
 
-    def __iter__(self) -> Iterator[ChannelSample]:
-        return self
-
-    def __next__(self) -> ChannelSample:
-        while self._event_pos < len(self._events) and self._events[self._event_pos].index <= self._index:
-            self._array = self._events[self._event_pos].apply(self._array, self._rng)
-            self._event_pos += 1
-        snr_db = sample_snr(self._cfg.snr, self._rng)
-        channel = generate_channel(self._cfg, self._array, self._rng)
-        sample = observe(channel, snr_db, self._rng)
-        self._index += 1
-        return sample
-
     def take(self, count: int) -> SampleBatch:
         if count < 0:
             raise ValueError("count must be >= 0")
-        return SampleBatch.of([next(self) for _ in range(count)])
-
-
-def make_stream(cfg: ChannelGenConfig, true_array: AntennaArray, rng, events: Sequence[ArrayEvent] = ()) -> ChannelStream:
-    return ChannelStream(cfg, true_array, rng, events)
+        samples = []
+        for _ in range(count):
+            while self._event_pos < len(self._events) and self._events[self._event_pos].index <= self._index:
+                self._array = self._events[self._event_pos].apply(self._array, self._rng)
+                self._event_pos += 1
+            snr_db = sample_snr(self._cfg.snr, self._rng)
+            samples.append(observe(generate_channel(self._cfg, self._array, self._rng), snr_db, self._rng))
+            self._index += 1
+        return SampleBatch.of(samples)
 
 
 def stream_header(n: int) -> str:
@@ -408,17 +396,16 @@ class ReplayStream:
     the 0, 1, 2, ... index order raises a ValueError naming the file and line."""
 
     def __init__(self, path):
-        lines = _lines(path)
-        header = next(lines, "")
-        self.count = sum(1 for _ in lines)
-        if self.count == 0:
+        self._rows = enumerate(_lines(path), start=1)
+        _, header = next(self._rows, (1, ""))
+        self.count = sum(1 for _ in _lines(path)) - 1  # rows after the header
+        if self.count < 1:
             raise ValueError(f"{path}: not a stream dump (no samples)")
         fields = header.split(",")
         if (len(fields) - 3) % 4 != 0 or fields[:3] != ["index", "snr_db", "noise_var"]:
             raise ValueError(f"{path}: unrecognized stream header")
         self.n_antennas = (len(fields) - 3) // 4
         self._path = path
-        self._rows = enumerate(islice(_lines(path), 1, None), start=2)
 
     def take(self, count: int) -> SampleBatch:
         if count < 0:

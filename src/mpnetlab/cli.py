@@ -49,7 +49,7 @@ def _check_invocation(command: str, cfg: ExperimentConfig) -> None:
         if cfg.snr_loss is None:
             raise ConfigError("snr-loss runs need an 'snr_loss' section")
         return
-    if cfg.total_samples < 1 or not cfg.estimators:
+    if cfg.total_samples < 1:
         raise ConfigError("training runs need 'total_samples' and a nonempty 'estimators' roster")
     if command == "anomaly" and not cfg.anomalies:
         raise ConfigError("anomaly runs need a nonempty 'anomalies' schedule")
@@ -72,7 +72,7 @@ def _run(args) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         _check_invocation(args.command, cfg)
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or the --seed override's range check
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

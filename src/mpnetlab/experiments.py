@@ -34,9 +34,9 @@ from .arrays import steering_vector  # noqa: F401
 from .channels import (
     ArrayEvent,
     ChannelGenConfig,
+    ChannelStream,
     FixedSnr,
     ReplayStream,
-    make_stream,
     stream_header,
     stream_rows,
 )
@@ -49,7 +49,7 @@ from .fileio import atomic_write_rows, fmt_float, replacing
 from .metrics import snr_bins
 # not called here (mpnet.score_minibatch scores): bench/spans.py wraps it by name
 from .metrics import rmse  # noqa: F401
-from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch, unit_rows
+from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch
 from .utils import as_rng, complex_normal, from_db, row_energies, to_db
 
 CURVES_FILE = "curves.csv"
@@ -189,6 +189,9 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("seed", "total_samples"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.n_atoms < 1:
             raise ValueError("dictionary size must be >= 1")
         for event in self.anomalies:
@@ -286,7 +289,7 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     else:
         if cfg.channel.snr == FixedSnr(math.inf):
             raise ValueError("snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)")
-        stream = make_stream(channel_cfg, true_array, as_rng(stream_seed), cfg.anomalies)
+        stream = ChannelStream(channel_cfg, true_array, as_rng(stream_seed), cfg.anomalies)
 
     xavier_rng = as_rng(xavier_seed)
     trainers: dict[str, OnlineTrainer] = {}
@@ -317,15 +320,14 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
             snr_top = max(snr_top, *batch.snr_db.tolist())
             if dumping:
                 dump.writelines(line.encode("utf-8") for line in stream_rows(index * batch_size, batch))
-            # the roster sees the observations and noise variances; every mpNet entry shares their unit-norm rows
+            # the roster sees the observations and noise variances
             X, noise_vars = batch.observation, batch.noise_var
-            unit = unit_rows(X, noise_vars) if trainers else None
             record = {}
             for spec in specs:
                 mean_cost = math.nan
                 if spec.family == "mpnet":
                     # trainers share no state: each Adam step follows its own forward pass
-                    estimates = trainers[spec.name].process_unit_rows(*unit)
+                    estimates = trainers[spec.name].process_batch(batch)
                     mean_cost = trainers[spec.name].end_minibatch()
                 elif spec.family == "ls":
                     estimates = BatchEstimate(X, np.zeros(len(X), dtype=int), np.zeros((len(X), 0), dtype=np.intp), np.zeros(len(X)))

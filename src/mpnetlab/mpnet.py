@@ -24,12 +24,11 @@ training loop mutates the weights; inference on a weight snapshot is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import ChannelSample, SampleBatch
+from .channels import ChannelStream, ReplayStream, SampleBatch
 from .estimators import BatchEstimate, Estimate, StoppingRule, peel, pursue, row_dot
 from .fileio import atomic_savez
 from .metrics import depth_histogram
@@ -250,10 +249,10 @@ def adam_step(state: AdamState, weights: np.ndarray, grad: np.ndarray) -> np.nda
 
 def unit_rows(observations: Sequence[np.ndarray], noise_vars: Sequence[float]):
     """The norm of each observation, the observations scaled to unit norm
-    (B x N), and each noise variance divided by the observation's energy:
-    the inputs of :meth:`OnlineTrainer.process_unit_rows`. The norms are
-    taken row by row and squared one at a time, as the per-sample path does
-    (``np.linalg.norm(X, axis=1)`` and an array power round differently)."""
+    (B x N), and each noise variance divided by the observation's energy,
+    as the pursuit takes them. The norms are taken row by row and squared one
+    at a time, as the per-sample path does (``np.linalg.norm(X, axis=1)`` and
+    an array power round differently)."""
     norms = np.array([np.linalg.norm(x) for x in observations])
     if np.any(norms == 0.0):
         raise ValueError("cannot estimate from a zero observation")
@@ -323,13 +322,10 @@ class OnlineTrainer:
         self._count = 0
 
     def process_batch(self, batch: SampleBatch) -> BatchEstimate:
-        """Estimate the channels of a batch from its observations and noise variances alone."""
-        return self.process_unit_rows(*unit_rows(batch.observation, batch.noise_var))
-
-    def process_unit_rows(self, norms: np.ndarray, X_unit: np.ndarray, noise_var_norms: Sequence[float]) -> BatchEstimate:
-        """Estimate the channels of a batch from what :func:`unit_rows` returns
-        for it, leaving those arrays as they are; each tile's gradient goes
-        into the minibatch's as soon as its forward pass ends."""
+        """Estimate the channels of a batch from its observations and noise
+        variances alone, as unit-norm rows (:func:`unit_rows`); each tile's
+        gradient goes into the minibatch's as soon as its forward pass ends."""
+        norms, X_unit, noise_var_norms = unit_rows(batch.observation, batch.noise_var)
         weights, rule = self.model.weights, self.model.rule
         depths, supports, _, residuals = pursue(weights, X_unit, np.ones(len(X_unit)), noise_var_norms, rule, on_tile=self._fold_tile)
         self._count += len(X_unit)
@@ -368,24 +364,24 @@ class OnlineTrainer:
 
 def train_online(
     model: MpNetModel,
-    stream: Iterable[ChannelSample],
+    stream: ChannelStream | ReplayStream,
+    total_samples: int,
     cfg: TrainConfig = TrainConfig(),
     eval_hook: Callable[[MinibatchRecord], None] | None = None,
 ) -> list[MinibatchRecord]:
-    """Train on a stream of observations, one Adam update per minibatch, until
-    the stream ends; cut an unbounded stream with ``itertools.islice``.
+    """Train on the first ``total_samples`` samples of a stream, one Adam
+    update per minibatch of ``stream.take(cfg.minibatch_size)``.
 
     A minibatch runs the step of a run's mpNet entry: forward pass, Adam step,
-    scoring. A trailing partial minibatch is left unapplied. Returns the
-    records (also passed to ``eval_hook`` as they are produced).
+    scoring. A trailing partial minibatch is never taken. Returns the records
+    (also passed to ``eval_hook`` as they are produced).
     """
     trainer = OnlineTrainer(model, cfg)
     records: list[MinibatchRecord] = []
-    iterator = iter(stream)
-    while len(chunk := list(islice(iterator, cfg.minibatch_size))) == cfg.minibatch_size:
-        batch = SampleBatch.of(chunk)
+    for minibatch in range(1, total_samples // cfg.minibatch_size + 1):
+        batch = stream.take(cfg.minibatch_size)
         estimates = trainer.process_batch(batch)
-        record = score_minibatch(len(records) + 1, batch.channel, estimates, trainer.end_minibatch())
+        record = score_minibatch(minibatch, batch.channel, estimates, trainer.end_minibatch())
         records.append(record)
         if eval_hook is not None:
             eval_hook(record)

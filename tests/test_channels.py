@@ -22,7 +22,6 @@ from mpnetlab.channels import (
     dump_stream,
     generate_channel,
     load_stream,
-    make_stream,
     observe,
     sample_snr,
     sample_to_row,
@@ -197,22 +196,22 @@ class TestStream:
     def test_same_seed_same_sequence(self):
         arr = make_ula(8)
         cfg = ChannelGenConfig(snr=FixedSnr(10.0))
-        a = make_stream(cfg, arr, np.random.default_rng(3)).take(20)
-        b = make_stream(cfg, arr, np.random.default_rng(3)).take(20)
+        a = ChannelStream(cfg, arr, np.random.default_rng(3)).take(20)
+        b = ChannelStream(cfg, arr, np.random.default_rng(3)).take(20)
         for s, t in zip(a, b):
             assert np.array_equal(s.observation, t.observation)
             assert np.array_equal(s.channel, t.channel)
             assert s.noise_var == t.noise_var
 
     def test_take_zero(self, rng):
-        stream = make_stream(ChannelGenConfig(), make_ula(4), rng)
+        stream = ChannelStream(ChannelGenConfig(), make_ula(4), rng)
         assert len(stream.take(0)) == 0
 
     def test_break_event_switches_array(self):
         arr = make_ula(32)
         cfg = ChannelGenConfig(snr=FixedSnr(math.inf))
         events = [ArrayEvent(index=5, kind="break", fraction=0.5)]
-        stream = make_stream(cfg, arr, np.random.default_rng(0), events)
+        stream = ChannelStream(cfg, arr, np.random.default_rng(0), events)
         samples = list(stream.take(10))
         # noiseless samples expose the channel: before the event no antenna is
         # silenced, afterwards the same 16 entries are zero in every sample
@@ -222,13 +221,13 @@ class TestStream:
         assert all(np.array_equal(mask, broken_masks[0]) for mask in broken_masks)
 
     def test_fixed_snr_recorded_exactly(self, rng):
-        stream = make_stream(ChannelGenConfig(snr=FixedSnr(7.5)), make_ula(8), rng)
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(7.5)), make_ula(8), rng)
         assert all(s.snr_db == 7.5 for s in stream.take(50))
 
     def test_current_array_tracks_events(self):
         arr = make_ula(8)
         events = [ArrayEvent(index=3, kind="age", gain_std=0.5)]
-        stream = make_stream(ChannelGenConfig(), arr, np.random.default_rng(0), events)
+        stream = ChannelStream(ChannelGenConfig(), arr, np.random.default_rng(0), events)
         stream.take(3)
         assert stream.current_array is arr
         stream.take(1)
@@ -237,7 +236,7 @@ class TestStream:
 
 class TestStreamFiles:
     def test_dump_and_load_roundtrip(self, tmp_path, rng):
-        stream = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
         samples = stream.take(12)
         path = tmp_path / "stream.csv"
         dump_stream(samples, path)
@@ -251,7 +250,7 @@ class TestStreamFiles:
 
     def test_replay_stream_interface(self, tmp_path, rng):
         path = tmp_path / "stream.csv"
-        dump_stream(make_stream(ChannelGenConfig(), make_ula(4), rng).take(6), path)
+        dump_stream(ChannelStream(ChannelGenConfig(), make_ula(4), rng).take(6), path)
         replay = ReplayStream(path)
         assert (replay.n_antennas, replay.count) == (4, 6)
         assert len(replay.take(2)) == 2
@@ -267,7 +266,7 @@ class TestStreamFiles:
 
     def _dumped_lines(self, tmp_path, rng):
         path = tmp_path / "stream.csv"
-        dump_stream(make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(4), rng).take(5), path)
+        dump_stream(ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(4), rng).take(5), path)
         return path, path.read_text().splitlines()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -354,7 +353,7 @@ class TestOpenStream:
 
     def test_counts_rows_and_parses_lazily(self, tmp_path, rng):
         path = tmp_path / "stream.csv"
-        dump_stream(make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(4), rng).take(8), path)
+        dump_stream(ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(4), rng).take(8), path)
         lines = path.read_text().splitlines()
         lines[7] = lines[7].replace(",", ",x", 1)
         path.write_text("\n".join(lines) + "\n")
@@ -372,7 +371,7 @@ class TestOpenStream:
             ReplayStream(path)
 
     def test_lines_split_as_the_whole_text_splits(self, tmp_path, rng):
-        samples = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(2), rng).take(3)
+        samples = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(2), rng).take(3)
         path = tmp_path / "stream.csv"
         dump_stream(samples, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
@@ -383,12 +382,26 @@ COLUMNS = ("channel", "observation", "noise_var", "snr_db")
 
 
 class TestSampleBatch:
-    def test_take_stacks_the_draws_of_next(self):
+    def test_take_continues_where_the_last_take_stopped(self):
         cfg = ChannelGenConfig(snr=TruncatedGaussianSnr())
         events = [ArrayEvent(index=4, kind="break", fraction=0.5)]
-        batch = make_stream(cfg, make_ula(8), np.random.default_rng(4), events).take(9)
-        twin = make_stream(cfg, make_ula(8), np.random.default_rng(4), events)
-        drawn = [next(twin) for _ in range(9)]
+        batch = ChannelStream(cfg, make_ula(8), np.random.default_rng(4), events).take(9)
+        twin = ChannelStream(cfg, make_ula(8), np.random.default_rng(4), events)
+        first, second = twin.take(4), twin.take(5)
+        for column in COLUMNS:
+            assert np.array_equal(getattr(batch, column), np.concatenate([getattr(first, column), getattr(second, column)]))
+
+    def test_take_matches_the_per_draw_reference(self):
+        # events due, then the SNR, the channel and its observation, draw by draw
+        cfg = ChannelGenConfig(snr=TruncatedGaussianSnr())
+        events = [ArrayEvent(index=4, kind="break", fraction=0.5)]
+        batch = ChannelStream(cfg, make_ula(8), np.random.default_rng(4), events).take(9)
+        rng, array, drawn = np.random.default_rng(4), make_ula(8), []
+        for index in range(9):
+            if index == events[0].index:
+                array = events[0].apply(array, rng)
+            snr_db = sample_snr(cfg.snr, rng)
+            drawn.append(observe(generate_channel(cfg, array, rng), snr_db, rng))
         expected = SampleBatch.of(drawn)
         for column in COLUMNS:
             assert np.array_equal(getattr(batch, column), getattr(expected, column))
@@ -398,7 +411,7 @@ class TestSampleBatch:
             assert (row.noise_var, row.snr_db) == (sample.noise_var, sample.snr_db)
 
     def test_replayed_takes_equal_the_dumped_batch(self, tmp_path, rng):
-        batch = make_stream(ChannelGenConfig(snr=TruncatedGaussianSnr()), make_ula(4), rng).take(8)
+        batch = ChannelStream(ChannelGenConfig(snr=TruncatedGaussianSnr()), make_ula(4), rng).take(8)
         path = tmp_path / "stream.csv"
         dump_stream(batch, path)
         replay = ReplayStream(path)

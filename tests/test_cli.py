@@ -69,6 +69,14 @@ class TestConfigErrors:
         assert main(["upa", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert main(["replay", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("text, flags", [(SMALL, ["--seed", "-1"]), (SMALL.replace("seed: 11", "seed: -1"), [])], ids=["--seed", "config"])
+    def test_negative_seed_exits_1_before_the_output_dir(self, tmp_path, capsys, text, flags):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+        assert not out.exists()
+
     def test_missing_output_dir_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)
         assert main(["train", "--config", str(cfg)]) == 1

@@ -390,6 +390,25 @@ class TestOutOfRangeValues:
             config_from_mapping(_snr_loss_with("atoms", atoms))
         assert str(exc.value) == "snr_loss: dictionary size must be >= 1"
 
+    # numpy seeds and sample counts are nonnegative: a negative one used to load,
+    # and a run then failed with numpy's own message after making its output directory
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (minimal_mapping(seed=-1), "seed must be >= 0"),
+            ({**_snr_loss_with("atoms", 64), "seed": -1}, "seed must be >= 0"),
+            ({**_snr_loss_with("atoms", 64), "total_samples": -5}, "total_samples must be >= 0"),
+        ],
+        ids=["learning seed", "sweep seed", "sweep total_samples"],
+    )
+    def test_negative_count_fails_at_load(self, data, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(data)
+        assert str(exc.value) == message
+
+    def test_zero_seed_stays_valid(self):
+        assert config_from_mapping(minimal_mapping(seed=0)).seed == 0
+
     def test_infinite_fixed_snr_stays_valid(self):
         assert config_from_mapping(minimal_mapping(snr={"model": "fixed", "value_db": math.inf})).channel.snr == FixedSnr(math.inf)
 

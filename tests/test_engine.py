@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from mpnetlab import estimators, mpnet
 from mpnetlab.arrays import Dictionary, make_ula
-from mpnetlab.channels import ChannelGenConfig, ChannelSample, FixedSnr, SampleBatch, make_stream
+from mpnetlab.channels import ChannelGenConfig, ChannelSample, ChannelStream, FixedSnr, SampleBatch
 from mpnetlab.estimators import CORR_TILE, StoppingRule, matching_pursuit, omp, peel, pursuit_batch, row_dot, should_stop
 from mpnetlab.experiments import ArraySpec, ExperimentConfig, run_learning_experiment
 from mpnetlab.mpnet import MpNetModel, OnlineTrainer, TrainConfig, backward, estimate, forward, forward_batch
@@ -307,7 +307,7 @@ class TestTrainerWithoutGroundTruth:
 
     def test_channels_do_not_reach_the_trainer(self):
         d = make_incoherent_dictionary(8, 24, seed=3)
-        samples = list(make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(3)).take(60))
+        samples = list(ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(3)).take(60))
         rng = np.random.default_rng(4)
         decoys = [
             ChannelSample(10.0 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)), s.observation, s.noise_var, s.snr_db)
@@ -333,7 +333,7 @@ class TestPartialMinibatch:
     def test_cost_and_gradient_are_means_over_the_samples_processed(self):
         d = make_incoherent_dictionary(8, 24, seed=5)
         model = trained_model(d, StoppingRule.sc2(), 5)
-        samples = list(make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(5)).take(7))
+        samples = list(ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(5)).take(7))
         cost, dense = 0.0, np.zeros(model.weights.shape, dtype=complex)
         for sample in samples:
             norm = np.linalg.norm(sample.observation)
@@ -429,7 +429,7 @@ class TestFusedPass:
 
     def _trainer_and_samples(self):
         d = make_incoherent_dictionary(8, 24, seed=9)
-        samples = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(9)).take(2 * CORR_TILE + 3)
+        samples = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(9)).take(2 * CORR_TILE + 3)
         return OnlineTrainer(trained_model(d, StoppingRule.sc2(), 9), TrainConfig(minibatch_size=len(samples))), samples
 
     def test_process_batch_replays_nothing(self):

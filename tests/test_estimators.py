@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpnetlab.arrays import Dictionary, build_dictionary, doa_grid_ula, make_ula, perturb_array
-from mpnetlab.channels import ChannelGenConfig, FixedSnr, generate_channel, make_stream, observe
+from mpnetlab.channels import ChannelGenConfig, ChannelStream, FixedSnr, generate_channel, observe
 from mpnetlab.estimators import (
     Estimate,
     StoppingRule,
@@ -276,7 +276,7 @@ class TestPursuitInvariants:
         # the looser threshold (sc1) always stops at most as deep as sc2
         arr = perturb_array(make_ula(16), 0.2, 0.05, rng)
         d = build_dictionary(arr, doa_grid_ula(64))
-        stream = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), arr, rng)
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), arr, rng)
         for sample in stream.take(100):
             d1 = matching_pursuit(d, sample.observation, StoppingRule.sc1(), sample.noise_var).depth
             d2 = matching_pursuit(d, sample.observation, StoppingRule.sc2(), sample.noise_var).depth

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpnetlab.arrays import build_dictionary
-from mpnetlab.channels import ArrayEvent, ChannelGenConfig, FixedSnr, TruncatedGaussianSnr, load_stream
+from mpnetlab.channels import ArrayEvent, ChannelGenConfig, FixedSnr, ReplayStream, TruncatedGaussianSnr, load_stream
 from mpnetlab.estimators import StoppingRule
 from mpnetlab.experiments import (
     ArraySpec,
@@ -218,14 +218,14 @@ class TestDepthDistributions:
         # once the dictionary matches the hardware, the stricter threshold (sc1)
         # settles on visibly shallower depths than sc2
         from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula, perturb_array
-        from mpnetlab.channels import make_stream
+        from mpnetlab.channels import ChannelStream
         from mpnetlab.estimators import matching_pursuit
         from mpnetlab.metrics import depth_histogram
 
         rng = np.random.default_rng(12)
         true = perturb_array(make_ula(64), 0.3, 0.1, rng)
         matched = build_dictionary(true, doa_grid_ula(512))
-        stream = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), true, rng)
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), true, rng)
         sc1_depths, sc2_depths = [], []
         for sample in stream.take(1000):
             sc1_depths.append(matching_pursuit(matched, sample.observation, StoppingRule.sc1(), sample.noise_var).depth)
@@ -309,7 +309,8 @@ class TestRunRecords:
         result = run_learning_experiment(cfg, tmp_path)
         samples = load_stream(result.output_files["stream"])
         nominal = build_dictionary(cfg.array.build_nominal(), cfg.array.doa_grid(cfg.n_atoms))
-        expected = train_online(MpNetModel.from_dictionary(nominal, StoppingRule.sc2()), samples, cfg.training)
+        replay = ReplayStream(result.output_files["stream"])
+        expected = train_online(MpNetModel.from_dictionary(nominal, StoppingRule.sc2()), replay, cfg.total_samples, cfg.training)
         assert [list(record) for record in result.records] == [list(cfg.estimators)] * 10
         assert len(expected) == 10
         for record, other in zip(result.records, expected):

@@ -1,11 +1,9 @@
-from itertools import islice
-
 import numpy as np
 import pytest
 
 from mpnetlab import mpnet
 from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula, perturb_array
-from mpnetlab.channels import ChannelGenConfig, FixedSnr, make_stream
+from mpnetlab.channels import ChannelGenConfig, ChannelStream, FixedSnr
 from mpnetlab.estimators import StoppingRule, matching_pursuit
 from mpnetlab.mpnet import (
     AdamState,
@@ -214,19 +212,20 @@ class TestTraining:
         nominal = make_ula(16)
         true = perturb_array(nominal, 0.3, 0.1, rng)
         d = build_dictionary(nominal, doa_grid_ula(64))
-        stream = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), true, rng)
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), true, rng)
         return d, stream
 
-    def test_cost_decreases_on_repeated_sample(self, rng):
+    def test_cost_decreases_on_repeated_sample(self, rng, tmp_path):
         # a stream of identical noiseless atom-aligned inputs is the easiest task
         d = make_incoherent_dictionary(8, 16, seed=1)
         target = 0.7 * d.atoms[:, 2] + 0.3 * d.atoms[:, 9]
-        from mpnetlab.channels import ChannelSample
+        from mpnetlab.channels import ChannelSample, ReplayStream, SampleBatch, dump_stream
 
         sample = ChannelSample(target, target, 1e-6, 60.0)
+        dump_stream(SampleBatch.of([sample] * 200), tmp_path / "stream.csv")
         model = MpNetModel.from_dictionary(d, StoppingRule.fixed(2))
         cfg = TrainConfig(minibatch_size=10, base_rate=1e-2)
-        records = train_online(model, (sample for _ in range(200)), cfg)
+        records = train_online(model, ReplayStream(tmp_path / "stream.csv"), 200, cfg)
         costs = [r.mean_cost for r in records]
         # monotone over the first few minibatches, then near zero (Adam's
         # fixed-magnitude steps dither once the cost is tiny)
@@ -239,8 +238,8 @@ class TestTraining:
         cfg = TrainConfig(minibatch_size=50)
         m1 = MpNetModel.from_dictionary(d1, StoppingRule.sc2())
         m2 = MpNetModel.from_dictionary(d2, StoppingRule.sc2())
-        r1 = train_online(m1, islice(s1, 400), cfg)
-        r2 = train_online(m2, islice(s2, 400), cfg)
+        r1 = train_online(m1, s1, 400, cfg)
+        r2 = train_online(m2, s2, 400, cfg)
         assert np.array_equal(m1.weights, m2.weights)
         assert [r.mean_rmse for r in r1] == [r.mean_rmse for r in r2]
 
@@ -248,7 +247,7 @@ class TestTraining:
         d, stream = self._tiny_setup(5)
         cfg = TrainConfig(minibatch_size=50)
         model = MpNetModel.from_dictionary(d, StoppingRule.sc2())
-        records = train_online(model, islice(stream, 130), cfg)
+        records = train_online(model, stream, 130, cfg)
         assert len(records) == 2  # the trailing 30 samples trigger no update
 
     def test_eval_hook_sees_every_record(self):
@@ -256,7 +255,7 @@ class TestTraining:
         seen = []
         cfg = TrainConfig(minibatch_size=25)
         model = MpNetModel.from_dictionary(d, StoppingRule.sc2())
-        records = train_online(model, islice(stream, 100), cfg, eval_hook=seen.append)
+        records = train_online(model, stream, 100, cfg, eval_hook=seen.append)
         assert seen == records
         assert [r.minibatch for r in records] == [1, 2, 3, 4]
         for record in records:
@@ -270,10 +269,10 @@ class TestTraining:
         nominal = make_ula(16)
         true = perturb_array(nominal, 0.3, 0.1, rng)
         d = build_dictionary(nominal, doa_grid_ula(128))
-        stream = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), true, rng)
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), true, rng)
         model = MpNetModel.from_dictionary(d, StoppingRule.sc2())
         cfg = TrainConfig(minibatch_size=200)
-        records = train_online(model, islice(stream, 8000), cfg)
+        records = train_online(model, stream, 8000, cfg)
         assert records[-1].mean_rmse < records[0].mean_rmse * 0.9
 
     def test_trainer_rejects_zero_observation(self):
@@ -291,7 +290,7 @@ class TestCheckpoints:
         d = make_incoherent_dictionary(8, 16, seed=7)
         model = MpNetModel.from_dictionary(d, StoppingRule.sc1(max_depth=5))
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=4))
-        stream = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
         trainer.process_batch(stream.take(4))
         trainer.end_minibatch()
         path = tmp_path / "model.npz"
@@ -333,7 +332,7 @@ class TestDivergenceGuard:
         d = make_incoherent_dictionary(8, 16, seed=2)
         model = MpNetModel.from_dictionary(d, StoppingRule.sc2())
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=4), name="mpnet:nominal:sc2")
-        stream = make_stream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
         trainer.process_batch(stream.take(4))
         trainer.end_minibatch()
         trainer.process_batch(stream.take(4))
