@@ -52,11 +52,10 @@ class AntennaArray:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Steering-vector atoms over a direction grid; one column per direction."""
+    """Unit-norm steering-vector atoms over a direction grid; one column per direction."""
 
     atoms: np.ndarray
     directions: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         atoms = np.array(self.atoms, dtype=complex)
@@ -65,10 +64,8 @@ class Dictionary:
             raise ValueError("atoms must have shape (N, A) with A >= 1")
         if directions.shape != (atoms.shape[1], 3):
             raise ValueError("directions must have shape (A, 3) matching atoms")
-        if self.normalized:
-            norms = np.linalg.norm(atoms, axis=0)
-            if np.max(np.abs(norms - 1.0)) > NORM_TOL:
-                raise ValueError("dictionary marked normalized has non-unit columns")
+        if np.max(np.abs(np.linalg.norm(atoms, axis=0) - 1.0)) > NORM_TOL:
+            raise ValueError("dictionary atoms must have unit norm")
         object.__setattr__(self, "atoms", _readonly(atoms))
         object.__setattr__(self, "directions", _readonly(directions))
 
@@ -172,6 +169,12 @@ def steering_matrix(array: AntennaArray, directions: np.ndarray, response: np.nd
     return array.gains[:, None] * response
 
 
+def azimuth_directions(azimuth: np.ndarray) -> np.ndarray:
+    """Unit directions (sin az, cos az, 0) in the xy half-plane of linear
+    arrays, one row per azimuth (radians from broadside)."""
+    return np.column_stack([np.sin(azimuth), np.cos(azimuth), np.zeros_like(azimuth)])
+
+
 def doa_grid_ula(count: int) -> np.ndarray:
     """Azimuth grid for linear arrays: ``count`` directions in the xy half-plane.
 
@@ -180,9 +183,7 @@ def doa_grid_ula(count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    azimuth = -np.pi / 2.0 + (np.arange(count) + 0.5) * np.pi / count
-    dirs = np.column_stack([np.sin(azimuth), np.cos(azimuth), np.zeros(count)])
-    return _readonly(dirs)
+    return _readonly(azimuth_directions(-np.pi / 2.0 + (np.arange(count) + 0.5) * np.pi / count))
 
 
 def doa_grid_upa(count: int) -> np.ndarray:
@@ -197,15 +198,12 @@ def doa_grid_upa(count: int) -> np.ndarray:
     return _readonly(dirs)
 
 
-def build_dictionary(
-    array: AntennaArray, directions: np.ndarray, normalize: bool = True, response: np.ndarray | None = None
-) -> Dictionary:
-    """Dictionary of steering vectors on ``directions``; columns unit-norm by
-    default. ``response`` is as in :func:`steering_matrix`."""
+def build_dictionary(array: AntennaArray, directions: np.ndarray, response: np.ndarray | None = None) -> Dictionary:
+    """Dictionary of the steering vectors on ``directions``, scaled to unit
+    norm. ``response`` is as in :func:`steering_matrix`."""
     atoms = steering_matrix(array, directions, response)
-    if normalize:
-        norms = np.linalg.norm(atoms, axis=0)
-        if np.any(norms == 0.0):
-            raise ValueError("cannot normalize a zero steering vector (all gains zero)")
-        atoms /= norms
-    return Dictionary(atoms, np.asarray(directions, dtype=float), normalized=normalize)
+    norms = np.linalg.norm(atoms, axis=0)
+    if np.any(norms == 0.0):
+        raise ValueError("cannot normalize a zero steering vector (all gains zero)")
+    atoms /= norms
+    return Dictionary(atoms, np.asarray(directions, dtype=float))

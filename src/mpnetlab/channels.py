@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arrays import AntennaArray, steering_matrix
+from .arrays import AntennaArray, azimuth_directions, steering_matrix
 from .fileio import fmt_float, replacing
 from .utils import as_rng, complex_normal, energy, from_db
 
@@ -186,10 +186,6 @@ class ChannelGenConfig:
             raise ValueError("cluster_std_deg must be nonnegative")
 
 
-def _azimuth_to_dir(azimuth: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.sin(azimuth), np.cos(azimuth), np.zeros_like(azimuth)])
-
-
 def _sample_directions(cfg: ChannelGenConfig, count: int, rng: np.random.Generator) -> np.ndarray:
     if cfg.doa_domain == "azimuth":
         if cfg.cluster_std_deg is None:
@@ -198,7 +194,7 @@ def _sample_directions(cfg: ChannelGenConfig, count: int, rng: np.random.Generat
             center = rng.uniform(-np.pi / 2.0, np.pi / 2.0)
             spread = np.deg2rad(cfg.cluster_std_deg)
             azimuth = np.clip(center + rng.normal(0.0, spread, count), -np.pi / 2.0, np.pi / 2.0)
-        return _azimuth_to_dir(azimuth)
+        return azimuth_directions(azimuth)
     if cfg.cluster_std_deg is None:
         dirs = rng.standard_normal((count, 3))
     else:
@@ -406,6 +402,13 @@ class ReplayStream:
             raise ValueError(f"{path}: unrecognized stream header")
         self.n_antennas = (len(fields) - 3) // 4
         self._path = path
+
+    def require(self, n_minibatches: int, batch_size: int) -> None:
+        """Raise unless the file holds ``n_minibatches`` takes of ``batch_size``
+        samples: a run checks this before its first minibatch."""
+        needed = n_minibatches * batch_size
+        if self.count < needed:
+            raise ValueError(f"replay file {self._path} holds {self.count} samples; the run needs {needed} ({n_minibatches} minibatches of {batch_size})")
 
     def take(self, count: int) -> SampleBatch:
         if count < 0:

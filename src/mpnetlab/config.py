@@ -160,7 +160,7 @@ def _parse_training(data) -> TrainConfig:
 
 
 def _parse_anomalies(entries, total_samples: int) -> tuple[ArrayEvent, ...]:
-    if entries is None:
+    if entries is None or total_samples < 0:  # ExperimentConfig rejects a negative length by name
         return ()
     if not isinstance(entries, list):
         raise ConfigError("'anomalies' must be a list")

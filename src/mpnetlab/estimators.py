@@ -145,13 +145,6 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("bn,bn->b", a.conj(), b)
 
 
-def peel(cols: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Subtract ``cols[i] c[i]`` from each row of ``R`` in place, ``c = row_dot(cols, R)``; returns ``c``."""
-    coeffs = row_dot(cols, R)
-    R -= cols * coeffs[:, None]
-    return coeffs
-
-
 def pursue(
     atoms: np.ndarray,
     X: np.ndarray,
@@ -249,8 +242,6 @@ def pursuit_batch(
 ) -> BatchEstimate:
     """Matching pursuit (or OMP with ``orthogonal``) of every row of ``X``
     (B x N), each under its own noise variance."""
-    if not dictionary.normalized:
-        raise ValueError("greedy pursuit needs unit-norm atoms; build with normalize=True")
     atoms = dictionary.atoms
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[1] != atoms.shape[0]:

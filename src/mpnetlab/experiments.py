@@ -20,6 +20,7 @@ import numpy as np
 
 from .arrays import (
     AntennaArray,
+    azimuth_directions,
     build_dictionary,
     doa_grid_ula,
     doa_grid_upa,
@@ -279,11 +280,7 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         stream = ReplayStream(cfg.replay_stream)
         if stream.n_antennas != nominal.size:
             raise ValueError(f"replay file {cfg.replay_stream} holds {stream.n_antennas}-antenna samples; the array has {nominal.size}")
-        if stream.count < n_minibatches * batch_size:
-            raise ValueError(
-                f"replay file {cfg.replay_stream} holds {stream.count} samples;"
-                f" the run needs {n_minibatches * batch_size} ({n_minibatches} minibatches of {batch_size})"
-            )
+        stream.require(n_minibatches, batch_size)
         if has_oracle:
             raise ValueError("oracle estimators need a live stream (not a replay)")
     else:
@@ -424,7 +421,7 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
         pos_noise = rng.standard_normal(n)
         azimuths = rng.uniform(-np.pi / 2.0, np.pi / 2.0, spec.channels_per_array)
         noise_draws = complex_normal(rng, (spec.channels_per_array, n), 1.0)
-        chan_dirs = np.column_stack([np.sin(azimuths), np.cos(azimuths), np.zeros(azimuths.size)])
+        chan_dirs = azimuth_directions(azimuths)
         for i, pos_std in enumerate(pos_stds):
             # the gain cells of one position spread share the geometry part of
             # every response; each cell only scales it by its own gains

@@ -11,9 +11,9 @@ minibatch through the shared pursuit kernel (``estimators.pursue``) in one
 fused pass, a tile at a time: as soon as a tile's layers are done, the reverse
 pass runs on the residual blocks the forward pass kept, sums each sample's
 gradient for the columns it visited, and folds those columns into the
-minibatch gradient in arrival order. Nothing is replayed; only the public
-``backward`` replays a trace. Results do not depend on the batch or tile size
-and are within 1e-12 of the per-sample arithmetic.
+minibatch gradient in arrival order. Nothing is replayed: the public
+``backward`` is the same pass on one row. Results do not depend on the batch
+or tile size and are within 1e-12 of the per-sample arithmetic.
 
 Training is online and unsupervised: minibatches of noisy observations are
 both the inputs and the targets (the network is a denoising autoencoder), so
@@ -24,12 +24,13 @@ training loop mutates the weights; inference on a weight snapshot is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .channels import ChannelStream, ReplayStream, SampleBatch
-from .estimators import BatchEstimate, Estimate, StoppingRule, peel, pursue, row_dot
+from .estimators import BatchEstimate, Estimate, StoppingRule, pursue, row_dot
 from .fileio import atomic_savez
 from .metrics import depth_histogram
 # not called here (score_minibatch works on arrays): bench/spans.py wraps it by name
@@ -96,8 +97,8 @@ class MpNetModel:
 @dataclass(frozen=True)
 class ForwardTrace:
     """Per-layer record of one forward pass: selected columns, their coefficients,
-    and the final residual, all on the unit-input scale. Enough to replay the
-    pass and to assemble the analytic gradient."""
+    and the final residual, all on the unit-input scale. Enough to check that
+    the pass still holds and to assemble the analytic gradient."""
 
     indices: tuple[int, ...]
     coeffs: np.ndarray
@@ -132,11 +133,12 @@ def forward(model: MpNetModel, x_unit: np.ndarray, noise_var_norm: float = 0.0) 
     return x_unit - trace.final_residual, trace
 
 
-def _reverse(n_atoms: int, layers: Sequence[tuple], final: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reverse(grad: np.ndarray, layers: Sequence[tuple], final: np.ndarray) -> None:
     """The reverse pass over a tile's layers, from its final residual rows;
-    O(depth * N) per row. Returns the indices and values of the nonzero
-    gradient columns, one per distinct (row, weight column) pair in row and
+    O(depth * N) per row. Adds into ``grad`` (A x N: a weight column is a row)
+    one gradient column per distinct (row, weight column) pair, in row and
     then column order, a row's repeat visits summed in reverse layer order."""
+    n_atoms = len(grad)
     R = np.array(final, dtype=complex)  # carries the adjoint from here on
     pairs, terms = [np.zeros(0, dtype=np.intp)], [np.zeros((0, R.shape[1]), dtype=complex)]  # a depth-0 tile has none
     for live, picks, cols, coeffs, before in reversed(layers):
@@ -148,21 +150,7 @@ def _reverse(n_atoms: int, layers: Sequence[tuple], final: np.ndarray) -> tuple[
     keys, slots = np.unique(np.concatenate(pairs), return_inverse=True)
     columns = np.zeros((len(keys), R.shape[1]), dtype=complex)
     add_rows_at(columns, slots, -np.concatenate(terms))  # 0 - t, a sample's visits in turn
-    return keys % n_atoms, columns
-
-
-def _replay(weights: np.ndarray, trace: ForwardTrace, x_unit: np.ndarray) -> tuple[list[tuple], np.ndarray]:
-    """The layers of ``trace`` rebuilt on ``weights`` from its input, and its
-    final residual row; raises when the trace no longer replays there."""
-    r, live, layers = np.array(x_unit, dtype=complex)[None], np.zeros(1, dtype=np.intp), []
-    for s in trace.indices:
-        picks = np.array([s])
-        cols, before = weights.T[picks], r.copy()
-        layers.append((live, picks, cols, peel(cols, r), before))
-    final = trace.final_residual
-    if final.shape != r[0].shape or np.max(np.abs(r[0] - final), initial=0.0) > STALE_TRACE_TOL:
-        raise ValueError("stale trace: weights changed since the forward pass")
-    return layers, r
+    add_rows_at(grad, keys % n_atoms, columns)
 
 
 def backward(model: MpNetModel, trace: ForwardTrace, x_unit: np.ndarray) -> np.ndarray:
@@ -171,13 +159,22 @@ def backward(model: MpNetModel, trace: ForwardTrace, x_unit: np.ndarray) -> np.n
 
     The gradient is returned as a complex matrix packaging the derivatives with
     respect to the real and imaginary parts (d/dRe + 1j * d/dIm). Only columns
-    visited by the trace are nonzero. Replays the trace, and raises when it no
-    longer replays on the current weights.
+    visited by the trace are nonzero. Runs the trainer's pass on the one row,
+    ``trace.depth`` layers deep (no pass at depth 0), and raises when its
+    picks or final residual differ from the trace's: the weights changed
+    since the forward pass.
     """
-    indices, columns = _reverse(model.n_atoms, *_replay(model.weights, trace, x_unit))
-    grad = np.zeros(model.weights.shape, dtype=complex)
-    grad[:, indices] = columns.T
-    return grad
+    x_unit = np.asarray(x_unit, dtype=complex)
+    grad = np.zeros(model.weights.T.shape, dtype=complex)  # A x N, as the trainer's
+    picks, final = (), x_unit  # a depth-0 pass leaves its input as it was
+    if trace.depth:
+        rule = StoppingRule.fixed(trace.depth)
+        depths, supports, _, residuals = pursue(model.weights, x_unit[None], [1.0], [0.0], rule, on_tile=partial(_reverse, grad))
+        picks, final = tuple(supports[0, : depths[0]].tolist()), residuals[0]
+    expected = trace.final_residual
+    if picks != tuple(trace.indices) or final.shape != expected.shape or np.max(np.abs(final - expected), initial=0.0) > STALE_TRACE_TOL:
+        raise ValueError("stale trace: weights changed since the forward pass")
+    return grad.T
 
 
 @dataclass(frozen=True)
@@ -327,19 +324,14 @@ class OnlineTrainer:
         gradient goes into the minibatch's as soon as its forward pass ends."""
         norms, X_unit, noise_var_norms = unit_rows(batch.observation, batch.noise_var)
         weights, rule = self.model.weights, self.model.rule
-        depths, supports, _, residuals = pursue(weights, X_unit, np.ones(len(X_unit)), noise_var_norms, rule, on_tile=self._fold_tile)
+        fold = partial(_reverse, self._grad)  # each tile's columns go into the gradient in arrival order
+        depths, supports, _, residuals = pursue(weights, X_unit, np.ones(len(X_unit)), noise_var_norms, rule, on_tile=fold)
         self._count += len(X_unit)
         unit_energies = row_energies(residuals).tolist()
         for residual_energy in unit_energies:
             self._cost += 0.5 * residual_energy
         energies = np.array([float(norm**2) * e for norm, e in zip(norms, unit_energies)])  # row by row, as estimate does
         return BatchEstimate(norms[:, None] * (X_unit - residuals), depths, supports, energies)
-
-    def _fold_tile(self, layers: Sequence[tuple], final: np.ndarray) -> None:
-        """Reverse pass of a tile just run forward; its columns go into the
-        gradient in arrival order."""
-        indices, columns = _reverse(self.model.n_atoms, layers, final)
-        add_rows_at(self._grad, indices, columns)
 
     def end_minibatch(self) -> float:
         """Apply the Adam update for the samples processed since the last one
@@ -373,12 +365,16 @@ def train_online(
     update per minibatch of ``stream.take(cfg.minibatch_size)``.
 
     A minibatch runs the step of a run's mpNet entry: forward pass, Adam step,
-    scoring. A trailing partial minibatch is never taken. Returns the records
+    scoring. A trailing partial minibatch is never taken, and a replay too
+    short for the rest fails before the first step. Returns the records
     (also passed to ``eval_hook`` as they are produced).
     """
+    n_minibatches = total_samples // cfg.minibatch_size
+    if isinstance(stream, ReplayStream):
+        stream.require(n_minibatches, cfg.minibatch_size)
     trainer = OnlineTrainer(model, cfg)
     records: list[MinibatchRecord] = []
-    for minibatch in range(1, total_samples // cfg.minibatch_size + 1):
+    for minibatch in range(1, n_minibatches + 1):
         batch = stream.take(cfg.minibatch_size)
         estimates = trainer.process_batch(batch)
         record = score_minibatch(minibatch, batch.channel, estimates, trainer.end_minibatch())

@@ -19,4 +19,4 @@ def make_incoherent_dictionary(n: int, a: int, seed: int = 0):
     gen = np.random.default_rng(seed)
     atoms = gen.standard_normal((n, a)) + 1j * gen.standard_normal((n, a))
     atoms /= np.linalg.norm(atoms, axis=0, keepdims=True)
-    return Dictionary(atoms, doa_grid_upa(a), normalized=True)
+    return Dictionary(atoms, doa_grid_upa(a))

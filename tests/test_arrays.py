@@ -199,17 +199,17 @@ class TestBuildDictionary:
     def test_unit_gain_norms(self):
         arr = make_ula(16)
         dirs = doa_grid_ula(50)
-        normalized = build_dictionary(arr, dirs, normalize=True)
-        raw = build_dictionary(arr, dirs, normalize=False)
+        normalized = build_dictionary(arr, dirs)
+        raw = steering_matrix(arr, dirs)
         assert np.allclose(np.linalg.norm(normalized.atoms, axis=0), 1.0, atol=1e-9)
-        assert np.allclose(np.linalg.norm(raw.atoms, axis=0), np.sqrt(16))
+        assert np.allclose(np.linalg.norm(raw, axis=0), np.sqrt(16))
 
     def test_columns_are_steering_vectors(self, rng):
         arr = perturb_array(make_ula(8), 0.2, 0.05, rng)
         dirs = doa_grid_ula(12)
-        d = build_dictionary(arr, dirs, normalize=False)
+        raw = steering_matrix(arr, dirs)
         for i in range(12):
-            assert np.allclose(d.atoms[:, i], steering_vector(arr, dirs[i]), atol=1e-12)
+            assert np.allclose(raw[:, i], steering_vector(arr, dirs[i]), atol=1e-12)
 
     def test_projection_property(self, rng):
         # normalized atoms make e e^H an orthogonal projection
@@ -232,7 +232,7 @@ class TestBuildDictionary:
         arr = make_ula(4)
         dead = AntennaArray(arr.positions, np.zeros(4, complex))
         with pytest.raises(ValueError):
-            build_dictionary(dead, doa_grid_ula(8), normalize=True)
+            build_dictionary(dead, doa_grid_ula(8))
 
     def test_steering_matrix_rejects_bad_directions(self):
         with pytest.raises(ValueError):
@@ -258,15 +258,12 @@ class TestPrecomputedResponse:
         assert np.array_equal(given, arr.gains[:, None] * np.exp(-2j * np.pi * (arr.positions @ dirs.T)))
 
     @pytest.mark.parametrize("arr, dirs", _perturbed_arrays(), ids=["ula", "upa"])
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_build_dictionary_is_bit_equal(self, arr, dirs, normalize):
-        given = build_dictionary(arr, dirs, normalize=normalize, response=unit_response(arr.positions, dirs))
-        own = build_dictionary(arr, dirs, normalize=normalize)
+    def test_build_dictionary_is_bit_equal(self, arr, dirs):
+        given = build_dictionary(arr, dirs, response=unit_response(arr.positions, dirs))
+        own = build_dictionary(arr, dirs)
         assert np.array_equal(given.atoms, own.atoms)
-        assert given.normalized == own.normalized == normalize
         raw = steering_matrix(arr, dirs)
-        expected = raw / np.linalg.norm(raw, axis=0) if normalize else raw
-        assert np.array_equal(own.atoms, expected)
+        assert np.array_equal(own.atoms, raw / np.linalg.norm(raw, axis=0))
 
     def test_one_response_serves_every_gain_draw(self):
         arr = make_ula(8)

@@ -147,7 +147,7 @@ class TestBreakAntennas:
         dead = break_antennas(make_ula(8), 1.0, rng)
         assert np.all(dead.gains == 0.0)
         with pytest.raises(ValueError):
-            build_dictionary(dead, doa_grid_ula(16), normalize=True)
+            build_dictionary(dead, doa_grid_ula(16))
 
     def test_positions_unchanged(self, rng):
         arr = make_ula(16)

@@ -398,8 +398,10 @@ class TestOutOfRangeValues:
             (minimal_mapping(seed=-1), "seed must be >= 0"),
             ({**_snr_loss_with("atoms", 64), "seed": -1}, "seed must be >= 0"),
             ({**_snr_loss_with("atoms", 64), "total_samples": -5}, "total_samples must be >= 0"),
+            # the anomaly bound used to read the negative length and name the event instead
+            (minimal_mapping(total_samples=-5, anomalies=[{"kind": "break", "index": 3, "fraction": 0.3}]), "total_samples must be >= 0"),
         ],
-        ids=["learning seed", "sweep seed", "sweep total_samples"],
+        ids=["learning seed", "sweep seed", "sweep total_samples", "learning total_samples beside an anomaly"],
     )
     def test_negative_count_fails_at_load(self, data, message):
         with pytest.raises(ConfigError) as exc:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from mpnetlab import estimators, mpnet
 from mpnetlab.arrays import Dictionary, make_ula
 from mpnetlab.channels import ChannelGenConfig, ChannelSample, ChannelStream, FixedSnr, SampleBatch
-from mpnetlab.estimators import CORR_TILE, StoppingRule, matching_pursuit, omp, peel, pursuit_batch, row_dot, should_stop
+from mpnetlab.estimators import CORR_TILE, StoppingRule, matching_pursuit, omp, pursuit_batch, row_dot, should_stop
 from mpnetlab.experiments import ArraySpec, ExperimentConfig, run_learning_experiment
 from mpnetlab.mpnet import MpNetModel, OnlineTrainer, TrainConfig, backward, estimate, forward, forward_batch
 from mpnetlab.metrics import rmse
@@ -272,7 +272,10 @@ class TestStoppingDepth:
             r = x[None].copy()
             for k, s in enumerate(trace.indices):
                 assert not should_stop(rule, row_dot(r, r).real[0] if k else 1.0, k, noise_var_norm, n)
-                assert peel(model.weights.T[[s]], r)[0] == trace.coeffs[k]
+                col = model.weights.T[[s]]
+                coeff = row_dot(col, r)
+                r -= col * coeff[:, None]
+                assert coeff[0] == trace.coeffs[k]
             assert should_stop(rule, row_dot(r, r).real[0] if trace.depth else 1.0, trace.depth, noise_var_norm, n)
             assert np.array_equal(r[0], trace.final_residual)
 
@@ -424,8 +427,8 @@ class TestRowEnergies:
 
 
 class TestFusedPass:
-    """The trainer runs the reverse pass on the forward pass's own layers: the
-    replay that the public backward uses is never called."""
+    """The trainer runs the reverse pass on the forward pass's own layers, one
+    kernel call per batch, and the public backward is that same call on one row."""
 
     def _trainer_and_samples(self):
         d = make_incoherent_dictionary(8, 24, seed=9)
@@ -434,13 +437,21 @@ class TestFusedPass:
 
     def test_process_batch_replays_nothing(self):
         trainer, samples = self._trainer_and_samples()
-        with patch.object(mpnet, "_replay", side_effect=AssertionError("replayed")):
+        rows = []
+        original = mpnet.pursue
+        with patch.object(mpnet, "pursue", lambda atoms, X, *args, **kwargs: rows.append(len(X)) or original(atoms, X, *args, **kwargs)):
             estimates = trainer.process_batch(samples)
+            assert rows == [len(samples)]
             trainer.end_minibatch()
             x_unit = samples[0].observation / np.linalg.norm(samples[0].observation)
             _, trace = forward(trainer.model, x_unit)
-            with pytest.raises(AssertionError, match="replayed"):  # the patch does reach backward
-                backward(trainer.model, trace, x_unit)
+            rows.clear()
+            backward(trainer.model, trace, x_unit)
+            assert trace.depth > 0 and rows == [1]
+            _, trace = forward(trainer.model, x_unit, noise_var_norm=1.0)  # stops before the first layer
+            rows.clear()
+            assert trace.depth == 0 and not np.any(backward(trainer.model, trace, x_unit))
+            assert rows == []
         assert estimates.channel.shape == (len(samples), 8)
         assert estimates.depth.shape == (len(samples),)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpnetlab.arrays import Dictionary, build_dictionary, doa_grid_ula, make_ula, perturb_array
+from mpnetlab.arrays import Dictionary, build_dictionary, doa_grid_ula, make_ula, perturb_array, steering_matrix
 from mpnetlab.channels import ChannelGenConfig, ChannelStream, FixedSnr, generate_channel, observe
 from mpnetlab.estimators import (
     Estimate,
@@ -182,11 +182,10 @@ class TestMatchingPursuit:
         with pytest.raises(ValueError):
             matching_pursuit(d, np.zeros(4, complex), StoppingRule.sc2(), noise_var=0.1)
 
-    def test_rejects_unnormalized_dictionary(self, rng):
-        arr = make_ula(8)
-        d = build_dictionary(arr, doa_grid_ula(16), normalize=False)
-        with pytest.raises(ValueError):
-            matching_pursuit(d, np.ones(8, complex), StoppingRule.fixed(1))
+    def test_rejects_unnormalized_dictionary(self):
+        dirs = doa_grid_ula(16)
+        with pytest.raises(ValueError, match="unit norm"):
+            Dictionary(steering_matrix(make_ula(8), dirs), dirs)
 
     def test_argmax_tie_breaks_low_index(self):
         atoms = np.zeros((2, 2), complex)

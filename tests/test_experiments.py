@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from mpnetlab.arrays import build_dictionary
-from mpnetlab.channels import ArrayEvent, ChannelGenConfig, FixedSnr, ReplayStream, TruncatedGaussianSnr, load_stream
+from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula
+from mpnetlab.channels import (
+    ArrayEvent,
+    ChannelGenConfig,
+    ChannelStream,
+    FixedSnr,
+    ReplayStream,
+    TruncatedGaussianSnr,
+    dump_stream,
+    load_stream,
+)
 from mpnetlab.estimators import StoppingRule
 from mpnetlab.experiments import (
     ArraySpec,
@@ -353,6 +362,16 @@ class TestShortReplay:
         assert str(exc.value) == f"replay file {stream} holds 500 samples; the run needs 550 (11 minibatches of 50)"
         assert scored == []
         assert not (tmp_path / "replay").exists()
+
+    def test_train_online_rejects_before_its_first_step(self, tmp_path):
+        stream = tmp_path / "stream.csv"
+        dump_stream(ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(16), np.random.default_rng(5)).take(250), stream)
+        model = MpNetModel.from_dictionary(build_dictionary(make_ula(16), doa_grid_ula(64)), StoppingRule.sc2())
+        weights = model.weights.copy()
+        with pytest.raises(ValueError) as exc:
+            train_online(model, ReplayStream(stream), 400, TrainConfig(minibatch_size=100))
+        assert str(exc.value) == f"replay file {stream} holds 250 samples; the run needs 400 (4 minibatches of 100)"
+        assert np.array_equal(model.weights, weights)
 
     def test_trailing_partial_minibatch_is_not_needed(self, tmp_path):
         from dataclasses import replace
