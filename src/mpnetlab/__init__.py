@@ -50,6 +50,7 @@ from .experiments import (
     parse_estimator,
     run_learning_experiment,
     snr_loss_experiment,
+    train_online,
 )
 from .metrics import depth_histogram, rmse, snr_histogram, snr_out
 from .mpnet import (
@@ -67,7 +68,6 @@ from .mpnet import (
     load_checkpoint,
     save_checkpoint,
     score_minibatch,
-    train_online,
     xavier_init,
 )
 from .config import ConfigError, config_from_mapping, load_config

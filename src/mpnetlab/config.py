@@ -159,8 +159,8 @@ def _parse_training(data) -> TrainConfig:
         raise ConfigError(f"'training.{key}' {bounds}") from None
 
 
-def _parse_anomalies(entries, total_samples: int) -> tuple[ArrayEvent, ...]:
-    if entries is None or total_samples < 0:  # ExperimentConfig rejects a negative length by name
+def _parse_anomalies(entries, taken: int) -> tuple[ArrayEvent, ...]:
+    if entries is None or taken < 0:  # ExperimentConfig rejects a negative total_samples by name
         return ()
     if not isinstance(entries, list):
         raise ConfigError("'anomalies' must be a list")
@@ -185,9 +185,9 @@ def _parse_anomalies(entries, total_samples: int) -> tuple[ArrayEvent, ...]:
             amount = {"gain_std": _get(entry, "gain_std", path, float, required=True)}
         else:
             raise ConfigError(f"'{path}.kind' must be 'break' or 'age'")
-        if index + (steps - 1) * every >= total_samples:  # bound the schedule before expanding it
-            first = index if index >= total_samples else index - every * ((index - total_samples) // every)
-            raise ConfigError(f"anomaly index {first} is beyond the stream length {total_samples}")
+        if index + (steps - 1) * every >= taken:  # bound the schedule before expanding it
+            first = index if index >= taken else index - every * ((index - taken) // every)
+            raise ConfigError(f"anomaly index {first} is beyond the stream length {taken}")
         events.extend(_build(ArrayEvent, f"{path}: ", index=index + k * every, kind=kind, **amount) for k in range(steps))
     return tuple(events)
 
@@ -241,7 +241,8 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     output_dir = _get(data, "output_dir", "", str)
 
     snr_loss = _parse_snr_loss(data["snr_loss"]) if "snr_loss" in data else None
-    anomalies = _parse_anomalies(data.get("anomalies"), total_samples)
+    # a run takes whole minibatches only, so an event past the last one is never applied
+    anomalies = _parse_anomalies(data.get("anomalies"), total_samples // training.minibatch_size * training.minibatch_size)
 
     return _build(
         ExperimentConfig,

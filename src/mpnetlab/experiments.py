@@ -14,12 +14,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from .arrays import (
     AntennaArray,
+    Dictionary,
     azimuth_directions,
     build_dictionary,
     doa_grid_ula,
@@ -50,7 +51,7 @@ from .fileio import atomic_write_rows, fmt_float, replacing
 from .metrics import snr_bins
 # not called here (mpnet.score_minibatch scores): bench/spans.py wraps it by name
 from .metrics import rmse  # noqa: F401
-from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch
+from .mpnet import INIT_XAVIER, MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch
 from .utils import as_rng, complex_normal, from_db, row_energies, to_db
 
 CURVES_FILE = "curves.csv"
@@ -195,8 +196,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.n_atoms < 1:
             raise ValueError("dictionary size must be >= 1")
+        taken = self.total_samples // self.training.minibatch_size * self.training.minibatch_size  # whole minibatches only
         for event in self.anomalies:
-            if event.index >= self.total_samples:
+            if event.index >= taken:
                 raise ValueError(f"anomaly at index {event.index} falls beyond the stream")
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError("duplicate estimator roster entries")
@@ -247,6 +249,65 @@ def _add_counts(total: np.ndarray, extra: np.ndarray) -> np.ndarray:
     return total
 
 
+@dataclass
+class LearningRun:
+    """A learning run at a minibatch boundary: its stream, its roster (each
+    mpNet entry's trainer under its name), the MP/OMP dictionaries, how many
+    minibatches it takes and has ``taken``, the SNR histogram so far and the
+    stream dump's handle, if any. A too short replay fails when it is built."""
+
+    stream: ChannelStream | ReplayStream
+    specs: Sequence[EstimatorSpec]
+    trainers: dict[str, OnlineTrainer]
+    dictionaries: dict[str, Dictionary]
+    n_minibatches: int
+    batch_size: int
+    dump: BinaryIO | None = None
+    taken: int = 0
+    snr_floors: Counter[int] = field(default_factory=Counter)
+    snr_top: float = -math.inf
+    oracle_array: AntennaArray | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.stream, ReplayStream):
+            self.stream.require(self.n_minibatches, self.batch_size)
+
+    def step(self) -> dict[str, MinibatchRecord]:
+        """Run the next minibatch: take it, rebuild the oracle dictionary when
+        an anomaly has replaced the true array, count its SNRs, append it to
+        the dump, then run and score each roster entry in order."""
+        if self.taken == self.n_minibatches:
+            raise ValueError(f"the run has taken all its {self.n_minibatches} minibatches")
+        batch = self.stream.take(self.batch_size)
+        if any(spec.source == "oracle" for spec in self.specs) and self.stream.current_array is not self.oracle_array:
+            self.oracle_array = self.stream.current_array
+            self.dictionaries["oracle"] = build_dictionary(self.oracle_array, self.dictionaries["nominal"].directions)
+        self.snr_floors.update(math.floor(v) for v in batch.snr_db.tolist())
+        self.snr_top = max(self.snr_top, *batch.snr_db.tolist())
+        if self.dump is not None:
+            self.dump.writelines(line.encode("utf-8") for line in stream_rows(self.taken * self.batch_size, batch))
+        self.taken += 1
+        # the roster sees the observations and noise variances
+        X, noise_vars = batch.observation, batch.noise_var
+        record = {}
+        for spec in self.specs:
+            mean_cost = math.nan
+            if spec.family == "mpnet":
+                # trainers share no state: each Adam step follows its own forward pass
+                estimates = self.trainers[spec.name].process_batch(batch)
+                mean_cost = self.trainers[spec.name].end_minibatch()
+            elif spec.family == "ls":
+                estimates = BatchEstimate(X, np.zeros(len(X), dtype=int), np.zeros((len(X), 0), dtype=np.intp), np.zeros(len(X)))
+            else:
+                estimates = pursuit_batch(self.dictionaries[spec.source], X, spec.rule, noise_vars, spec.family == "omp")
+            record[spec.name] = score_minibatch(self.taken, batch.channel, estimates, mean_cost)
+        return record
+
+    def run_to_end(self) -> list[dict[str, MinibatchRecord]]:
+        """Run the minibatches left and return their records."""
+        return [self.step() for _ in range(self.n_minibatches - self.taken)]
+
+
 def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Run every roster estimator over one shared stream; train the network
     entries online; optionally write the CSV artifacts into ``out_dir``.
@@ -258,35 +319,24 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     if cfg.total_samples < cfg.training.minibatch_size:
         raise ValueError("total_samples is smaller than one minibatch")
 
-    seed_root = np.random.SeedSequence(cfg.seed)
-    perturb_seed, stream_seed, xavier_seed = seed_root.spawn(3)
+    perturb_seed, stream_seed, xavier_seed = np.random.SeedSequence(cfg.seed).spawn(3)
 
     nominal = cfg.array.build_nominal()
     true_array = perturb_array(nominal, cfg.array.gain_std, cfg.array.pos_std, as_rng(perturb_seed))
     directions = cfg.array.doa_grid(cfg.n_atoms)
-    dictionaries = {
-        "nominal": build_dictionary(nominal, directions),
-        "ideal": build_dictionary(true_array, directions),
-    }
-    # the oracle dictionary follows the stream's true array, rebuilt at
-    # minibatch granularity whenever an anomaly has replaced it
-    has_oracle = any(spec.source == "oracle" for spec in specs)
-    oracle_array = None
+    # the run adds the oracle dictionary, which follows the stream's true array
+    dictionaries = {"nominal": build_dictionary(nominal, directions), "ideal": build_dictionary(true_array, directions)}
 
-    batch_size = cfg.training.minibatch_size
-    n_minibatches = cfg.total_samples // batch_size
-    channel_cfg = replace(cfg.channel, doa_domain=cfg.array.doa_domain)
     if cfg.replay_stream is not None:
         stream = ReplayStream(cfg.replay_stream)
         if stream.n_antennas != nominal.size:
             raise ValueError(f"replay file {cfg.replay_stream} holds {stream.n_antennas}-antenna samples; the array has {nominal.size}")
-        stream.require(n_minibatches, batch_size)
-        if has_oracle:
+        if any(spec.source == "oracle" for spec in specs):
             raise ValueError("oracle estimators need a live stream (not a replay)")
+    elif cfg.channel.snr == FixedSnr(math.inf):
+        raise ValueError("snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)")
     else:
-        if cfg.channel.snr == FixedSnr(math.inf):
-            raise ValueError("snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)")
-        stream = ChannelStream(channel_cfg, true_array, as_rng(stream_seed), cfg.anomalies)
+        stream = ChannelStream(replace(cfg.channel, doa_domain=cfg.array.doa_domain), true_array, as_rng(stream_seed), cfg.anomalies)
 
     xavier_rng = as_rng(xavier_seed)
     trainers: dict[str, OnlineTrainer] = {}
@@ -298,47 +348,32 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
                 model = MpNetModel.xavier(nominal.size, cfg.n_atoms, spec.rule, xavier_rng)
             trainers[spec.name] = OnlineTrainer(model, cfg.training, name=spec.name)
 
-    records: list[dict[str, MinibatchRecord]] = []
-    snr_floors: Counter[int] = Counter()  # the SNR histogram, kept as the run goes
-    snr_top = -np.inf
+    batch_size = cfg.training.minibatch_size
+    run = LearningRun(stream, specs, trainers, dictionaries, cfg.total_samples // batch_size, batch_size)
     out_dir = None if out_dir is None else Path(out_dir)
     dumping = cfg.dump_stream and out_dir is not None
 
     # the stream file grows a minibatch at a time and appears when the run ends
-    with (replacing(out_dir / STREAM_FILE) if dumping else nullcontext()) as dump:
+    with (replacing(out_dir / STREAM_FILE) if dumping else nullcontext()) as run.dump:
         if dumping:
-            dump.write(stream_header(nominal.size).encode("utf-8"))
-        for index in range(n_minibatches):
-            batch = stream.take(batch_size)
-            if has_oracle and stream.current_array is not oracle_array:
-                oracle_array = stream.current_array
-                dictionaries["oracle"] = build_dictionary(oracle_array, directions)
-            snr_floors.update(math.floor(v) for v in batch.snr_db.tolist())
-            snr_top = max(snr_top, *batch.snr_db.tolist())
-            if dumping:
-                dump.writelines(line.encode("utf-8") for line in stream_rows(index * batch_size, batch))
-            # the roster sees the observations and noise variances
-            X, noise_vars = batch.observation, batch.noise_var
-            record = {}
-            for spec in specs:
-                mean_cost = math.nan
-                if spec.family == "mpnet":
-                    # trainers share no state: each Adam step follows its own forward pass
-                    estimates = trainers[spec.name].process_batch(batch)
-                    mean_cost = trainers[spec.name].end_minibatch()
-                elif spec.family == "ls":
-                    estimates = BatchEstimate(X, np.zeros(len(X), dtype=int), np.zeros((len(X), 0), dtype=np.intp), np.zeros(len(X)))
-                else:
-                    estimates = pursuit_batch(dictionaries[spec.source], X, spec.rule, noise_vars, spec.family == "omp")
-                record[spec.name] = score_minibatch(index + 1, batch.channel, estimates, mean_cost)
-            records.append(record)
-
-        result = ExperimentResult(records, *snr_bins(snr_floors, snr_top))
+            run.dump.write(stream_header(nominal.size).encode("utf-8"))
+        result = ExperimentResult(run.run_to_end(), *snr_bins(run.snr_floors, run.snr_top))
         if out_dir is not None:
             _write_artifacts(out_dir, specs, trainers, result)
     if dumping:
         result.output_files["stream"] = out_dir / STREAM_FILE
     return result
+
+
+def train_online(model: MpNetModel, stream: ChannelStream | ReplayStream, total_samples: int, cfg: TrainConfig = TrainConfig()) -> list[MinibatchRecord]:
+    """Train ``model`` on the first ``total_samples`` samples of a stream, one
+    Adam update per minibatch of ``cfg.minibatch_size``: a learning run whose
+    roster is this one mpNet entry. A trailing partial minibatch is never
+    taken, and a replay too short for the rest fails before the first step."""
+    trainer = OnlineTrainer(model, cfg)
+    spec = EstimatorSpec(trainer.name, "mpnet", "xavier" if model.init == INIT_XAVIER else "nominal", model.rule)
+    run = LearningRun(stream, [spec], {trainer.name: trainer}, {}, total_samples // cfg.minibatch_size, cfg.minibatch_size)
+    return [record[trainer.name] for record in run.run_to_end()]
 
 
 def _write_artifacts(out_dir: Path, specs: Sequence[EstimatorSpec], trainers: dict[str, OnlineTrainer], result: ExperimentResult) -> None:

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channels import ChannelStream, ReplayStream, SampleBatch
+from .channels import SampleBatch
 from .estimators import BatchEstimate, Estimate, StoppingRule, pursue, row_dot
 from .fileio import atomic_savez
 from .metrics import depth_histogram
@@ -46,19 +46,14 @@ INIT_XAVIER = "xavier_random"
 CHECKPOINT_VERSION = 1
 
 
-def xavier_init(n_antennas: int, n_atoms: int, rng, normalize: bool = True) -> np.ndarray:
-    """Random complex weights with per-entry variance 2 / (N + A).
-
-    With ``normalize`` the columns are rescaled to unit norm afterwards, for
-    parity with a normalized-dictionary initialization.
-    """
+def xavier_init(n_antennas: int, n_atoms: int, rng) -> np.ndarray:
+    """Random complex weights with per-entry variance 2 / (N + A), the columns
+    then rescaled to unit norm, for parity with a normalized-dictionary
+    initialization."""
     if n_antennas < 1 or n_atoms < 1:
         raise ValueError("weight dimensions must be >= 1")
-    rng = as_rng(rng)
-    w = complex_normal(rng, (n_antennas, n_atoms), 2.0 / (n_antennas + n_atoms))
-    if normalize:
-        w /= np.linalg.norm(w, axis=0, keepdims=True)
-    return w
+    w = complex_normal(as_rng(rng), (n_antennas, n_atoms), 2.0 / (n_antennas + n_atoms))
+    return w / np.linalg.norm(w, axis=0, keepdims=True)
 
 
 @dataclass
@@ -310,7 +305,6 @@ class OnlineTrainer:
         self.name = name
         moments = (2, *model.weights.shape)
         self.adam = AdamState(np.zeros(moments), np.zeros(moments), cfg)
-        self.minibatches_done = 0
         self._reset()
 
     def _reset(self) -> None:
@@ -346,42 +340,11 @@ class OnlineTrainer:
             raise ValueError("no samples processed in this minibatch")
         weights = adam_step(self.adam, self.model.weights, self._grad.T / count)
         if not np.all(np.isfinite(weights.view(float))):
-            raise ValueError(f"{self.name}: non-finite weights after the Adam update of minibatch {self.minibatches_done + 1}")
+            raise ValueError(f"{self.name}: non-finite weights after the Adam update of minibatch {self.adam.step}")
         self.model.weights = weights
-        self.minibatches_done += 1
         mean_cost = self._cost / count
         self._reset()
         return mean_cost
-
-
-def train_online(
-    model: MpNetModel,
-    stream: ChannelStream | ReplayStream,
-    total_samples: int,
-    cfg: TrainConfig = TrainConfig(),
-    eval_hook: Callable[[MinibatchRecord], None] | None = None,
-) -> list[MinibatchRecord]:
-    """Train on the first ``total_samples`` samples of a stream, one Adam
-    update per minibatch of ``stream.take(cfg.minibatch_size)``.
-
-    A minibatch runs the step of a run's mpNet entry: forward pass, Adam step,
-    scoring. A trailing partial minibatch is never taken, and a replay too
-    short for the rest fails before the first step. Returns the records
-    (also passed to ``eval_hook`` as they are produced).
-    """
-    n_minibatches = total_samples // cfg.minibatch_size
-    if isinstance(stream, ReplayStream):
-        stream.require(n_minibatches, cfg.minibatch_size)
-    trainer = OnlineTrainer(model, cfg)
-    records: list[MinibatchRecord] = []
-    for minibatch in range(1, n_minibatches + 1):
-        batch = stream.take(cfg.minibatch_size)
-        estimates = trainer.process_batch(batch)
-        record = score_minibatch(minibatch, batch.channel, estimates, trainer.end_minibatch())
-        records.append(record)
-        if eval_hook is not None:
-            eval_hook(record)
-    return records
 
 
 def _rule_fields(rule: StoppingRule) -> tuple[str, int, int]:

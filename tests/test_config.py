@@ -277,6 +277,13 @@ class TestAnomalyScheduleBound:
             config_from_mapping(minimal_mapping(anomalies=[event]))
         assert str(exc.value) == f"anomaly index {first} is beyond the stream length 400"
 
+    @pytest.mark.parametrize("total, index", [(400, 400), (450, 420)])
+    def test_bounded_by_the_whole_minibatches(self, total, index):
+        event = {"kind": "break", "index": index, "fraction": 0.1}
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(minimal_mapping(total_samples=total, anomalies=[event]))
+        assert str(exc.value) == f"anomaly index {index} is beyond the stream length 400"
+
     def test_schedule_ending_on_the_last_sample_is_kept(self, monkeypatch):
         built = self._counted(monkeypatch)
         event = {"kind": "age", "index": 99, "gain_std": 0.1, "steps": 4, "every": 100}

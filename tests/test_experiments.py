@@ -1,9 +1,10 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
-from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula
+from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula, perturb_array
 from mpnetlab.channels import (
     ArrayEvent,
     ChannelGenConfig,
@@ -18,13 +19,15 @@ from mpnetlab.estimators import StoppingRule
 from mpnetlab.experiments import (
     ArraySpec,
     ExperimentConfig,
+    LearningRun,
     SnrLossSpec,
     parse_estimator,
     run_learning_experiment,
     snr_loss_experiment,
+    train_online,
 )
 from mpnetlab.metrics import snr_histogram
-from mpnetlab.mpnet import MpNetModel, TrainConfig, train_online
+from mpnetlab.mpnet import MpNetModel, OnlineTrainer, TrainConfig
 
 from reference import ref_snr_loss
 
@@ -65,6 +68,11 @@ class TestConfigValidation:
     def test_anomaly_beyond_stream_rejected(self):
         with pytest.raises(ValueError):
             small_config(anomalies=(ArrayEvent(index=500, kind="break", fraction=0.1),))
+
+    def test_anomaly_past_the_last_whole_minibatch_rejected(self):
+        # 520 samples make 10 minibatches of 50: samples 500-519 are never taken
+        with pytest.raises(ValueError, match="anomaly at index 510 falls beyond the stream"):
+            small_config(total_samples=520, anomalies=(ArrayEvent(index=510, kind="break", fraction=0.1),))
 
     def test_empty_roster_rejected(self):
         with pytest.raises(ValueError):
@@ -331,6 +339,52 @@ class TestRunRecords:
         edges, counts = snr_histogram([s.snr_db for s in samples])
         assert len(counts) > 1
         assert np.array_equal(result.snr_edges, edges) and np.array_equal(result.snr_counts, counts)
+
+
+class TestLearningRun:
+    """A run stepped across a minibatch boundary goes on as if it never stopped."""
+
+    ROSTER = ("ls", "omp:oracle:sc2", "mpnet:nominal:sc2")
+
+    def _run(self):
+        nominal = make_ula(16)
+        true = perturb_array(nominal, 0.3, 0.1, np.random.default_rng(1))
+        directions = doa_grid_ula(64)
+        dictionaries = {"nominal": build_dictionary(nominal, directions), "ideal": build_dictionary(true, directions)}
+        model = MpNetModel.from_dictionary(dictionaries["nominal"], StoppingRule.sc2())
+        trainers = {"mpnet:nominal:sc2": OnlineTrainer(model, TrainConfig(minibatch_size=50), name="mpnet:nominal:sc2")}
+        snr = TruncatedGaussianSnr(mean_db=10.0, std_db=4.0, floor_db=1.0)
+        stream = ChannelStream(ChannelGenConfig(snr=snr), true, np.random.default_rng(2), (ArrayEvent(index=225, kind="break", fraction=0.3),))
+        run = LearningRun(stream, [parse_estimator(s) for s in self.ROSTER], trainers, dictionaries, 10, 50)
+        run.dump = io.BytesIO()
+        return run
+
+    @staticmethod
+    def _fields(records):
+        return [[(name, r.minibatch, repr(r.mean_cost), r.mean_rmse, r.mean_depth, r.depth_counts.tolist()) for name, r in record.items()] for record in records]
+
+    def test_three_then_seven_equals_ten(self):
+        whole, split = self._run(), self._run()
+        records = whole.run_to_end()
+        first = [split.step() for _ in range(3)]
+        assert split.taken == 3
+        rest = split.run_to_end()
+        assert len(first) + len(rest) == 10 == split.taken
+        assert self._fields(first + rest) == self._fields(records)
+        assert [list(record) for record in records] == [list(self.ROSTER)] * 10
+        assert np.array_equal(split.trainers["mpnet:nominal:sc2"].model.weights, whole.trainers["mpnet:nominal:sc2"].model.weights)
+        assert (split.snr_floors, split.snr_top) == (whole.snr_floors, whole.snr_top)
+        assert split.dump.getvalue() == whole.dump.getvalue()
+        # the break at sample 225 replaced the array, and the oracle dictionary followed it
+        assert split.oracle_array is split.stream.current_array
+        assert not np.array_equal(split.dictionaries["oracle"].atoms, split.dictionaries["ideal"].atoms)
+
+    def test_a_finished_run_takes_no_more(self):
+        run = self._run()
+        run.run_to_end()
+        with pytest.raises(ValueError, match="the run has taken all its 10 minibatches"):
+            run.step()
+        assert run.run_to_end() == []
 
 
 class TestInfiniteSnr:

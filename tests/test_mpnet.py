@@ -16,10 +16,10 @@ from mpnetlab.mpnet import (
     forward,
     load_checkpoint,
     save_checkpoint,
-    train_online,
     xavier_init,
 )
-from mpnetlab.utils import energy
+from mpnetlab.experiments import train_online
+from mpnetlab.utils import complex_normal, energy
 
 from conftest import make_incoherent_dictionary
 from reference import numerical_gradient, selection_margin
@@ -166,8 +166,8 @@ class TestAdam:
 
 class TestXavierInit:
     def test_entry_variance(self):
-        rng = np.random.default_rng(0)
-        w = xavier_init(64, 512, rng, normalize=False)
+        # the draw before the columns are normalized: complex entries of variance 2 / (N + A)
+        w = complex_normal(np.random.default_rng(0), (64, 512), 2.0 / (64 + 512))
         assert np.var(w.view(float)) * 2 == pytest.approx(2.0 / (64 + 512), rel=0.05)
 
     def test_unit_columns_after_normalization(self, rng):
@@ -250,13 +250,11 @@ class TestTraining:
         records = train_online(model, stream, 130, cfg)
         assert len(records) == 2  # the trailing 30 samples trigger no update
 
-    def test_eval_hook_sees_every_record(self):
+    def test_returns_a_record_per_minibatch(self):
         d, stream = self._tiny_setup(6)
-        seen = []
         cfg = TrainConfig(minibatch_size=25)
         model = MpNetModel.from_dictionary(d, StoppingRule.sc2())
-        records = train_online(model, stream, 100, cfg, eval_hook=seen.append)
-        assert seen == records
+        records = train_online(model, stream, 100, cfg)
         assert [r.minibatch for r in records] == [1, 2, 3, 4]
         for record in records:
             assert record.depth_counts.sum() == 25
