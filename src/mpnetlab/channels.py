@@ -291,10 +291,10 @@ class ChannelStream:
     :meth:`take`; each ``take`` continues where the last one stopped.
     Scheduled :class:`ArrayEvent` entries swap the true array mid-stream at
     their declared sample indices. The samples are a pure function of the
-    configuration, the base array, the events, and the generator seed."""
+    configuration (``cfg``), the base array, the events, and the generator seed."""
 
     def __init__(self, cfg: ChannelGenConfig, true_array: AntennaArray, rng, events: Sequence[ArrayEvent] = ()):
-        self._cfg = cfg
+        self.cfg = cfg
         self._array = true_array
         self._rng = as_rng(rng)
         self._events = sorted(events, key=lambda e: e.index)
@@ -313,8 +313,8 @@ class ChannelStream:
             while self._event_pos < len(self._events) and self._events[self._event_pos].index <= self._index:
                 self._array = self._events[self._event_pos].apply(self._array, self._rng)
                 self._event_pos += 1
-            snr_db = sample_snr(self._cfg.snr, self._rng)
-            samples.append(observe(generate_channel(self._cfg, self._array, self._rng), snr_db, self._rng))
+            snr_db = sample_snr(self.cfg.snr, self._rng)
+            samples.append(observe(generate_channel(self.cfg, self._array, self._rng), snr_db, self._rng))
             self._index += 1
         return SampleBatch.of(samples)
 
@@ -401,14 +401,7 @@ class ReplayStream:
         if (len(fields) - 3) % 4 != 0 or fields[:3] != ["index", "snr_db", "noise_var"]:
             raise ValueError(f"{path}: unrecognized stream header")
         self.n_antennas = (len(fields) - 3) // 4
-        self._path = path
-
-    def require(self, n_minibatches: int, batch_size: int) -> None:
-        """Raise unless the file holds ``n_minibatches`` takes of ``batch_size``
-        samples: a run checks this before its first minibatch."""
-        needed = n_minibatches * batch_size
-        if self.count < needed:
-            raise ValueError(f"replay file {self._path} holds {self.count} samples; the run needs {needed} ({n_minibatches} minibatches of {batch_size})")
+        self.path = path
 
     def take(self, count: int) -> SampleBatch:
         if count < 0:
@@ -419,7 +412,7 @@ class ReplayStream:
             line_no, line = next(self._rows, (0, None))
             if line is None:
                 raise ValueError("replay file has fewer samples than requested")
-            row[:] = _parse_row(self._path, line_no, line, n)
+            row[:] = _parse_row(self.path, line_no, line, n)
         x = values[:, 2 : 2 * n + 2 : 2] + 1j * values[:, 3 : 2 * n + 2 : 2]
         h = values[:, 2 * n + 2 :: 2] + 1j * values[:, 2 * n + 3 :: 2]
         return SampleBatch(h, x, values[:, 1], values[:, 0])

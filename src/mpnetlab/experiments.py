@@ -51,7 +51,7 @@ from .fileio import atomic_write_rows, fmt_float, replacing
 from .metrics import snr_bins
 # not called here (mpnet.score_minibatch scores): bench/spans.py wraps it by name
 from .metrics import rmse  # noqa: F401
-from .mpnet import INIT_XAVIER, MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch
+from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch
 from .utils import as_rng, complex_normal, from_db, row_energies, to_db
 
 CURVES_FILE = "curves.csv"
@@ -252,9 +252,11 @@ def _add_counts(total: np.ndarray, extra: np.ndarray) -> np.ndarray:
 @dataclass
 class LearningRun:
     """A learning run at a minibatch boundary: its stream, its roster (each
-    mpNet entry's trainer under its name), the MP/OMP dictionaries, how many
-    minibatches it takes and has ``taken``, the SNR histogram so far and the
-    stream dump's handle, if any. A too short replay fails when it is built."""
+    mpNet entry's trainer under its name), the MP/OMP dictionaries and the
+    minibatch count and size; then how many minibatches it has ``taken``,
+    the SNR histogram so far and the oracle dictionary's array. A binary
+    handle set as ``dump`` gets each minibatch's stream rows. A replay too
+    short for the count, or a noiseless live stream, fails when it is built."""
 
     stream: ChannelStream | ReplayStream
     specs: Sequence[EstimatorSpec]
@@ -262,27 +264,29 @@ class LearningRun:
     dictionaries: dict[str, Dictionary]
     n_minibatches: int
     batch_size: int
-    dump: BinaryIO | None = None
-    taken: int = 0
-    snr_floors: Counter[int] = field(default_factory=Counter)
-    snr_top: float = -math.inf
-    oracle_array: AntennaArray | None = None
+    dump: BinaryIO | None = field(init=False, default=None)
+    taken: int = field(init=False, default=0)
+    snr_floors: Counter[int] = field(init=False, default_factory=Counter)
+    snr_top: float = field(init=False, default=-math.inf)
+    oracle_array: AntennaArray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if isinstance(self.stream, ReplayStream):
-            self.stream.require(self.n_minibatches, self.batch_size)
+            needed = self.n_minibatches * self.batch_size
+            if self.stream.count < needed:
+                raise ValueError(f"replay file {self.stream.path} holds {self.stream.count} samples; the run needs {needed} ({self.n_minibatches} minibatches of {self.batch_size})")
+        elif self.stream.cfg.snr == FixedSnr(math.inf):
+            raise ValueError("snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)")
 
     def step(self) -> dict[str, MinibatchRecord]:
         """Run the next minibatch: take it, rebuild the oracle dictionary when
         an anomaly has replaced the true array, count its SNRs, append it to
         the dump, then run and score each roster entry in order."""
-        if self.taken == self.n_minibatches:
-            raise ValueError(f"the run has taken all its {self.n_minibatches} minibatches")
         batch = self.stream.take(self.batch_size)
         if any(spec.source == "oracle" for spec in self.specs) and self.stream.current_array is not self.oracle_array:
             self.oracle_array = self.stream.current_array
             self.dictionaries["oracle"] = build_dictionary(self.oracle_array, self.dictionaries["nominal"].directions)
-        self.snr_floors.update(math.floor(v) for v in batch.snr_db.tolist())
+        self.snr_floors.update(np.floor(batch.snr_db).astype(int).tolist())
         self.snr_top = max(self.snr_top, *batch.snr_db.tolist())
         if self.dump is not None:
             self.dump.writelines(line.encode("utf-8") for line in stream_rows(self.taken * self.batch_size, batch))
@@ -303,10 +307,6 @@ class LearningRun:
             record[spec.name] = score_minibatch(self.taken, batch.channel, estimates, mean_cost)
         return record
 
-    def run_to_end(self) -> list[dict[str, MinibatchRecord]]:
-        """Run the minibatches left and return their records."""
-        return [self.step() for _ in range(self.n_minibatches - self.taken)]
-
 
 def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Run every roster estimator over one shared stream; train the network
@@ -319,24 +319,27 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     if cfg.total_samples < cfg.training.minibatch_size:
         raise ValueError("total_samples is smaller than one minibatch")
 
-    perturb_seed, stream_seed, xavier_seed = np.random.SeedSequence(cfg.seed).spawn(3)
+    seed_root = np.random.SeedSequence(cfg.seed)
+    perturb_seed, stream_seed, xavier_seed = seed_root.spawn(3)
 
     nominal = cfg.array.build_nominal()
     true_array = perturb_array(nominal, cfg.array.gain_std, cfg.array.pos_std, as_rng(perturb_seed))
     directions = cfg.array.doa_grid(cfg.n_atoms)
     # the run adds the oracle dictionary, which follows the stream's true array
-    dictionaries = {"nominal": build_dictionary(nominal, directions), "ideal": build_dictionary(true_array, directions)}
+    dictionaries = {
+        "nominal": build_dictionary(nominal, directions),
+        "ideal": build_dictionary(true_array, directions),
+    }
 
+    channel_cfg = replace(cfg.channel, doa_domain=cfg.array.doa_domain)
     if cfg.replay_stream is not None:
         stream = ReplayStream(cfg.replay_stream)
         if stream.n_antennas != nominal.size:
             raise ValueError(f"replay file {cfg.replay_stream} holds {stream.n_antennas}-antenna samples; the array has {nominal.size}")
         if any(spec.source == "oracle" for spec in specs):
             raise ValueError("oracle estimators need a live stream (not a replay)")
-    elif cfg.channel.snr == FixedSnr(math.inf):
-        raise ValueError("snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)")
     else:
-        stream = ChannelStream(replace(cfg.channel, doa_domain=cfg.array.doa_domain), true_array, as_rng(stream_seed), cfg.anomalies)
+        stream = ChannelStream(channel_cfg, true_array, as_rng(stream_seed), cfg.anomalies)
 
     xavier_rng = as_rng(xavier_seed)
     trainers: dict[str, OnlineTrainer] = {}
@@ -354,10 +357,11 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     dumping = cfg.dump_stream and out_dir is not None
 
     # the stream file grows a minibatch at a time and appears when the run ends
-    with (replacing(out_dir / STREAM_FILE) if dumping else nullcontext()) as run.dump:
+    with (replacing(out_dir / STREAM_FILE) if dumping else nullcontext()) as dump:
         if dumping:
-            run.dump.write(stream_header(nominal.size).encode("utf-8"))
-        result = ExperimentResult(run.run_to_end(), *snr_bins(run.snr_floors, run.snr_top))
+            dump.write(stream_header(nominal.size).encode("utf-8"))
+        run.dump = dump
+        result = ExperimentResult([run.step() for _ in range(run.n_minibatches)], *snr_bins(run.snr_floors, run.snr_top))
         if out_dir is not None:
             _write_artifacts(out_dir, specs, trainers, result)
     if dumping:
@@ -369,11 +373,12 @@ def train_online(model: MpNetModel, stream: ChannelStream | ReplayStream, total_
     """Train ``model`` on the first ``total_samples`` samples of a stream, one
     Adam update per minibatch of ``cfg.minibatch_size``: a learning run whose
     roster is this one mpNet entry. A trailing partial minibatch is never
-    taken, and a replay too short for the rest fails before the first step."""
+    taken. A replay too short for the rest, or a live stream with no noise,
+    fails before the first step."""
     trainer = OnlineTrainer(model, cfg)
-    spec = EstimatorSpec(trainer.name, "mpnet", "xavier" if model.init == INIT_XAVIER else "nominal", model.rule)
+    spec = EstimatorSpec(trainer.name, "mpnet", "nominal", model.rule)  # the run reads no mpNet entry's source
     run = LearningRun(stream, [spec], {trainer.name: trainer}, {}, total_samples // cfg.minibatch_size, cfg.minibatch_size)
-    return [record[trainer.name] for record in run.run_to_end()]
+    return [run.step()[trainer.name] for _ in range(run.n_minibatches)]
 
 
 def _write_artifacts(out_dir: Path, specs: Sequence[EstimatorSpec], trainers: dict[str, OnlineTrainer], result: ExperimentResult) -> None:

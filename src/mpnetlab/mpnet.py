@@ -52,8 +52,10 @@ def xavier_init(n_antennas: int, n_atoms: int, rng) -> np.ndarray:
     initialization."""
     if n_antennas < 1 or n_atoms < 1:
         raise ValueError("weight dimensions must be >= 1")
-    w = complex_normal(as_rng(rng), (n_antennas, n_atoms), 2.0 / (n_antennas + n_atoms))
-    return w / np.linalg.norm(w, axis=0, keepdims=True)
+    rng = as_rng(rng)
+    w = complex_normal(rng, (n_antennas, n_atoms), 2.0 / (n_antennas + n_atoms))
+    w /= np.linalg.norm(w, axis=0, keepdims=True)
+    return w
 
 
 @dataclass

@@ -365,10 +365,10 @@ class TestLearningRun:
 
     def test_three_then_seven_equals_ten(self):
         whole, split = self._run(), self._run()
-        records = whole.run_to_end()
+        records = [whole.step() for _ in range(10)]
         first = [split.step() for _ in range(3)]
         assert split.taken == 3
-        rest = split.run_to_end()
+        rest = [split.step() for _ in range(7)]
         assert len(first) + len(rest) == 10 == split.taken
         assert self._fields(first + rest) == self._fields(records)
         assert [list(record) for record in records] == [list(self.ROSTER)] * 10
@@ -378,13 +378,6 @@ class TestLearningRun:
         # the break at sample 225 replaced the array, and the oracle dictionary followed it
         assert split.oracle_array is split.stream.current_array
         assert not np.array_equal(split.dictionaries["oracle"].atoms, split.dictionaries["ideal"].atoms)
-
-    def test_a_finished_run_takes_no_more(self):
-        run = self._run()
-        run.run_to_end()
-        with pytest.raises(ValueError, match="the run has taken all its 10 minibatches"):
-            run.step()
-        assert run.run_to_end() == []
 
 
 class TestInfiniteSnr:
@@ -397,6 +390,15 @@ class TestInfiniteSnr:
             run_learning_experiment(cfg, tmp_path / "out")
         assert str(exc.value) == "snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)"
         assert not (tmp_path / "out").exists()
+
+    def test_train_online_rejects_a_noiseless_stream_before_its_first_step(self):
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(math.inf)), make_ula(16), np.random.default_rng(5))
+        model = MpNetModel.from_dictionary(build_dictionary(make_ula(16), doa_grid_ula(64)), StoppingRule.sc2())
+        weights = model.weights.copy()
+        with pytest.raises(ValueError) as exc:
+            train_online(model, stream, 200, TrainConfig(minibatch_size=100))
+        assert str(exc.value) == "snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)"
+        assert np.array_equal(model.weights, weights)
 
 
 class TestShortReplay:
