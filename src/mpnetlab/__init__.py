@@ -55,7 +55,6 @@ from .experiments import (
 from .metrics import depth_histogram, rmse, snr_histogram, snr_out
 from .mpnet import (
     AdamState,
-    ForwardTrace,
     MinibatchRecord,
     MpNetModel,
     OnlineTrainer,

@@ -234,16 +234,18 @@ def observe(channel: MultipathChannel, snr_db: float, rng) -> ChannelSample:
     return ChannelSample(h, x, noise_var, float(snr_db))
 
 
-def break_antennas(array: AntennaArray, fraction: float, rng) -> AntennaArray:
-    """Set a uniformly chosen round(fraction * N) of the antenna gains to zero.
+def broken_count(fraction: float, n: int) -> int:
+    """round(fraction * n), ties toward fewer: how many antennas a break zeroes."""
+    return int(np.ceil(fraction * n - 0.5))
 
-    Ties in the rounding go toward fewer broken antennas.
-    """
+
+def break_antennas(array: AntennaArray, fraction: float, rng) -> AntennaArray:
+    """Set a uniformly chosen :func:`broken_count` of the antenna gains to zero."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
     rng = as_rng(rng)
     n = array.size
-    count = int(np.ceil(fraction * n - 0.5))
+    count = broken_count(fraction, n)
     gains = array.gains.copy()
     if count > 0:
         broken = rng.choice(n, size=count, replace=False)

@@ -153,7 +153,7 @@ def pursue(
     rule: StoppingRule,
     orthogonal: bool = False,
     on_tile: Callable[[list[tuple], np.ndarray], None] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy pursuit of every row of ``X`` (B x N) over the columns of ``atoms``:
     the one kernel behind matching pursuit, OMP and the mpNet forward pass.
 
@@ -172,16 +172,15 @@ def pursue(
     within 1e-12 of a per-sample loop. ``on_tile`` gets each finished tile's
     final residual rows (a view) and its layers, one (live rows as ascending
     tile positions, picked atoms, vectors peeled off, coefficients, residual
-    rows before the update) tuple each. Returns one array record: the depths
-    (B), the supports and coefficients (B x K, zero past a row's depth) and
-    the final residuals (B x N).
+    rows before the update) tuple each. Returns the depths (B), the supports
+    (B x K, zero past a row's depth) and the final residuals (B x N).
     """
     n, n_atoms = atoms.shape
     atoms_h, atom_rows = atoms.conj().T, atoms.T
     residuals = np.array(X, dtype=complex)
     input_energies, noise_var_norms = np.asarray(input_energies, dtype=float), np.asarray(noise_var_norms, dtype=float)
     stop_depth = min(rule.depth, rule.cap(n)) if rule.kind == "fixed" else rule.cap(n)  # should_stop's depth test
-    found = []  # (rows, layer index, picks, coefficients) of every layer of every tile
+    found = []  # (rows, layer index, picks) of every layer of every tile
     for start in range(0, len(residuals), CORR_TILE):
         tile = slice(start, start + CORR_TILE)
         energies = input_energies[tile]
@@ -213,13 +212,12 @@ def pursue(
             live, R = live[~stop], R[~stop]
         if on_tile is not None:
             on_tile(layers, residuals[tile])
-        found += [(start + live, k, picks, coeffs) for k, (live, picks, _, coeffs, _) in enumerate(layers)]
-    supports = np.zeros((len(residuals), 1 + max((k for _, k, _, _ in found), default=-1)), dtype=np.intp)
-    coeffs = np.zeros(supports.shape, dtype=complex)
+        found += [(start + live, k, picks) for k, (live, picks, *_) in enumerate(layers)]
+    supports = np.zeros((len(residuals), 1 + max((k for _, k, _ in found), default=-1)), dtype=np.intp)
     depths = np.zeros(len(residuals), dtype=int)
-    for rows, k, picks, layer_coeffs in found:
-        supports[rows, k], coeffs[rows, k], depths[rows] = picks, layer_coeffs, k + 1
-    return depths, supports, coeffs, residuals
+    for rows, k, picks in found:
+        supports[rows, k], depths[rows] = picks, k + 1
+    return depths, supports, residuals
 
 
 def _orthonormalize(cols: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -250,7 +248,7 @@ def pursuit_batch(
     if rule.kind != "fixed" and np.any(energies == 0.0):
         raise ValueError("residual stopping rules are undefined for a zero input")
     noise_var_norms = [v / e if e > 0.0 else 0.0 for v, e in zip(noise_vars, energies.tolist())]
-    depths, supports, _, residuals = pursue(atoms, X, energies, noise_var_norms, rule, orthogonal)
+    depths, supports, residuals = pursue(atoms, X, energies, noise_var_norms, rule, orthogonal)
     return BatchEstimate(X - residuals, depths, supports, row_energies(residuals))
 
 

@@ -39,6 +39,7 @@ from .channels import (
     ChannelStream,
     FixedSnr,
     ReplayStream,
+    broken_count,
     stream_header,
     stream_rows,
 )
@@ -47,7 +48,7 @@ from .channels import load_stream, sample_to_row  # noqa: F401
 from .estimators import BatchEstimate, StoppingRule, pursuit_batch
 # the per-sample entry points stay importable from here: bench/spans.py wraps them by name
 from .estimators import ls_estimate, matching_pursuit, omp  # noqa: F401
-from .fileio import atomic_write_rows, fmt_float, replacing
+from .fileio import atomic_write_rows, fmt_float, replacing, staged
 from .metrics import snr_bins
 # not called here (mpnet.score_minibatch scores): bench/spans.py wraps it by name
 from .metrics import rmse  # noqa: F401
@@ -197,9 +198,12 @@ class ExperimentConfig:
         if self.n_atoms < 1:
             raise ValueError("dictionary size must be >= 1")
         taken = self.total_samples // self.training.minibatch_size * self.training.minibatch_size  # whole minibatches only
+        n = self.array.n_antennas
         for event in self.anomalies:
             if event.index >= taken:
                 raise ValueError(f"anomaly at index {event.index} falls beyond the stream")
+            if event.kind == "break" and broken_count(event.fraction, n) == n:
+                raise ValueError(f"break at index {event.index} (fraction {event.fraction}) zeroes all {n} antennas, leaving no channel")
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError("duplicate estimator roster entries")
         for spec in self.estimators:
@@ -382,16 +386,20 @@ def train_online(model: MpNetModel, stream: ChannelStream | ReplayStream, total_
 
 
 def _write_artifacts(out_dir: Path, specs: Sequence[EstimatorSpec], trainers: dict[str, OnlineTrainer], result: ExperimentResult) -> None:
-    """Write the curves, histograms and checkpoints, noting each in ``result.output_files``."""
-    result.output_files["curves"] = _write_curves(out_dir / CURVES_FILE, specs, result.records)
-    result.output_files["depth_hist"] = _write_depth_hist(out_dir / DEPTH_HIST_FILE, specs, result.depth_counts)
-    result.output_files["snr_hist"] = _write_snr_hist(out_dir / SNR_HIST_FILE, result.snr_edges, result.snr_counts)
-    for spec in specs:
-        if spec.family == "mpnet":
-            trainer = trainers[spec.name]
-            path = out_dir / f"checkpoint_{spec.column}.npz"
-            save_checkpoint(path, trainer.model, trainer.adam)
-            result.output_files[f"checkpoint_{spec.column}"] = path
+    """Write the curves, histograms and checkpoints as one staged set
+    (:func:`fileio.staged`), noting each in ``result.output_files``."""
+    with staged(out_dir) as stage:
+        files = {
+            "curves": _write_curves(stage / CURVES_FILE, specs, result.records),
+            "depth_hist": _write_depth_hist(stage / DEPTH_HIST_FILE, specs, result.depth_counts),
+            "snr_hist": _write_snr_hist(stage / SNR_HIST_FILE, result.snr_edges, result.snr_counts),
+        }
+        for spec in specs:
+            if spec.family == "mpnet":
+                trainer, key = trainers[spec.name], f"checkpoint_{spec.column}"
+                files[key] = stage / f"{key}.npz"
+                save_checkpoint(files[key], trainer.model, trainer.adam)
+    result.output_files.update({key: out_dir / path.name for key, path in files.items()})
 
 
 def _write_curves(path: Path, specs: Sequence[EstimatorSpec], records: Sequence[dict[str, MinibatchRecord]]) -> Path:

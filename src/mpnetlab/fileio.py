@@ -1,8 +1,10 @@
-"""Atomic file outputs: an artifact either appears complete or not at all."""
+"""Atomic file outputs: an artifact either appears complete or not at all,
+and a staged set of artifacts all together or none of it."""
 
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,6 +29,30 @@ def replacing(path) -> Iterator[BinaryIO]:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def staged(out_dir) -> Iterator[Path]:
+    """A temp directory inside ``out_dir`` (so that each rename stays on one
+    file system) for the block to write a set of files into; when the block
+    ends they all move into ``out_dir``. The directory is removed either way:
+    a block that raises moves nothing in, and a failed move takes back the
+    files moved before it."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staged.", suffix=".tmp"))
+    moved: list[Path] = []
+    try:
+        yield stage
+        for path in sorted(stage.iterdir()):
+            os.replace(path, out_dir / path.name)
+            moved.append(out_dir / path.name)
+    except BaseException:
+        for path in moved:
+            path.unlink()
+        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -6,14 +6,16 @@ depth adapt to the input. Because a layer routes the signal through a single
 column, the exact gradient of the reconstruction cost is column-sparse and
 costs O(depth * N) to assemble, an order cheaper than the forward pass.
 
-The weights change only at a minibatch boundary, so the trainer runs a whole
-minibatch through the shared pursuit kernel (``estimators.pursue``) in one
-fused pass, a tile at a time: as soon as a tile's layers are done, the reverse
-pass runs on the residual blocks the forward pass kept, sums each sample's
-gradient for the columns it visited, and folds those columns into the
-minibatch gradient in arrival order. Nothing is replayed: the public
-``backward`` is the same pass on one row. Results do not depend on the batch
-or tile size and are within 1e-12 of the per-sample arithmetic.
+The one mpNet pass, ``forward_batch``, runs unit-norm rows through the shared
+pursuit kernel (``estimators.pursue``) and returns a unit-scale
+``BatchEstimate``, as MP and OMP do. The trainer runs a whole minibatch
+through it, a tile at a time: as soon as a tile's layers are done, the reverse
+pass runs on the residual blocks the forward pass kept and folds each
+sample's gradient columns into the minibatch gradient in arrival order.
+``forward`` is its one-row ``Estimate``; ``estimate`` and the trainer only
+rescale its output, and ``backward`` reruns it on one row. Results do not
+depend on the batch or tile size and are within 1e-12 of the per-sample
+arithmetic.
 
 Training is online and unsupervised: minibatches of noisy observations are
 both the inputs and the targets (the network is a denoising autoencoder), so
@@ -35,7 +37,7 @@ from .fileio import atomic_savez
 from .metrics import depth_histogram
 # not called here (score_minibatch works on arrays): bench/spans.py wraps it by name
 from .metrics import rmse  # noqa: F401
-from .utils import add_rows_at, as_rng, complex_normal, energy, row_energies
+from .utils import add_rows_at, as_rng, complex_normal, row_energies
 
 UNIT_INPUT_TOL = 1e-9
 STALE_TRACE_TOL = 1e-9
@@ -91,43 +93,22 @@ class MpNetModel:
         return cls(xavier_init(n_antennas, n_atoms, rng), rule, init=INIT_XAVIER)
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Per-layer record of one forward pass: selected columns, their coefficients,
-    and the final residual, all on the unit-input scale. Enough to check that
-    the pass still holds and to assemble the analytic gradient."""
-
-    indices: tuple[int, ...]
-    coeffs: np.ndarray
-    final_residual: np.ndarray
-
-    @property
-    def depth(self) -> int:
-        return len(self.indices)
-
-
-def forward_batch(model: MpNetModel, X_unit: np.ndarray, noise_var_norms: Sequence[float]) -> list[ForwardTrace]:
-    """Run the unfolded pursuit on every unit-norm row of ``X_unit`` (B x N) in
-    one kernel call; ``noise_var_norms`` holds each row's noise variance divided
-    by its original input energy. Returns one trace per row."""
+def forward_batch(model: MpNetModel, X_unit: np.ndarray, noise_var_norms: Sequence[float], grad: np.ndarray | None = None) -> BatchEstimate:
+    """The unfolded pursuit of every unit-norm row of ``X_unit`` (B x N) in one
+    kernel call, each under its noise variance over its original input energy;
+    the estimates stay on the unit scale. A ``grad`` (A x N) gets each tile's
+    gradient columns (:func:`_reverse`) as soon as the tile's layers end."""
     X_unit = np.asarray(X_unit, dtype=complex)
     if np.any(np.abs(np.linalg.norm(X_unit, axis=1) - 1.0) > UNIT_INPUT_TOL):
         raise ValueError("forward expects unit-norm inputs")
-    depths, supports, coeffs, residuals = pursue(model.weights, X_unit, np.ones(len(X_unit)), noise_var_norms, model.rule)
-    rows = zip(depths.tolist(), supports.tolist(), coeffs, residuals)
-    return [ForwardTrace(tuple(s[:depth]), c[:depth], r) for depth, s, c, r in rows]
+    fold = None if grad is None else partial(_reverse, grad)
+    depths, supports, residuals = pursue(model.weights, X_unit, np.ones(len(X_unit)), noise_var_norms, model.rule, on_tile=fold)
+    return BatchEstimate(X_unit - residuals, depths, supports, row_energies(residuals))
 
 
-def forward(model: MpNetModel, x_unit: np.ndarray, noise_var_norm: float = 0.0) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the unfolded pursuit on a unit-norm input.
-
-    Returns the denoised estimate (still on the unit scale) and the trace the
-    backward pass needs. ``noise_var_norm`` is the noise variance divided by
-    the original input energy.
-    """
-    x_unit = np.asarray(x_unit, dtype=complex)
-    (trace,) = forward_batch(model, x_unit[None], [noise_var_norm])
-    return x_unit - trace.final_residual, trace
+def forward(model: MpNetModel, x_unit: np.ndarray, noise_var_norm: float = 0.0) -> Estimate:
+    """:func:`forward_batch` on one unit-norm input."""
+    return forward_batch(model, np.asarray(x_unit, dtype=complex)[None], [noise_var_norm])[0]
 
 
 def _reverse(grad: np.ndarray, layers: Sequence[tuple], final: np.ndarray) -> None:
@@ -150,26 +131,26 @@ def _reverse(grad: np.ndarray, layers: Sequence[tuple], final: np.ndarray) -> No
     add_rows_at(grad, keys % n_atoms, columns)
 
 
-def backward(model: MpNetModel, trace: ForwardTrace, x_unit: np.ndarray) -> np.ndarray:
+def backward(model: MpNetModel, estimate: Estimate, x_unit: np.ndarray) -> np.ndarray:
     """Exact gradient of 0.5 * ||final residual||^2 with respect to the weights,
-    holding the per-layer selections fixed.
+    holding the selections of ``forward(model, x_unit)`` fixed.
 
     The gradient is returned as a complex matrix packaging the derivatives with
-    respect to the real and imaginary parts (d/dRe + 1j * d/dIm). Only columns
-    visited by the trace are nonzero. Runs the trainer's pass on the one row,
-    ``trace.depth`` layers deep (no pass at depth 0), and raises when its
-    picks or final residual differ from the trace's: the weights changed
-    since the forward pass.
+    respect to the real and imaginary parts (d/dRe + 1j * d/dIm). Only support
+    columns are nonzero. Runs the trainer's pass on the one row,
+    ``estimate.depth`` layers deep (no pass at depth 0), and raises when its
+    picks or final residual differ from the estimate's: the weights changed
+    since the forward pass, or the estimate is not on the unit scale.
     """
     x_unit = np.asarray(x_unit, dtype=complex)
     grad = np.zeros(model.weights.T.shape, dtype=complex)  # A x N, as the trainer's
     picks, final = (), x_unit  # a depth-0 pass leaves its input as it was
-    if trace.depth:
-        rule = StoppingRule.fixed(trace.depth)
-        depths, supports, _, residuals = pursue(model.weights, x_unit[None], [1.0], [0.0], rule, on_tile=partial(_reverse, grad))
+    if estimate.depth:
+        rule = StoppingRule.fixed(estimate.depth)
+        depths, supports, residuals = pursue(model.weights, x_unit[None], [1.0], [0.0], rule, on_tile=partial(_reverse, grad))
         picks, final = tuple(supports[0, : depths[0]].tolist()), residuals[0]
-    expected = trace.final_residual
-    if picks != tuple(trace.indices) or final.shape != expected.shape or np.max(np.abs(final - expected), initial=0.0) > STALE_TRACE_TOL:
+    stale = picks != estimate.support or estimate.channel.shape != x_unit.shape
+    if stale or np.max(np.abs(final - (x_unit - estimate.channel)), initial=0.0) > STALE_TRACE_TOL:
         raise ValueError("stale trace: weights changed since the forward pass")
     return grad.T
 
@@ -254,11 +235,16 @@ def unit_rows(observations: Sequence[np.ndarray], noise_vars: Sequence[float]):
     return norms, X_unit, [v / float(norm**2) for v, norm in zip(noise_vars, norms)]
 
 
+def _rescaled(unit: BatchEstimate, norms: np.ndarray) -> BatchEstimate:
+    """Unit-scale estimates on the scale of observations with ``norms`` (squared one at a time)."""
+    energies = np.array([float(norm**2) * e for norm, e in zip(norms, unit.residual_energy.tolist())])
+    return BatchEstimate(norms[:, None] * unit.channel, unit.depth, unit.support, energies)
+
+
 def estimate(model: MpNetModel, x: np.ndarray, noise_var: float = 0.0) -> Estimate:
     """Inference only: normalize, run the forward pass, rescale the estimate."""
-    (norm,), (x_unit,), (noise_var_norm,) = unit_rows([np.asarray(x, dtype=complex)], [noise_var])
-    unit_estimate, trace = forward(model, x_unit, noise_var_norm)
-    return Estimate(norm * unit_estimate, trace.indices, trace.depth, float(norm**2) * energy(trace.final_residual))
+    norms, X_unit, noise_var_norms = unit_rows([np.asarray(x, dtype=complex)], [noise_var])
+    return _rescaled(forward_batch(model, X_unit, noise_var_norms), norms)[0]
 
 
 @dataclass(frozen=True)
@@ -298,7 +284,7 @@ class OnlineTrainer:
 
     Per-sample gradients are summed in arrival order and divided by the
     number of samples processed, so trajectories are reproducible. Each
-    sample adds only the weight columns its trace visited. ``name`` labels
+    sample adds only the weight columns in its support. ``name`` labels
     the errors the trainer raises.
     """
 
@@ -315,19 +301,15 @@ class OnlineTrainer:
         self._count = 0
 
     def process_batch(self, batch: SampleBatch) -> BatchEstimate:
-        """Estimate the channels of a batch from its observations and noise
-        variances alone, as unit-norm rows (:func:`unit_rows`); each tile's
-        gradient goes into the minibatch's as soon as its forward pass ends."""
+        """Estimate a batch's channels from its observations and noise variances
+        alone: one :func:`forward_batch` of its unit-norm rows (:func:`unit_rows`),
+        folding each tile's gradient into the minibatch's, then rescaled."""
         norms, X_unit, noise_var_norms = unit_rows(batch.observation, batch.noise_var)
-        weights, rule = self.model.weights, self.model.rule
-        fold = partial(_reverse, self._grad)  # each tile's columns go into the gradient in arrival order
-        depths, supports, _, residuals = pursue(weights, X_unit, np.ones(len(X_unit)), noise_var_norms, rule, on_tile=fold)
+        unit = forward_batch(self.model, X_unit, noise_var_norms, grad=self._grad)
         self._count += len(X_unit)
-        unit_energies = row_energies(residuals).tolist()
-        for residual_energy in unit_energies:
+        for residual_energy in unit.residual_energy.tolist():
             self._cost += 0.5 * residual_energy
-        energies = np.array([float(norm**2) * e for norm, e in zip(norms, unit_energies)])  # row by row, as estimate does
-        return BatchEstimate(norms[:, None] * (X_unit - residuals), depths, supports, energies)
+        return _rescaled(unit, norms)
 
     def end_minibatch(self) -> float:
         """Apply the Adam update for the samples processed since the last one

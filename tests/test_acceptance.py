@@ -106,12 +106,10 @@ def test_criterion_02_gradient_oracle():
         checked += 1
         rule = StoppingRule.fixed(depth)
         model = MpNetModel(w, rule)
-        _, trace = forward(model, x, 0.0)
-        grad = backward(model, trace, x)
+        grad = backward(model, forward(model, x, 0.0), x)
 
         def cost(weights):
-            _, tr = forward(MpNetModel(weights, rule), x, 0.0)
-            return 0.5 * energy(tr.final_residual)
+            return 0.5 * forward(MpNetModel(weights, rule), x, 0.0).residual_energy
 
         fd = numerical_gradient(cost, w, step)
         worst = max(worst, np.max(np.abs(fd - grad)) / np.max(np.abs(fd)))

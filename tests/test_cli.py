@@ -154,6 +154,14 @@ snr_loss:
         assert "not writable" in capsys.readouterr().err
         assert blocker.read_text() == "a file, not a directory"
 
+    def test_blocked_checkpoint_exits_1_without_artifacts(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        (out / "checkpoint_mpnet_nominal_sc2.npz").mkdir(parents=True)
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in out.rglob("*")] == ["checkpoint_mpnet_nominal_sc2.npz"]
+
     def test_anomaly_subcommand(self, tmp_path):
         cfg = write_config(
             tmp_path,

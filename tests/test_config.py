@@ -319,6 +319,17 @@ class TestOutOfRangeValues:
             config_from_mapping(minimal_mapping(anomalies=[event]))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("fraction", [1.0, 0.97])
+    def test_break_of_every_antenna_rejected(self, fraction):
+        # round(fraction * 16) is 16: the stream would run out of channel mid-run
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(minimal_mapping(anomalies=[{"kind": "break", "index": 200, "fraction": fraction}]))
+        assert str(exc.value) == f"break at index 200 (fraction {fraction}) zeroes all 16 antennas, leaving no channel"
+
+    def test_break_of_all_but_one_antenna_loads(self):
+        cfg = config_from_mapping(minimal_mapping(anomalies=[{"kind": "break", "index": 200, "fraction": 0.96}]))
+        assert cfg.anomalies[0].fraction == 0.96
+
     def test_huge_integer_for_a_float_key(self):
         with pytest.raises(ConfigError) as exc:
             config_from_mapping(minimal_mapping(array={"geometry": "ula", "n": 16, "spacing": HUGE}))

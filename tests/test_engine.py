@@ -129,12 +129,12 @@ class TestForwardBatch:
         noise_var_norms = [v / np.vdot(x, x).real for x, v, k in zip(X, noise_vars, keep) if k]
         X = unit_rows(X[keep])
         model = MpNetModel.from_dictionary(d, rule)
-        traces = forward_batch(model, X, noise_var_norms)
-        for x_unit, noise_var_norm, trace in zip(X, noise_var_norms, traces):
-            _, single = forward(model, x_unit, noise_var_norm)
-            assert trace.indices == single.indices
-            assert np.array_equal(trace.coeffs, single.coeffs)
-            assert np.max(np.abs(trace.final_residual - single.final_residual), initial=0.0) <= 1e-12
+        batched = forward_batch(model, X, noise_var_norms)
+        assert len(batched) == len(X)
+        for x_unit, noise_var_norm, est in zip(X, noise_var_norms, batched):
+            single = forward(model, x_unit, noise_var_norm)
+            assert est.support == single.support
+            assert np.max(np.abs(est.channel - single.channel), initial=0.0) <= 1e-12
 
     def test_rejects_a_non_unit_row(self):
         d = make_incoherent_dictionary(8, 16)
@@ -160,8 +160,7 @@ class TestMinibatchGradient:
         for sample in samples:
             norm = np.linalg.norm(sample.observation)
             x_unit = sample.observation / norm
-            _, trace = forward(model, x_unit, sample.noise_var / float(norm**2))
-            dense += backward(model, trace, x_unit)
+            dense += backward(model, forward(model, x_unit, sample.noise_var / float(norm**2)), x_unit)
 
         applied = []
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples)))
@@ -242,10 +241,10 @@ class TestTileAndOrderInvariance:
         for tile in TILE_SIZES:
             with patch.object(estimators, "CORR_TILE", tile):
                 got = forward_batch(model, X[order], [noise_var_norms[i] for i in order])
-            for i, trace in zip(order, got):
-                assert trace.indices == expected[i].indices
-                assert np.array_equal(trace.coeffs, expected[i].coeffs)
-                assert np.array_equal(trace.final_residual, expected[i].final_residual)
+            for i, est in zip(order, got):
+                assert est.support == expected[i].support
+                assert np.array_equal(est.channel, expected[i].channel)
+                assert est.residual_energy == expected[i].residual_energy
 
     @settings(max_examples=15, deadline=None)
     @given(batches())
@@ -267,17 +266,15 @@ class TestStoppingDepth:
         d, X, noise_var_norms, rule = nonzero_unit_case(case)
         model = trained_model(d, rule, len(X))
         n = model.n_antennas
-        for x, noise_var_norm, trace in zip(X, noise_var_norms, forward_batch(model, X, noise_var_norms)):
+        for x, noise_var_norm, est in zip(X, noise_var_norms, forward_batch(model, X, noise_var_norms)):
             # replay with the kernel's row arithmetic, one layer at a time
             r = x[None].copy()
-            for k, s in enumerate(trace.indices):
+            for k, s in enumerate(est.support):
                 assert not should_stop(rule, row_dot(r, r).real[0] if k else 1.0, k, noise_var_norm, n)
                 col = model.weights.T[[s]]
-                coeff = row_dot(col, r)
-                r -= col * coeff[:, None]
-                assert coeff[0] == trace.coeffs[k]
-            assert should_stop(rule, row_dot(r, r).real[0] if trace.depth else 1.0, trace.depth, noise_var_norm, n)
-            assert np.array_equal(r[0], trace.final_residual)
+                r -= col * row_dot(col, r)[:, None]
+            assert should_stop(rule, row_dot(r, r).real[0] if est.depth else 1.0, est.depth, noise_var_norm, n)
+            assert np.array_equal(x - r[0], est.channel)
 
 
 class TestMemory:
@@ -341,9 +338,9 @@ class TestPartialMinibatch:
         for sample in samples:
             norm = np.linalg.norm(sample.observation)
             x_unit = sample.observation / norm
-            _, trace = forward(model, x_unit, sample.noise_var / float(norm**2))
-            cost += 0.5 * energy(trace.final_residual)
-            dense += backward(model, trace, x_unit)
+            est = forward(model, x_unit, sample.noise_var / float(norm**2))
+            cost += 0.5 * est.residual_energy
+            dense += backward(model, est, x_unit)
 
         applied = []
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=50))
@@ -444,13 +441,13 @@ class TestFusedPass:
             assert rows == [len(samples)]
             trainer.end_minibatch()
             x_unit = samples[0].observation / np.linalg.norm(samples[0].observation)
-            _, trace = forward(trainer.model, x_unit)
+            est = forward(trainer.model, x_unit)
             rows.clear()
-            backward(trainer.model, trace, x_unit)
-            assert trace.depth > 0 and rows == [1]
-            _, trace = forward(trainer.model, x_unit, noise_var_norm=1.0)  # stops before the first layer
+            backward(trainer.model, est, x_unit)
+            assert est.depth > 0 and rows == [1]
+            est = forward(trainer.model, x_unit, noise_var_norm=1.0)  # stops before the first layer
             rows.clear()
-            assert trace.depth == 0 and not np.any(backward(trainer.model, trace, x_unit))
+            assert est.depth == 0 and not np.any(backward(trainer.model, est, x_unit))
             assert rows == []
         assert estimates.channel.shape == (len(samples), 8)
         assert estimates.depth.shape == (len(samples),)

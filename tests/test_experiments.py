@@ -440,6 +440,34 @@ class TestShortReplay:
         assert (tmp_path / "replay" / "curves.csv").read_bytes() == (live / "curves.csv").read_bytes()
 
 
+class TestArtifactSet:
+    """A run's curves, histograms and checkpoints appear together or not at all."""
+
+    def test_failed_last_checkpoint_leaves_no_artifact_or_temp_file(self, tmp_path, monkeypatch):
+        import mpnetlab.experiments as experiments
+
+        original = experiments.save_checkpoint
+
+        def save(path, *args):
+            if path.name == "checkpoint_mpnet_nominal_fixed3.npz":  # the roster's last entry
+                raise OSError("no space left")
+            original(path, *args)
+
+        monkeypatch.setattr(experiments, "save_checkpoint", save)
+        out = tmp_path / "out"
+        cfg = small_config(dump_stream=True, estimators=("ls", "mpnet:nominal:sc2", "mpnet:nominal:fixed3"))
+        with pytest.raises(OSError, match="no space left"):
+            run_learning_experiment(cfg, out)
+        assert list(out.rglob("*")) == []
+
+    def test_failed_move_takes_back_the_moved_files(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "snr_hist.csv").mkdir(parents=True)  # the last file to move in, by name
+        with pytest.raises(OSError):
+            run_learning_experiment(small_config(dump_stream=True), out)
+        assert [p.name for p in out.rglob("*")] == ["snr_hist.csv"]
+
+
 class TestStreamedStreamFile:
     """The stream file is written and read a minibatch at a time."""
 

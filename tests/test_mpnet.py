@@ -51,10 +51,10 @@ class TestForward:
         model.weights /= np.linalg.norm(model.weights, axis=0, keepdims=True)
         model.rule = StoppingRule.sc2()
         x = model.weights[:, 5].copy()
-        h, trace = forward(model, x, 0.0)
-        assert trace.depth == 1
-        assert trace.indices == (5,)
-        assert energy(trace.final_residual) < 1e-20
+        est = forward(model, x, 0.0)
+        assert est.depth == 1
+        assert est.support == (5,)
+        assert est.residual_energy < 1e-20
 
     def test_rejects_non_unit_input(self, rng):
         model = random_model(rng)
@@ -65,17 +65,15 @@ class TestForward:
         model = random_model(rng, n=8, a=16)
         model.rule = StoppingRule.sc2(max_depth=3)
         for _ in range(20):
-            _, trace = forward(model, unit_vector(rng, 8), 0.0)
-            assert trace.depth <= 3
+            assert forward(model, unit_vector(rng, 8), 0.0).depth <= 3
 
     def test_trace_replay_is_deterministic(self, rng):
         model = random_model(rng)
         x = unit_vector(rng, 6)
-        _, t1 = forward(model, x, 0.0)
-        _, t2 = forward(model, x, 0.0)
-        assert t1.indices == t2.indices
-        assert np.array_equal(t1.final_residual, t2.final_residual)
-        assert np.array_equal(t1.coeffs, t2.coeffs)
+        e1, e2 = forward(model, x, 0.0), forward(model, x, 0.0)
+        assert e1.support == e2.support
+        assert np.array_equal(e1.channel, e2.channel)
+        assert e1.residual_energy == e2.residual_energy
 
 
 class TestBackward:
@@ -90,12 +88,10 @@ class TestBackward:
             if selection_margin(model.weights, x, 3) < 200 * step:
                 continue
             checked += 1
-            _, trace = forward(model, x, 0.0)
-            grad = backward(model, trace, x)
+            grad = backward(model, forward(model, x, 0.0), x)
 
             def cost(w):
-                _, tr = forward(MpNetModel(w, model.rule), x, 0.0)
-                return 0.5 * energy(tr.final_residual)
+                return 0.5 * forward(MpNetModel(w, model.rule), x, 0.0).residual_energy
 
             fd = numerical_gradient(cost, model.weights, step)
             rel = np.max(np.abs(fd - grad)) / np.max(np.abs(fd))
@@ -106,27 +102,36 @@ class TestBackward:
         model.rule = StoppingRule.sc2()
         x = unit_vector(rng, 6)
         # huge noise floor stops the network before the first layer
-        _, trace = forward(model, x, noise_var_norm=1.0)
-        assert trace.depth == 0
-        grad = backward(model, trace, x)
+        est = forward(model, x, noise_var_norm=1.0)
+        assert est.depth == 0
+        grad = backward(model, est, x)
         assert np.all(grad == 0.0)
 
     def test_gradient_support_is_trace_support(self, rng):
         model = random_model(rng, n=8, a=20, depth=3)
         x = unit_vector(rng, 8)
-        _, trace = forward(model, x, 0.0)
-        grad = backward(model, trace, x)
-        untouched = np.setdiff1d(np.arange(20), np.asarray(trace.indices))
+        est = forward(model, x, 0.0)
+        grad = backward(model, est, x)
+        untouched = np.setdiff1d(np.arange(20), np.asarray(est.support))
         assert np.all(grad[:, untouched] == 0.0)
-        assert np.all(np.abs(grad[:, list(set(trace.indices))]) > 0.0)
+        assert np.all(np.abs(grad[:, list(set(est.support))]) > 0.0)
 
     def test_stale_trace_rejected(self, rng):
         model = random_model(rng)
         x = unit_vector(rng, 6)
-        _, trace = forward(model, x, 0.0)
+        est = forward(model, x, 0.0)
         model.weights = model.weights + 0.05
         with pytest.raises(ValueError, match="stale"):
-            backward(model, trace, x)
+            backward(model, est, x)
+
+    def test_original_scale_estimate_rejected(self, rng):
+        # estimate() rescales to the observation: its channel is not x_unit's
+        model = random_model(rng)
+        x = 3.0 * unit_vector(rng, 6)
+        est = estimate(model, x)
+        assert est.support == forward(model, x / 3.0, 0.0).support
+        with pytest.raises(ValueError, match="stale"):
+            backward(model, est, x / 3.0)
 
 
 class TestAdam:
@@ -351,7 +356,7 @@ class TestComplexityStructure:
         calls = {"n": 0}
         original = np.ndarray.__matmul__
 
-        _, trace = forward(model, x, 0.0)
+        depth = forward(model, x, 0.0).depth
 
         class Counting(np.ndarray):
             def __matmul__(self, other):
@@ -360,17 +365,17 @@ class TestComplexityStructure:
 
         model.weights = model.weights.view(Counting)
         forward(model, x, 0.0)
-        assert calls["n"] == trace.depth
+        assert calls["n"] == depth
 
     def test_backward_touches_only_support_columns(self, rng):
-        # O(depth * N) structure: every nonzero gradient column is in the trace
+        # O(depth * N) structure: every nonzero gradient column is in the support
         model = random_model(rng, n=8, a=64, depth=3)
         x = unit_vector(rng, 8)
-        _, trace = forward(model, x, 0.0)
-        grad = backward(model, trace, x)
+        est = forward(model, x, 0.0)
+        grad = backward(model, est, x)
         nonzero_cols = np.flatnonzero(np.any(grad != 0.0, axis=0))
-        assert set(nonzero_cols) <= set(trace.indices)
-        assert len(nonzero_cols) <= trace.depth
+        assert set(nonzero_cols) <= set(est.support)
+        assert len(nonzero_cols) <= est.depth
 
 
 class TestAdamStateConfig:

@@ -5,7 +5,10 @@
 Each scenario runs at the given seed into a temporary directory, importing
 the package from this checkout's ``src/``. Learning scenarios other than
 ``smoke`` are cut to 2000 samples; ``fig6_break30`` breaks its antennas at the
-midpoint, dumps the stream and replays it without the oracle entry. Output is
+midpoint, dumps the stream and replays it without the oracle entry, and
+``fig7_aging`` ages its array from sample 1000, every 100 samples, ten times.
+``fig5_varying_snr`` covers the truncated-Gaussian SNR and the fixed-depth
+mpNet entries, ``fig9_upa`` the planar grid and hemisphere directions. Output is
 one ``<sha256>  <scenario>/<file>`` line per artifact, sorted, so a claim that
 two commits write the same bytes is one ``diff`` of their outputs.
 """
@@ -27,14 +30,17 @@ from mpnetlab.config import config_from_mapping  # noqa: E402
 from mpnetlab.experiments import run_learning_experiment, snr_loss_experiment  # noqa: E402
 
 CUT = 2000
-SCENARIOS = ("smoke", "fig2_left", "fig6_break30", "fig1_snr_loss")
+SCENARIOS = ("smoke", "fig2_left", "fig5_varying_snr", "fig6_break30", "fig7_aging", "fig9_upa", "fig1_snr_loss")
 
 
 def _shipped(name: str, seed: int) -> dict:
     data = yaml.safe_load((ROOT / "configs" / f"{name}.yaml").read_text(encoding="utf-8"))
     data["seed"] = seed
-    if name in ("fig2_left", "fig6_break30"):
+    if name not in ("smoke", "fig1_snr_loss"):
         data["total_samples"] = CUT
+    if name == "fig7_aging":
+        (event,) = data["anomalies"]
+        event.update(index=CUT // 2, every=CUT // 20)
     return data
 
 
