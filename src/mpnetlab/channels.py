@@ -240,16 +240,16 @@ def broken_count(fraction: float, n: int) -> int:
 
 
 def break_antennas(array: AntennaArray, fraction: float, rng) -> AntennaArray:
-    """Set a uniformly chosen :func:`broken_count` of the antenna gains to zero."""
+    """Set to zero a uniformly chosen :func:`broken_count` of the antennas
+    whose gain is still nonzero."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
     rng = as_rng(rng)
-    n = array.size
-    count = broken_count(fraction, n)
     gains = array.gains.copy()
+    working = np.flatnonzero(gains != 0)
+    count = broken_count(fraction, len(working))
     if count > 0:
-        broken = rng.choice(n, size=count, replace=False)
-        gains[broken] = 0.0
+        gains[rng.choice(working, size=count, replace=False)] = 0.0
     return AntennaArray(array.positions, gains, geometry=array.geometry)
 
 

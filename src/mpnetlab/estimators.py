@@ -173,14 +173,15 @@ def pursue(
     final residual rows (a view) and its layers, one (live rows as ascending
     tile positions, picked atoms, vectors peeled off, coefficients, residual
     rows before the update) tuple each. Returns the depths (B), the supports
-    (B x K, zero past a row's depth) and the final residuals (B x N).
+    (B x largest depth, zero past a row's depth) and final residuals (B x N).
     """
     n, n_atoms = atoms.shape
     atoms_h, atom_rows = atoms.conj().T, atoms.T
     residuals = np.array(X, dtype=complex)
     input_energies, noise_var_norms = np.asarray(input_energies, dtype=float), np.asarray(noise_var_norms, dtype=float)
     stop_depth = min(rule.depth, rule.cap(n)) if rule.kind == "fixed" else rule.cap(n)  # should_stop's depth test
-    found = []  # (rows, layer index, picks) of every layer of every tile
+    depths = np.zeros(len(residuals), dtype=int)
+    supports = np.zeros((len(residuals), stop_depth), dtype=np.intp)
     for start in range(0, len(residuals), CORR_TILE):
         tile = slice(start, start + CORR_TILE)
         energies = input_energies[tile]
@@ -188,9 +189,8 @@ def pursue(
         limits = np.fmax(sc_threshold(rule, noise_var_norms[tile], n), ZERO_RESIDUAL_FLOOR)
         live = np.flatnonzero((energies > 0.0).astype(float) > limits)
         R = residuals[tile][live]
-        if orthogonal:  # each row's support and an orthonormal basis of it (at most N vectors)
-            support = np.empty((len(energies), min(rule.cap(n), n)), dtype=np.intp)
-            basis = np.empty((*support.shape, n), dtype=complex)
+        if orthogonal:  # an orthonormal basis of each row's support (at most N vectors)
+            basis = np.empty((len(energies), min(rule.cap(n), n), n), dtype=complex)
         layers = []
         while len(live):
             depth = len(layers)
@@ -198,12 +198,13 @@ def pursue(
             if orthogonal:
                 if depth >= n_atoms:
                     raise np.linalg.LinAlgError("every atom is already in the support")
-                corr[support[live, :depth].T, np.arange(len(live))] = -1.0
+                corr[supports[tile][live, :depth].T, np.arange(len(live))] = -1.0
             picks = np.argmax(corr, axis=0)
             cols = atom_rows[picks]
             if orthogonal:
                 cols = _orthonormalize(cols, basis[live, :depth])
-                support[live, depth], basis[live, depth] = picks, cols
+                basis[live, depth] = cols
+            supports[start + live, depth], depths[start + live] = picks, depth + 1
             coeffs = row_dot(cols, R)
             layers.append((live, picks, cols, coeffs, R))
             R = R - cols * coeffs[:, None]
@@ -212,12 +213,7 @@ def pursue(
             live, R = live[~stop], R[~stop]
         if on_tile is not None:
             on_tile(layers, residuals[tile])
-        found += [(start + live, k, picks) for k, (live, picks, *_) in enumerate(layers)]
-    supports = np.zeros((len(residuals), 1 + max((k for _, k, _ in found), default=-1)), dtype=np.intp)
-    depths = np.zeros(len(residuals), dtype=int)
-    for rows, k, picks in found:
-        supports[rows, k], depths[rows] = picks, k + 1
-    return depths, supports, residuals
+    return depths, supports[:, : depths.max(initial=0)], residuals
 
 
 def _orthonormalize(cols: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
@@ -48,7 +48,7 @@ from .channels import load_stream, sample_to_row  # noqa: F401
 from .estimators import BatchEstimate, StoppingRule, pursuit_batch
 # the per-sample entry points stay importable from here: bench/spans.py wraps them by name
 from .estimators import ls_estimate, matching_pursuit, omp  # noqa: F401
-from .fileio import atomic_write_rows, fmt_float, replacing, staged
+from .fileio import atomic_write_rows, fmt_float, staged
 from .metrics import snr_bins
 # not called here (mpnet.score_minibatch scores): bench/spans.py wraps it by name
 from .metrics import rmse  # noqa: F401
@@ -198,12 +198,16 @@ class ExperimentConfig:
         if self.n_atoms < 1:
             raise ValueError("dictionary size must be >= 1")
         taken = self.total_samples // self.training.minibatch_size * self.training.minibatch_size  # whole minibatches only
-        n = self.array.n_antennas
-        for event in self.anomalies:
+        n = working = self.array.n_antennas  # antennas with a nonzero gain
+        for event in sorted(self.anomalies, key=lambda e: e.index):  # the order the stream applies them in
             if event.index >= taken:
                 raise ValueError(f"anomaly at index {event.index} falls beyond the stream")
-            if event.kind == "break" and broken_count(event.fraction, n) == n:
-                raise ValueError(f"break at index {event.index} (fraction {event.fraction}) zeroes all {n} antennas, leaving no channel")
+            if event.kind == "age" and event.gain_std > 0.0:
+                working = n  # aging moves every gain off zero
+            elif event.kind == "break":
+                working -= broken_count(event.fraction, working)
+                if working == 0:
+                    raise ValueError(f"break at index {event.index} (fraction {event.fraction}) zeroes all {n} antennas, leaving no channel")
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError("duplicate estimator roster entries")
         for spec in self.estimators:
@@ -302,8 +306,7 @@ class LearningRun:
             mean_cost = math.nan
             if spec.family == "mpnet":
                 # trainers share no state: each Adam step follows its own forward pass
-                estimates = self.trainers[spec.name].process_batch(batch)
-                mean_cost = self.trainers[spec.name].end_minibatch()
+                estimates, mean_cost = self.trainers[spec.name].step(batch)
             elif spec.family == "ls":
                 estimates = BatchEstimate(X, np.zeros(len(X), dtype=int), np.zeros((len(X), 0), dtype=np.intp), np.zeros(len(X)))
             else:
@@ -358,18 +361,19 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     batch_size = cfg.training.minibatch_size
     run = LearningRun(stream, specs, trainers, dictionaries, cfg.total_samples // batch_size, batch_size)
     out_dir = None if out_dir is None else Path(out_dir)
-    dumping = cfg.dump_stream and out_dir is not None
-
-    # the stream file grows a minibatch at a time and appears when the run ends
-    with (replacing(out_dir / STREAM_FILE) if dumping else nullcontext()) as dump:
-        if dumping:
-            dump.write(stream_header(nominal.size).encode("utf-8"))
-        run.dump = dump
+    with ExitStack() as stack:
+        # every artifact is staged (fileio.staged) and moves in when the run ends; a
+        # dumping run stages from the start, its stream file growing a minibatch at a
+        # time, and any other makes no directory before its last minibatch
+        stage = stack.enter_context(staged(out_dir)) if cfg.dump_stream and out_dir is not None else None
+        if stage is not None:
+            run.dump = stack.enter_context(open(stage / STREAM_FILE, "wb"))
+            run.dump.write(stream_header(nominal.size).encode("utf-8"))
         result = ExperimentResult([run.step() for _ in range(run.n_minibatches)], *snr_bins(run.snr_floors, run.snr_top))
         if out_dir is not None:
-            _write_artifacts(out_dir, specs, trainers, result)
-    if dumping:
-        result.output_files["stream"] = out_dir / STREAM_FILE
+            stage = stage or stack.enter_context(staged(out_dir))
+            _write_artifacts(stage, specs, trainers, result)
+            result.output_files = {path.stem: out_dir / path.name for path in sorted(stage.iterdir())}
     return result
 
 
@@ -385,24 +389,17 @@ def train_online(model: MpNetModel, stream: ChannelStream | ReplayStream, total_
     return [run.step()[trainer.name] for _ in range(run.n_minibatches)]
 
 
-def _write_artifacts(out_dir: Path, specs: Sequence[EstimatorSpec], trainers: dict[str, OnlineTrainer], result: ExperimentResult) -> None:
-    """Write the curves, histograms and checkpoints as one staged set
-    (:func:`fileio.staged`), noting each in ``result.output_files``."""
-    with staged(out_dir) as stage:
-        files = {
-            "curves": _write_curves(stage / CURVES_FILE, specs, result.records),
-            "depth_hist": _write_depth_hist(stage / DEPTH_HIST_FILE, specs, result.depth_counts),
-            "snr_hist": _write_snr_hist(stage / SNR_HIST_FILE, result.snr_edges, result.snr_counts),
-        }
-        for spec in specs:
-            if spec.family == "mpnet":
-                trainer, key = trainers[spec.name], f"checkpoint_{spec.column}"
-                files[key] = stage / f"{key}.npz"
-                save_checkpoint(files[key], trainer.model, trainer.adam)
-    result.output_files.update({key: out_dir / path.name for key, path in files.items()})
+def _write_artifacts(stage: Path, specs: Sequence[EstimatorSpec], trainers: dict[str, OnlineTrainer], result: ExperimentResult) -> None:
+    """Write the curves, histograms and checkpoints into the ``stage`` directory."""
+    _write_curves(stage / CURVES_FILE, specs, result.records)
+    _write_depth_hist(stage / DEPTH_HIST_FILE, specs, result.depth_counts)
+    _write_snr_hist(stage / SNR_HIST_FILE, result.snr_edges, result.snr_counts)
+    for spec in specs:
+        if spec.family == "mpnet":
+            save_checkpoint(stage / f"checkpoint_{spec.column}.npz", trainers[spec.name].model, trainers[spec.name].adam)
 
 
-def _write_curves(path: Path, specs: Sequence[EstimatorSpec], records: Sequence[dict[str, MinibatchRecord]]) -> Path:
+def _write_curves(path: Path, specs: Sequence[EstimatorSpec], records: Sequence[dict[str, MinibatchRecord]]) -> None:
     header = ["minibatch"]
     for spec in specs:
         header += [f"{spec.column}_rmse_db", f"{spec.column}_mean_depth"]
@@ -413,25 +410,22 @@ def _write_curves(path: Path, specs: Sequence[EstimatorSpec], records: Sequence[
             row += [fmt_float(to_db(record[spec.name].mean_rmse)), fmt_float(record[spec.name].mean_depth)]
         rows.append(row)
     atomic_write_rows(path, header, rows)
-    return path
 
 
-def _write_depth_hist(path: Path, specs: Sequence[EstimatorSpec], counts: dict[str, np.ndarray]) -> Path:
+def _write_depth_hist(path: Path, specs: Sequence[EstimatorSpec], counts: dict[str, np.ndarray]) -> None:
     rows = []
     for spec in specs:
         for depth, count in enumerate(counts[spec.name]):
             rows.append([spec.column, str(depth), str(int(count))])
     atomic_write_rows(path, ["estimator", "depth", "count"], rows)
-    return path
 
 
-def _write_snr_hist(path: Path, edges: np.ndarray, counts: np.ndarray) -> Path:
+def _write_snr_hist(path: Path, edges: np.ndarray, counts: np.ndarray) -> None:
     rows = [
         [fmt_float(edges[i]), fmt_float(edges[i + 1]), str(int(counts[i]))]
         for i in range(counts.shape[0])
     ]
     atomic_write_rows(path, ["bin_low_db", "bin_high_db", "count"], rows)
-    return path
 
 
 def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ costs O(depth * N) to assemble, an order cheaper than the forward pass.
 
 The one mpNet pass, ``forward_batch``, runs unit-norm rows through the shared
 pursuit kernel (``estimators.pursue``) and returns a unit-scale
-``BatchEstimate``, as MP and OMP do. The trainer runs a whole minibatch
+``BatchEstimate``, as MP and OMP do. ``OnlineTrainer.step`` runs a minibatch
 through it, a tile at a time: as soon as a tile's layers are done, the reverse
 pass runs on the residual blocks the forward pass kept and folds each
 sample's gradient columns into the minibatch gradient in arrival order.
@@ -20,7 +20,7 @@ arithmetic.
 Training is online and unsupervised: minibatches of noisy observations are
 both the inputs and the targets (the network is a denoising autoencoder), so
 no clean channels are ever needed. The model is single-writer: only the
-training loop mutates the weights; inference on a weight snapshot is pure.
+step's one Adam update mutates the weights; inference on them is pure.
 """
 
 from __future__ import annotations
@@ -279,13 +279,13 @@ def score_minibatch(minibatch: int, truths: np.ndarray, estimates: BatchEstimate
 
 class OnlineTrainer:
     """Drives one model a minibatch at a time from observations and noise
-    variances alone: one batched forward pass, gradient and cost
-    accumulation, and one Adam update per minibatch.
+    variances alone: :meth:`step` runs one batched forward pass, which folds
+    the gradient in, and one Adam update.
 
     Per-sample gradients are summed in arrival order and divided by the
-    number of samples processed, so trajectories are reproducible. Each
-    sample adds only the weight columns in its support. ``name`` labels
-    the errors the trainer raises.
+    number of samples, so trajectories are reproducible. Each sample adds
+    only the weight columns in its support. Between steps the trainer holds
+    only the model and its Adam state; ``name`` labels the errors it raises.
     """
 
     def __init__(self, model: MpNetModel, cfg: TrainConfig = TrainConfig(), name: str = "mpnet"):
@@ -293,42 +293,32 @@ class OnlineTrainer:
         self.name = name
         moments = (2, *model.weights.shape)
         self.adam = AdamState(np.zeros(moments), np.zeros(moments), cfg)
-        self._reset()
 
-    def _reset(self) -> None:
-        self._grad = np.zeros(self.model.weights.T.shape, dtype=complex)  # A x N: a weight column is a row
-        self._cost = 0.0
-        self._count = 0
+    def step(self, batch: SampleBatch) -> tuple[BatchEstimate, float]:
+        """Train on one minibatch: one :func:`forward_batch` of its unit-norm
+        rows (:func:`unit_rows`), folding each tile's gradient into the
+        minibatch's, then one Adam update by the mean gradient. Returns the
+        estimates, rescaled, and the mean unsupervised cost,
+        0.5 * ||final residual||^2 on the unit scale.
 
-    def process_batch(self, batch: SampleBatch) -> BatchEstimate:
-        """Estimate a batch's channels from its observations and noise variances
-        alone: one :func:`forward_batch` of its unit-norm rows (:func:`unit_rows`),
-        folding each tile's gradient into the minibatch's, then rescaled."""
-        norms, X_unit, noise_var_norms = unit_rows(batch.observation, batch.noise_var)
-        unit = forward_batch(self.model, X_unit, noise_var_norms, grad=self._grad)
-        self._count += len(X_unit)
-        for residual_energy in unit.residual_energy.tolist():
-            self._cost += 0.5 * residual_energy
-        return _rescaled(unit, norms)
-
-    def end_minibatch(self) -> float:
-        """Apply the Adam update for the samples processed since the last one
-        and return their mean unsupervised cost, 0.5 * ||final residual||^2
-        on the unit scale.
-
-        Raises ValueError, leaving the weights as they were, when the update
-        makes any weight non-finite.
+        Raises ValueError on an empty batch and, leaving the weights as they
+        were, when the update makes any weight non-finite.
         """
-        count = self._count
-        if count == 0:
-            raise ValueError("no samples processed in this minibatch")
-        weights = adam_step(self.adam, self.model.weights, self._grad.T / count)
+        if len(batch) == 0:
+            raise ValueError("no samples in this minibatch")
+        norms, X_unit, noise_var_norms = unit_rows(batch.observation, batch.noise_var)
+        grad = np.zeros(self.model.weights.T.shape, dtype=complex)  # A x N: a weight column is a row
+        unit = forward_batch(self.model, X_unit, noise_var_norms, grad=grad)
+        cost = 0.0
+        for residual_energy in unit.residual_energy.tolist():
+            cost += 0.5 * residual_energy
+        estimates = _rescaled(unit, norms)
+        del X_unit, unit  # freed before the Adam update makes its own arrays
+        weights = adam_step(self.adam, self.model.weights, grad.T / len(batch))
         if not np.all(np.isfinite(weights.view(float))):
             raise ValueError(f"{self.name}: non-finite weights after the Adam update of minibatch {self.adam.step}")
         self.model.weights = weights
-        mean_cost = self._cost / count
-        self._reset()
-        return mean_cost
+        return estimates, cost / len(batch)
 
 
 def _rule_fields(rule: StoppingRule) -> tuple[str, int, int]:

@@ -149,6 +149,20 @@ class TestBreakAntennas:
         with pytest.raises(ValueError):
             build_dictionary(dead, doa_grid_ula(16))
 
+    def test_unbroken_array_draws_as_a_choice_of_all_antennas(self):
+        out = break_antennas(make_ula(64), 0.3, np.random.default_rng(4))
+        expected = np.random.default_rng(4).choice(64, size=19, replace=False)
+        assert np.array_equal(np.flatnonzero(out.gains == 0.0), np.sort(expected))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_second_break_takes_its_fraction_of_the_working_antennas(self, seed):
+        rng = np.random.default_rng(seed)
+        once = break_antennas(make_ula(16), 0.9, rng)  # 14 broken
+        twice = break_antennas(once, 0.5, rng)  # 1 of the 2 left
+        assert int(np.sum(twice.gains == 0.0)) == 15
+        assert np.all(twice.gains[once.gains == 0.0] == 0.0)
+        assert np.all(break_antennas(once, 0.9, rng).gains == 0.0)  # 2 of the 2 left
+
     def test_positions_unchanged(self, rng):
         arr = make_ula(16)
         out = break_antennas(arr, 0.5, rng)

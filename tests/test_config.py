@@ -330,6 +330,26 @@ class TestOutOfRangeValues:
         cfg = config_from_mapping(minimal_mapping(anomalies=[{"kind": "break", "index": 200, "fraction": 0.96}]))
         assert cfg.anomalies[0].fraction == 0.96
 
+    def test_second_break_of_the_working_antennas_rejected(self):
+        # 14 of 16 antennas, then round(0.9 * 2) = 2 of the 2 left; listed out of
+        # order, as the stream applies them by index
+        breaks = [{"kind": "break", "index": 300, "fraction": 0.9}, {"kind": "break", "index": 200, "fraction": 0.9}]
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(minimal_mapping(anomalies=breaks))
+        assert str(exc.value) == "break at index 300 (fraction 0.9) zeroes all 16 antennas, leaving no channel"
+
+    @pytest.mark.parametrize(
+        "n, events",
+        [
+            (64, [{"kind": "break", "index": 200, "fraction": 0.5}, {"kind": "break", "index": 300, "fraction": 0.5}]),
+            # aging moves every gain off zero before the second break
+            (16, [{"kind": "break", "index": 200, "fraction": 0.9}, {"kind": "age", "index": 250, "gain_std": 0.1}, {"kind": "break", "index": 300, "fraction": 0.9}]),
+        ],
+    )
+    def test_breaks_that_leave_an_antenna_load(self, n, events):
+        cfg = config_from_mapping(minimal_mapping(array={"geometry": "ula", "n": n}, anomalies=events))
+        assert len(cfg.anomalies) == len(events)
+
     def test_huge_integer_for_a_float_key(self):
         with pytest.raises(ConfigError) as exc:
             config_from_mapping(minimal_mapping(array={"geometry": "ula", "n": 16, "spacing": HUGE}))

@@ -71,6 +71,12 @@ def unit_rows(X):
     return np.array([x / np.linalg.norm(x) for x in X])
 
 
+def check_support_record(batch):
+    """Supports as wide as the batch's deepest row, and zero past each row's depth."""
+    assert batch.support.shape == (len(batch), batch.depth.max(initial=0))
+    assert not np.any(batch.support[np.arange(batch.support.shape[1]) >= batch.depth[:, None]])
+
+
 class TestMatchingPursuitBatch:
     @settings(max_examples=30, deadline=None)
     @given(batches())
@@ -78,6 +84,7 @@ class TestMatchingPursuitBatch:
         d, X, noise_vars, rule = case
         batched = pursuit_batch(d, X, rule, noise_vars)
         assert any(est.depth == 0 for est in batched)
+        check_support_record(batched)
         for x, noise_var, est in zip(X, noise_vars, batched):
             single = matching_pursuit(d, x, rule, noise_var)
             assert est.support == single.support
@@ -94,6 +101,7 @@ class TestOmpBatch:
         d, X, noise_vars, rule = case
         batched = pursuit_batch(d, X, rule, noise_vars, orthogonal=True)
         assert any(est.depth == 0 for est in batched)
+        check_support_record(batched)
         for x, noise_var, est in zip(X, noise_vars, batched):
             single = omp(d, x, rule, noise_var)
             assert est.support == single.support
@@ -131,6 +139,7 @@ class TestForwardBatch:
         model = MpNetModel.from_dictionary(d, rule)
         batched = forward_batch(model, X, noise_var_norms)
         assert len(batched) == len(X)
+        check_support_record(batched)
         for x_unit, noise_var_norm, est in zip(X, noise_var_norms, batched):
             single = forward(model, x_unit, noise_var_norm)
             assert est.support == single.support
@@ -164,9 +173,8 @@ class TestMinibatchGradient:
 
         applied = []
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples)))
-        trainer.process_batch(SampleBatch.of(samples))
         with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
-            trainer.end_minibatch()
+            trainer.step(SampleBatch.of(samples))
         assert np.array_equal(applied[0], dense / len(samples))
 
 
@@ -189,9 +197,8 @@ def trained_model(d, rule, seed):
 def minibatch_gradient(model, samples):
     applied = []
     trainer = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples)))
-    trainer.process_batch(SampleBatch.of(samples))
     with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
-        trainer.end_minibatch()
+        trainer.step(SampleBatch.of(samples))
     return applied[0]
 
 
@@ -203,10 +210,11 @@ class TestTrainerBatchRows:
         samples = [ChannelSample(x, x, v, 10.0) for x, v in zip(X, noise_vars) if np.any(x != 0.0)]
         assume(samples)
         model = trained_model(d, rule, len(X))
-        batch = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples))).process_batch(SampleBatch.of(samples))
+        before = MpNetModel(model.weights.copy(), rule)  # the weights the step's forward pass ran on
+        batch, _ = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples))).step(SampleBatch.of(samples))
         assert len(batch) == len(samples)
-        for i, sample in enumerate(samples):  # before end_minibatch: same weights
-            row, single = batch[i], estimate(model, sample.observation, sample.noise_var)
+        for i, sample in enumerate(samples):
+            row, single = batch[i], estimate(before, sample.observation, sample.noise_var)
             assert (row.support, row.depth, row.residual_energy) == (single.support, single.depth, single.residual_energy)
             assert np.array_equal(row.channel, single.channel)
 
@@ -278,26 +286,29 @@ class TestStoppingDepth:
 
 
 class TestMemory:
-    # tracemalloc peak of this process_batch call (N=64, A=512, B=200, depth
-    # 8): 1.7 MB with per-layer residuals held for one tile, 7.7 MB with the
-    # whole minibatch as one tile
+    # tracemalloc peak of this step (N=64, A=512, B=200, depth 8) with the
+    # Adam update left out: 2.73 MB with per-layer residuals held for one
+    # tile, 5.2 MB with the update. The pass with the whole minibatch as one
+    # tile peaked at 7.7 MB.
     PEAK_BOUND_MB = 3.0
 
-    def test_process_batch_peak_is_tile_bounded(self):
+    def test_step_peak_is_tile_bounded(self):
         n, a, b = 64, 512, 200
         rng = np.random.default_rng(7)
         d = make_incoherent_dictionary(n, a, seed=7)
         X = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
         samples = [ChannelSample(x, x, 1e-4 * np.vdot(x, x).real, 10.0) for x in X]
         trainer = OnlineTrainer(trained_model(d, StoppingRule.fixed(8), 7), TrainConfig(minibatch_size=b))
-        trainer.process_batch(SampleBatch.of(samples[:CORR_TILE]))  # warm caches outside the measurement
         batch = SampleBatch.of(samples)
-        tracemalloc.start()
-        try:
-            trainer.process_batch(batch)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # the bound is on the pass; the Adam update adds its own arrays
+        with patch.object(mpnet, "adam_step", lambda state, w, grad: w):
+            trainer.step(SampleBatch.of(samples[:CORR_TILE]))  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                trainer.step(batch)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert peak / 2**20 < self.PEAK_BOUND_MB
 
 
@@ -318,8 +329,9 @@ class TestTrainerWithoutGroundTruth:
             trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.sc2()), TrainConfig(minibatch_size=20))
             costs, channels = [], []
             for start in range(0, len(stream), 20):
-                channels += [est.channel for est in trainer.process_batch(SampleBatch.of(stream[start : start + 20]))]
-                costs.append(trainer.end_minibatch())
+                estimates, cost = trainer.step(SampleBatch.of(stream[start : start + 20]))
+                channels += [est.channel for est in estimates]
+                costs.append(cost)
             runs.append((trainer, costs, channels))
         (a, costs_a, channels_a), (b, costs_b, channels_b) = runs
         assert np.array_equal(a.model.weights, b.model.weights)
@@ -344,10 +356,9 @@ class TestPartialMinibatch:
 
         applied = []
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=50))
-        trainer.process_batch(SampleBatch.of(samples[:4]))
-        trainer.process_batch(SampleBatch.of(samples[4:]))
         with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
-            assert trainer.end_minibatch() == cost / 7
+            _, mean_cost = trainer.step(SampleBatch.of(samples))
+        assert mean_cost == cost / 7
         assert np.array_equal(applied[0], dense / 7)
 
 
@@ -432,14 +443,13 @@ class TestFusedPass:
         samples = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(9)).take(2 * CORR_TILE + 3)
         return OnlineTrainer(trained_model(d, StoppingRule.sc2(), 9), TrainConfig(minibatch_size=len(samples))), samples
 
-    def test_process_batch_replays_nothing(self):
+    def test_step_replays_nothing(self):
         trainer, samples = self._trainer_and_samples()
         rows = []
         original = mpnet.pursue
         with patch.object(mpnet, "pursue", lambda atoms, X, *args, **kwargs: rows.append(len(X)) or original(atoms, X, *args, **kwargs)):
-            estimates = trainer.process_batch(samples)
+            estimates, _ = trainer.step(samples)
             assert rows == [len(samples)]
-            trainer.end_minibatch()
             x_unit = samples[0].observation / np.linalg.norm(samples[0].observation)
             est = forward(trainer.model, x_unit)
             rows.clear()
@@ -460,5 +470,5 @@ class TestFusedPass:
             patch.object(estimators, "should_stop", side_effect=AssertionError("per-layer stop test")),
             patch.object(estimators, "sc_threshold", lambda *args: calls.append(args) or original(*args)),
         ):
-            trainer.process_batch(samples)
+            trainer.step(samples)
         assert len(calls) == 3  # 2 * CORR_TILE + 3 rows make three tiles

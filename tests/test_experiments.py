@@ -467,6 +467,13 @@ class TestArtifactSet:
             run_learning_experiment(small_config(dump_stream=True), out)
         assert [p.name for p in out.rglob("*")] == ["snr_hist.csv"]
 
+    def test_blocked_stream_file_takes_back_every_artifact(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "stream.csv").mkdir(parents=True)  # the stream is staged with the rest
+        with pytest.raises(OSError):
+            run_learning_experiment(small_config(dump_stream=True), out)
+        assert [p.name for p in out.rglob("*")] == ["stream.csv"]
+
 
 class TestStreamedStreamFile:
     """The stream file is written and read a minibatch at a time."""

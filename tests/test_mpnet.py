@@ -284,8 +284,10 @@ class TestTraining:
         d = make_incoherent_dictionary(4, 8)
         trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.fixed(1)))
         dead = ChannelSample(np.ones(4, complex), np.zeros(4, complex), 0.0, 10.0)
-        with pytest.raises(ValueError):
-            trainer.process_batch(SampleBatch.of([dead]))
+        with pytest.raises(ValueError, match="zero observation"):
+            trainer.step(SampleBatch.of([dead]))
+        with pytest.raises(ValueError, match="no samples"):
+            trainer.step(SampleBatch.of([]))
 
 
 class TestCheckpoints:
@@ -294,8 +296,7 @@ class TestCheckpoints:
         model = MpNetModel.from_dictionary(d, StoppingRule.sc1(max_depth=5))
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=4))
         stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
-        trainer.process_batch(stream.take(4))
-        trainer.end_minibatch()
+        trainer.step(stream.take(4))
         path = tmp_path / "model.npz"
         save_checkpoint(path, trainer.model, trainer.adam)
         loaded, adam = load_checkpoint(path)
@@ -305,6 +306,26 @@ class TestCheckpoints:
         assert adam.step == 1
         assert np.array_equal(adam.m, trainer.adam.m)
         assert np.array_equal(adam.v, trainer.adam.v)
+
+    def test_resumed_trainer_steps_as_the_original(self, tmp_path, rng):
+        # at a minibatch boundary a trainer is its weights and Adam state
+        d = make_incoherent_dictionary(8, 16, seed=7)
+        trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.sc2()), TrainConfig(minibatch_size=4, decay_every=2))
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        for _ in range(3):
+            trainer.step(stream.take(4))
+        save_checkpoint(tmp_path / "model.npz", trainer.model, trainer.adam)
+        model, adam = load_checkpoint(tmp_path / "model.npz")
+        resumed = OnlineTrainer(model, adam.cfg)
+        resumed.adam = adam
+        batch = stream.take(4)
+        (estimates, cost), (resumed_estimates, resumed_cost) = trainer.step(batch), resumed.step(batch)
+        assert resumed.adam.step == trainer.adam.step == 4
+        for got, expected in ((resumed.model.weights, trainer.model.weights), (resumed.adam.m, trainer.adam.m), (resumed.adam.v, trainer.adam.v)):
+            assert got.tobytes() == expected.tobytes()
+        for field in ("channel", "depth", "support", "residual_energy"):
+            assert getattr(resumed_estimates, field).tobytes() == getattr(estimates, field).tobytes()
+        assert repr(resumed_cost) == repr(cost)
 
     def test_without_optimizer_state(self, tmp_path, rng):
         model = random_model(rng)
@@ -336,14 +357,12 @@ class TestDivergenceGuard:
         model = MpNetModel.from_dictionary(d, StoppingRule.sc2())
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=4), name="mpnet:nominal:sc2")
         stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
-        trainer.process_batch(stream.take(4))
-        trainer.end_minibatch()
-        trainer.process_batch(stream.take(4))
+        trainer.step(stream.take(4))
         before = model.weights.copy()
         original = mpnet.adam_step
         monkeypatch.setattr(mpnet, "adam_step", lambda state, w, grad: original(state, w, grad * np.nan))
         with pytest.raises(ValueError, match="mpnet:nominal:sc2: non-finite weights .* minibatch 2"):
-            trainer.end_minibatch()
+            trainer.step(stream.take(4))
         assert np.array_equal(model.weights, before)
 
 

@@ -4,9 +4,10 @@
 
 Each scenario runs at the given seed into a temporary directory, importing
 the package from this checkout's ``src/``. Learning scenarios other than
-``smoke`` are cut to 2000 samples; ``fig6_break30`` breaks its antennas at the
-midpoint, dumps the stream and replays it without the oracle entry, and
-``fig7_aging`` ages its array from sample 1000, every 100 samples, ten times.
+``smoke`` are cut to 2000 samples; ``fig6_break30`` and ``fig8_break50`` break
+their antennas at the midpoint, ``fig6_break30`` dumps the stream and replays
+it without the oracle entry, and ``fig7_aging`` ages its array from sample
+1000, every 100 samples, ten times.
 ``fig5_varying_snr`` covers the truncated-Gaussian SNR and the fixed-depth
 mpNet entries, ``fig9_upa`` the planar grid and hemisphere directions. Output is
 one ``<sha256>  <scenario>/<file>`` line per artifact, sorted, so a claim that
@@ -30,7 +31,7 @@ from mpnetlab.config import config_from_mapping  # noqa: E402
 from mpnetlab.experiments import run_learning_experiment, snr_loss_experiment  # noqa: E402
 
 CUT = 2000
-SCENARIOS = ("smoke", "fig2_left", "fig5_varying_snr", "fig6_break30", "fig7_aging", "fig9_upa", "fig1_snr_loss")
+SCENARIOS = ("smoke", "fig2_left", "fig5_varying_snr", "fig6_break30", "fig7_aging", "fig8_break50", "fig9_upa", "fig1_snr_loss")
 
 
 def _shipped(name: str, seed: int) -> dict:
@@ -41,6 +42,9 @@ def _shipped(name: str, seed: int) -> dict:
     if name == "fig7_aging":
         (event,) = data["anomalies"]
         event.update(index=CUT // 2, every=CUT // 20)
+    if name in ("fig6_break30", "fig8_break50"):
+        (event,) = data["anomalies"]
+        event["index"] = CUT // 2
     return data
 
 
@@ -50,8 +54,6 @@ def run_scenario(name: str, seed: int, out: Path) -> None:
     if name == "fig1_snr_loss":
         snr_loss_experiment(config_from_mapping(data), out / name)
     elif name == "fig6_break30":
-        (event,) = data["anomalies"]
-        event["index"] = CUT // 2
         live = out / name / "live"
         stream = run_learning_experiment(config_from_mapping({**data, "stream": {"dump": True}}), live).output_files["stream"]
         replay = {**data, "stream": {"replay": str(stream)}}
