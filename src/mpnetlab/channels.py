@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .arrays import AntennaArray, azimuth_directions, steering_matrix
-from .fileio import fmt_float, replacing
+from .fileio import fmt_float, staged
 from .utils import as_rng, complex_normal, energy, from_db
 
 
@@ -318,6 +319,9 @@ class ChannelStream:
             snr_db = sample_snr(self.cfg.snr, self._rng)
             samples.append(observe(generate_channel(self.cfg, self._array, self._rng), snr_db, self._rng))
             self._index += 1
+        if not samples:  # N comes from the array, as a replay's comes from its header
+            empty = np.zeros((0, self._array.size), dtype=complex)
+            return SampleBatch(empty, empty, np.zeros(0), np.zeros(0))
         return SampleBatch.of(samples)
 
 
@@ -381,7 +385,8 @@ def dump_stream(batch: SampleBatch, path) -> None:
     """Record a batch to CSV for a replay, one row per sample as :func:`stream_rows` writes it."""
     if not len(batch):
         raise ValueError("refusing to dump an empty stream")
-    with replacing(path) as handle:
+    path = Path(path)
+    with staged(path.parent) as stage, open(stage / path.name, "wb") as handle:
         handle.write(stream_header(batch.channel.shape[1]).encode("utf-8"))
         handle.writelines(line.encode("utf-8") for line in stream_rows(0, batch))
 

@@ -153,7 +153,7 @@ def pursue(
     rule: StoppingRule,
     orthogonal: bool = False,
     on_tile: Callable[[list[tuple], np.ndarray], None] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> BatchEstimate:
     """Greedy pursuit of every row of ``X`` (B x N) over the columns of ``atoms``:
     the one kernel behind matching pursuit, OMP and the mpNet forward pass.
 
@@ -172,12 +172,13 @@ def pursue(
     within 1e-12 of a per-sample loop. ``on_tile`` gets each finished tile's
     final residual rows (a view) and its layers, one (live rows as ascending
     tile positions, picked atoms, vectors peeled off, coefficients, residual
-    rows before the update) tuple each. Returns the depths (B), the supports
-    (B x largest depth, zero past a row's depth) and final residuals (B x N).
+    rows before the update) tuple each. Returns the rows' estimates: ``X``
+    minus the final residuals, with supports as wide as the deepest row.
     """
     n, n_atoms = atoms.shape
     atoms_h, atom_rows = atoms.conj().T, atoms.T
-    residuals = np.array(X, dtype=complex)
+    X = np.asarray(X, dtype=complex)
+    residuals = np.array(X)  # a copy, in X's memory order
     input_energies, noise_var_norms = np.asarray(input_energies, dtype=float), np.asarray(noise_var_norms, dtype=float)
     stop_depth = min(rule.depth, rule.cap(n)) if rule.kind == "fixed" else rule.cap(n)  # should_stop's depth test
     depths = np.zeros(len(residuals), dtype=int)
@@ -213,7 +214,7 @@ def pursue(
             live, R = live[~stop], R[~stop]
         if on_tile is not None:
             on_tile(layers, residuals[tile])
-    return depths, supports[:, : depths.max(initial=0)], residuals
+    return BatchEstimate(X - residuals, depths, supports[:, : depths.max(initial=0)], row_energies(residuals))
 
 
 def _orthonormalize(cols: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -235,7 +236,7 @@ def pursuit_batch(
     orthogonal: bool = False,
 ) -> BatchEstimate:
     """Matching pursuit (or OMP with ``orthogonal``) of every row of ``X``
-    (B x N), each under its own noise variance."""
+    (B x N), each under its own noise variance: :func:`pursue`'s record."""
     atoms = dictionary.atoms
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[1] != atoms.shape[0]:
@@ -244,8 +245,7 @@ def pursuit_batch(
     if rule.kind != "fixed" and np.any(energies == 0.0):
         raise ValueError("residual stopping rules are undefined for a zero input")
     noise_var_norms = [v / e if e > 0.0 else 0.0 for v, e in zip(noise_vars, energies.tolist())]
-    depths, supports, residuals = pursue(atoms, X, energies, noise_var_norms, rule, orthogonal)
-    return BatchEstimate(X - residuals, depths, supports, row_energies(residuals))
+    return pursue(atoms, X, energies, noise_var_norms, rule, orthogonal)
 
 
 def matching_pursuit(dictionary: Dictionary, x, rule: StoppingRule, noise_var: float = 0.0) -> Estimate:

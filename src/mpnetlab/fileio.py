@@ -1,5 +1,5 @@
-"""Atomic file outputs: an artifact either appears complete or not at all,
-and a staged set of artifacts all together or none of it."""
+"""Atomic file outputs: every file lands through :func:`staged`, so a set of
+files (a lone file is a set of one) appears complete and all together or not at all."""
 
 from __future__ import annotations
 
@@ -8,36 +8,19 @@ import shutil
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-
-@contextmanager
-def replacing(path) -> Iterator[BinaryIO]:
-    """A binary handle on a temp file beside ``path``, written as the block
-    runs; the file replaces ``path`` when the block ends and is unlinked when
-    it raises."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 @contextmanager
 def staged(out_dir) -> Iterator[Path]:
     """A temp directory inside ``out_dir`` (so that each rename stays on one
     file system) for the block to write a set of files into; when the block
-    ends they all move into ``out_dir``. The directory is removed either way:
-    a block that raises moves nothing in, and a failed move takes back the
-    files moved before it."""
+    ends they all move into ``out_dir``, each replacing any file of its name.
+    The directory is removed either way: a block that raises moves nothing
+    in, and a failed move takes back the files moved before it. Stages nest:
+    one made in another's directory lands its files there, in the outer set."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staged.", suffix=".tmp"))
@@ -55,20 +38,18 @@ def staged(out_dir) -> Iterator[Path]:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def atomic_write_text(path, text: str) -> None:
-    with replacing(path) as handle:
-        handle.write(text.encode("utf-8"))
-
-
 def atomic_write_rows(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """Write a comma-separated table; fields must not contain commas or newlines."""
+    path = Path(path)
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with staged(path.parent) as stage:
+        (stage / path.name).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def atomic_savez(path, **arrays) -> None:
-    with replacing(path) as handle:
+    path = Path(path)
+    with staged(path.parent) as stage, open(stage / path.name, "wb") as handle:
         np.savez(handle, **arrays)
 
 

@@ -7,7 +7,7 @@ column, the exact gradient of the reconstruction cost is column-sparse and
 costs O(depth * N) to assemble, an order cheaper than the forward pass.
 
 The one mpNet pass, ``forward_batch``, runs unit-norm rows through the shared
-pursuit kernel (``estimators.pursue``) and returns a unit-scale
+pursuit kernel (``estimators.pursue``) and passes on the kernel's unit-scale
 ``BatchEstimate``, as MP and OMP do. ``OnlineTrainer.step`` runs a minibatch
 through it, a tile at a time: as soon as a tile's layers are done, the reverse
 pass runs on the residual blocks the forward pass kept and folds each
@@ -20,12 +20,13 @@ arithmetic.
 Training is online and unsupervised: minibatches of noisy observations are
 both the inputs and the targets (the network is a denoising autoencoder), so
 no clean channels are ever needed. The model is single-writer: only the
-step's one Adam update mutates the weights; inference on them is pure.
+step's one Adam update replaces the weights, committed with the new Adam state
+once the weights are checked; inference on them is pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -96,14 +97,13 @@ class MpNetModel:
 def forward_batch(model: MpNetModel, X_unit: np.ndarray, noise_var_norms: Sequence[float], grad: np.ndarray | None = None) -> BatchEstimate:
     """The unfolded pursuit of every unit-norm row of ``X_unit`` (B x N) in one
     kernel call, each under its noise variance over its original input energy;
-    the estimates stay on the unit scale. A ``grad`` (A x N) gets each tile's
+    the kernel's record, on the unit scale. A ``grad`` (A x N) gets each tile's
     gradient columns (:func:`_reverse`) as soon as the tile's layers end."""
     X_unit = np.asarray(X_unit, dtype=complex)
     if np.any(np.abs(np.linalg.norm(X_unit, axis=1) - 1.0) > UNIT_INPUT_TOL):
         raise ValueError("forward expects unit-norm inputs")
     fold = None if grad is None else partial(_reverse, grad)
-    depths, supports, residuals = pursue(model.weights, X_unit, np.ones(len(X_unit)), noise_var_norms, model.rule, on_tile=fold)
-    return BatchEstimate(X_unit - residuals, depths, supports, row_energies(residuals))
+    return pursue(model.weights, X_unit, np.ones(len(X_unit)), noise_var_norms, model.rule, on_tile=fold)
 
 
 def forward(model: MpNetModel, x_unit: np.ndarray, noise_var_norm: float = 0.0) -> Estimate:
@@ -139,18 +139,18 @@ def backward(model: MpNetModel, estimate: Estimate, x_unit: np.ndarray) -> np.nd
     respect to the real and imaginary parts (d/dRe + 1j * d/dIm). Only support
     columns are nonzero. Runs the trainer's pass on the one row,
     ``estimate.depth`` layers deep (no pass at depth 0), and raises when its
-    picks or final residual differ from the estimate's: the weights changed
-    since the forward pass, or the estimate is not on the unit scale.
+    support or channel differ from the estimate's: the weights changed since
+    the forward pass, or the estimate is not on the unit scale.
     """
     x_unit = np.asarray(x_unit, dtype=complex)
     grad = np.zeros(model.weights.T.shape, dtype=complex)  # A x N, as the trainer's
-    picks, final = (), x_unit  # a depth-0 pass leaves its input as it was
+    support, channel = (), np.zeros_like(x_unit)  # a depth-0 pass estimates nothing
     if estimate.depth:
         rule = StoppingRule.fixed(estimate.depth)
-        depths, supports, residuals = pursue(model.weights, x_unit[None], [1.0], [0.0], rule, on_tile=partial(_reverse, grad))
-        picks, final = tuple(supports[0, : depths[0]].tolist()), residuals[0]
-    stale = picks != estimate.support or estimate.channel.shape != x_unit.shape
-    if stale or np.max(np.abs(final - (x_unit - estimate.channel)), initial=0.0) > STALE_TRACE_TOL:
+        rerun = pursue(model.weights, x_unit[None], [1.0], [0.0], rule, on_tile=partial(_reverse, grad))[0]
+        support, channel = rerun.support, rerun.channel
+    stale = support != estimate.support or estimate.channel.shape != x_unit.shape
+    if stale or np.max(np.abs(channel - estimate.channel), initial=0.0) > STALE_TRACE_TOL:
         raise ValueError("stale trace: weights changed since the forward pass")
     return grad.T
 
@@ -183,12 +183,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be {bounds}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamState:
     """Adam moments on the stacked real/imaginary weight representation and the
     number of updates made. The hyperparameters are those of ``cfg``; the
     learning rate starts at ``cfg.base_rate`` and is multiplied by
-    ``cfg.decay`` every ``cfg.decay_every`` updates."""
+    ``cfg.decay`` every ``cfg.decay_every`` updates. An update makes a new
+    state (:func:`adam_step`) and leaves this one as it was."""
 
     m: np.ndarray
     v: np.ndarray
@@ -205,21 +206,19 @@ class AdamState:
         return self.cfg.base_rate * self.cfg.decay ** (self.step // self.cfg.decay_every)
 
 
-def adam_step(state: AdamState, weights: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One Adam update of the complex weights; mutates ``state``, returns new weights."""
+def adam_step(state: AdamState, weights: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, AdamState]:
+    """One Adam update of the complex weights at ``state``'s learning rate:
+    returns the new weights and the next state, and mutates neither input."""
     if grad.shape != weights.shape:
         raise ValueError("gradient and weights must share a shape")
     g = np.stack([grad.real, grad.imag])
-    cfg = state.cfg
-    rate = state.learning_rate
-    state.step += 1
-    t = state.step
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g**2
-    m_hat = state.m / (1.0 - cfg.beta1**t)
-    v_hat = state.v / (1.0 - cfg.beta2**t)
-    stacked = np.stack([weights.real, weights.imag]) - rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-    return stacked[0] + 1j * stacked[1]
+    cfg, t = state.cfg, state.step + 1
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g**2
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    stacked = np.stack([weights.real, weights.imag]) - state.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return stacked[0] + 1j * stacked[1], replace(state, m=m, v=v, step=t)
 
 
 def unit_rows(observations: Sequence[np.ndarray], noise_vars: Sequence[float]):
@@ -301,8 +300,10 @@ class OnlineTrainer:
         estimates, rescaled, and the mean unsupervised cost,
         0.5 * ||final residual||^2 on the unit scale.
 
-        Raises ValueError on an empty batch and, leaving the weights as they
-        were, when the update makes any weight non-finite.
+        The new weights and Adam state are committed together, and only once
+        the weights are checked: on an empty batch, or when the update makes
+        any weight non-finite, it raises ValueError and the trainer keeps the
+        weights and Adam state it had before the minibatch.
         """
         if len(batch) == 0:
             raise ValueError("no samples in this minibatch")
@@ -314,10 +315,10 @@ class OnlineTrainer:
             cost += 0.5 * residual_energy
         estimates = _rescaled(unit, norms)
         del X_unit, unit  # freed before the Adam update makes its own arrays
-        weights = adam_step(self.adam, self.model.weights, grad.T / len(batch))
+        weights, adam = adam_step(self.adam, self.model.weights, grad.T / len(batch))
         if not np.all(np.isfinite(weights.view(float))):
-            raise ValueError(f"{self.name}: non-finite weights after the Adam update of minibatch {self.adam.step}")
-        self.model.weights = weights
+            raise ValueError(f"{self.name}: non-finite weights after the Adam update of minibatch {adam.step}")
+        self.model.weights, self.adam = weights, adam
         return estimates, cost / len(batch)
 
 

@@ -28,6 +28,7 @@ from mpnetlab.channels import (
     stream_rows,
 )
 from mpnetlab.arrays import steering_vector
+from mpnetlab.estimators import StoppingRule, pursuit_batch
 from mpnetlab.utils import energy
 
 
@@ -432,6 +433,18 @@ class TestSampleBatch:
         first, second = replay.take(3), replay.take(5)
         for column in COLUMNS:
             assert np.array_equal(np.concatenate([getattr(first, column), getattr(second, column)]), getattr(batch, column))
+
+    def test_take_zero_gives_empty_columns_as_wide_as_the_array(self, tmp_path, rng):
+        live = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        dump_stream(live.take(3), tmp_path / "stream.csv")
+        for batch in (live.take(0), ReplayStream(tmp_path / "stream.csv").take(0)):
+            assert batch.channel.shape == batch.observation.shape == (0, 8)
+            assert batch.channel.dtype == batch.observation.dtype == complex
+            assert batch.noise_var.shape == batch.snr_db.shape == (0,)
+            assert batch.noise_var.dtype == batch.snr_db.dtype == float
+        empty = live.take(0)
+        estimates = pursuit_batch(build_dictionary(make_ula(8), doa_grid_ula(16)), empty.observation, StoppingRule.sc2(), empty.noise_var)
+        assert len(estimates) == 0 and estimates.channel.shape == (0, 8)
 
     @pytest.mark.parametrize("stream", [ChannelStream, ReplayStream])
     def test_take_is_defined_in_the_class_body(self, stream):

@@ -173,7 +173,7 @@ class TestMinibatchGradient:
 
         applied = []
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples)))
-        with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
+        with patch.object(mpnet, "adam_step", lambda state, w, grad: (applied.append(grad) or w, state)):
             trainer.step(SampleBatch.of(samples))
         assert np.array_equal(applied[0], dense / len(samples))
 
@@ -197,7 +197,7 @@ def trained_model(d, rule, seed):
 def minibatch_gradient(model, samples):
     applied = []
     trainer = OnlineTrainer(model, TrainConfig(minibatch_size=len(samples)))
-    with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
+    with patch.object(mpnet, "adam_step", lambda state, w, grad: (applied.append(grad) or w, state)):
         trainer.step(SampleBatch.of(samples))
     return applied[0]
 
@@ -301,7 +301,7 @@ class TestMemory:
         trainer = OnlineTrainer(trained_model(d, StoppingRule.fixed(8), 7), TrainConfig(minibatch_size=b))
         batch = SampleBatch.of(samples)
         # the bound is on the pass; the Adam update adds its own arrays
-        with patch.object(mpnet, "adam_step", lambda state, w, grad: w):
+        with patch.object(mpnet, "adam_step", lambda state, w, grad: (w, state)):
             trainer.step(SampleBatch.of(samples[:CORR_TILE]))  # warm caches outside the measurement
             tracemalloc.start()
             try:
@@ -356,7 +356,7 @@ class TestPartialMinibatch:
 
         applied = []
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=50))
-        with patch.object(mpnet, "adam_step", lambda state, w, grad: applied.append(grad) or w):
+        with patch.object(mpnet, "adam_step", lambda state, w, grad: (applied.append(grad) or w, state)):
             _, mean_cost = trainer.step(SampleBatch.of(samples))
         assert mean_cost == cost / 7
         assert np.array_equal(applied[0], dense / 7)

@@ -475,6 +475,50 @@ class TestArtifactSet:
         assert [p.name for p in out.rglob("*")] == ["stream.csv"]
 
 
+class TestSingleFile:
+    """A lone file lands through a stage of its own: a write that fails midway
+    leaves the file it would replace as it was, and nothing beside it."""
+
+    def test_failed_dump_leaves_the_old_stream(self, tmp_path, monkeypatch):
+        import mpnetlab.channels as channels
+
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(5))
+        path = tmp_path / "stream.csv"
+        dump_stream(stream.take(4), path)
+        old = path.read_bytes()
+        rows = channels.stream_rows
+
+        def failing(start, batch):  # two rows reach the file, then the write fails
+            yield from list(rows(start, batch))[:2]
+            raise OSError("no space left")
+
+        monkeypatch.setattr(channels, "stream_rows", failing)
+        with pytest.raises(OSError, match="no space left"):
+            dump_stream(stream.take(4), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["stream.csv"]
+
+    def test_failed_checkpoint_leaves_the_old_file(self, tmp_path, monkeypatch):
+        from mpnetlab.mpnet import save_checkpoint
+
+        model = MpNetModel.from_dictionary(build_dictionary(make_ula(8), doa_grid_ula(16)), StoppingRule.sc2())
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model)
+        old = path.read_bytes()
+        savez = np.savez
+
+        def failing(file, **arrays):  # the whole archive reaches the file, then the write fails
+            savez(file, **arrays)
+            raise OSError("no space left")
+
+        monkeypatch.setattr(np, "savez", failing)
+        model.weights = 2.0 * model.weights
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(path, model)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
+
 class TestStreamedStreamFile:
     """The stream file is written and read a minibatch at a time."""
 

@@ -1,3 +1,5 @@
+from copy import deepcopy
+
 import numpy as np
 import pytest
 
@@ -138,7 +140,7 @@ class TestAdam:
     def test_zero_gradient_leaves_weights(self, rng):
         w = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         state = AdamState.for_shape(w.shape)
-        out = adam_step(state, w, np.zeros_like(w))
+        out, _ = adam_step(state, w, np.zeros_like(w))
         assert np.array_equal(out, w)
 
     def test_rate_schedule(self):
@@ -146,10 +148,10 @@ class TestAdam:
         w = np.zeros((2, 2), complex)
         g = np.ones((2, 2), complex)
         for _ in range(200):
-            w = adam_step(state, w, g)
+            w, state = adam_step(state, w, g)
         assert state.learning_rate == pytest.approx(1e-3 * 0.9)
         for _ in range(200):
-            w = adam_step(state, w, g)
+            w, state = adam_step(state, w, g)
         assert state.learning_rate == pytest.approx(1e-3 * 0.81)
 
     def test_constant_gradient_update_magnitude(self):
@@ -159,8 +161,11 @@ class TestAdam:
         g = np.full((1, 1), 0.25 + 0.0j)
         prev = w.copy()
         for _ in range(50):
-            prev = w.copy()
-            w = adam_step(state, w, g)
+            prev, before = w.copy(), state
+            m, v, step = state.m.copy(), state.v.copy(), state.step
+            w, state = adam_step(state, w, g)
+            # the update makes a new state and leaves the one it was given as it was
+            assert np.array_equal(before.m, m) and np.array_equal(before.v, v) and before.step == step
         assert abs(w - prev)[0, 0] == pytest.approx(1e-3, rel=0.01)
 
     def test_shape_mismatch_rejected(self):
@@ -364,6 +369,31 @@ class TestDivergenceGuard:
         with pytest.raises(ValueError, match="mpnet:nominal:sc2: non-finite weights .* minibatch 2"):
             trainer.step(stream.take(4))
         assert np.array_equal(model.weights, before)
+
+    def test_rejected_update_leaves_the_trainer_as_it_was(self, rng, monkeypatch):
+        # a trainer that rejects an update keeps its weights and Adam state, and
+        # steps on from them as a copy taken before the rejected minibatch does
+        d = make_incoherent_dictionary(8, 16, seed=2)
+        trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.sc2()), TrainConfig(minibatch_size=4))
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        trainer.step(stream.take(4))
+        copy = deepcopy(trainer)
+        original = mpnet.adam_step
+        with monkeypatch.context() as patched:
+            patched.setattr(mpnet, "adam_step", lambda state, w, grad: original(state, w, grad * np.nan))
+            with pytest.raises(ValueError, match="non-finite weights .* minibatch 2"):
+                trainer.step(stream.take(4))
+        assert trainer.adam.step == copy.adam.step == 1
+        for got, expected in ((trainer.model.weights, copy.model.weights), (trainer.adam.m, copy.adam.m), (trainer.adam.v, copy.adam.v)):
+            assert got.tobytes() == expected.tobytes()
+        batch = stream.take(4)
+        (estimates, cost), (copy_estimates, copy_cost) = trainer.step(batch), copy.step(batch)
+        assert trainer.adam.step == copy.adam.step == 2
+        for got, expected in ((trainer.model.weights, copy.model.weights), (trainer.adam.m, copy.adam.m), (trainer.adam.v, copy.adam.v)):
+            assert got.tobytes() == expected.tobytes()
+        for field in ("channel", "depth", "support", "residual_energy"):
+            assert getattr(estimates, field).tobytes() == getattr(copy_estimates, field).tobytes()
+        assert repr(cost) == repr(copy_cost)
 
 
 class TestComplexityStructure:
