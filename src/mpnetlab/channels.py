@@ -145,9 +145,7 @@ def sample_snr(model, rng) -> float:
     if isinstance(model, FixedSnr):
         return float(model.value_db)
     if isinstance(model, TruncatedGaussianSnr):
-        if model.std_db == 0.0:
-            if model.mean_db < model.floor_db:
-                raise ValueError("degenerate SNR model below its own floor")
+        if model.std_db == 0.0:  # __post_init__ rejects a mean below the floor
             return float(model.mean_db)
         while True:
             value = rng.normal(model.mean_db, model.std_db)
@@ -162,15 +160,14 @@ class ChannelGenConfig:
 
     Path count is uniform on [paths_min, paths_max]; path gains are complex
     Gaussian with expected powers decaying geometrically by ``gain_decay``;
-    arrival directions are uniform over the grid domain (azimuth half-plane or
-    the y > 0 hemisphere), optionally scattered around a per-channel cluster
-    center.
+    arrival directions are uniform over the y > 0 hemisphere on a UPA and the
+    azimuth half-plane on any other array, optionally scattered around a
+    per-channel cluster center.
     """
 
     paths_min: int = 1
     paths_max: int = 10
     gain_decay: float = 0.7
-    doa_domain: str = "azimuth"
     cluster_std_deg: float | None = None
     snr: FixedSnr | TruncatedGaussianSnr = field(default_factory=FixedSnr)
 
@@ -181,14 +178,12 @@ class ChannelGenConfig:
             raise ValueError("paths_max must be >= paths_min")
         if not 0.0 < self.gain_decay <= 1.0:
             raise ValueError("gain_decay must lie in (0, 1]")
-        if self.doa_domain not in ("azimuth", "hemisphere"):
-            raise ValueError("doa_domain must be 'azimuth' or 'hemisphere'")
         if self.cluster_std_deg is not None and not self.cluster_std_deg >= 0.0:
             raise ValueError("cluster_std_deg must be nonnegative")
 
 
-def _sample_directions(cfg: ChannelGenConfig, count: int, rng: np.random.Generator) -> np.ndarray:
-    if cfg.doa_domain == "azimuth":
+def _sample_directions(cfg: ChannelGenConfig, geometry: str, count: int, rng: np.random.Generator) -> np.ndarray:
+    if geometry != "upa":
         if cfg.cluster_std_deg is None:
             azimuth = rng.uniform(-np.pi / 2.0, np.pi / 2.0, count)
         else:
@@ -209,10 +204,10 @@ def _sample_directions(cfg: ChannelGenConfig, count: int, rng: np.random.Generat
 
 
 def generate_channel(cfg: ChannelGenConfig, true_array: AntennaArray, rng) -> MultipathChannel:
-    """Draw one sparse channel realization on ``true_array``."""
+    """Draw one sparse channel realization on ``true_array``, from directions of its geometry."""
     rng = as_rng(rng)
     n_paths = int(rng.integers(cfg.paths_min, cfg.paths_max + 1))
-    directions = _sample_directions(cfg, n_paths, rng)
+    directions = _sample_directions(cfg, true_array.geometry, n_paths, rng)
     powers = cfg.gain_decay ** np.arange(n_paths)
     gains = complex_normal(rng, n_paths, 1.0) * np.sqrt(powers)
     vector = steering_matrix(true_array, directions) @ gains

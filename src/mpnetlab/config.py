@@ -195,8 +195,6 @@ def _parse_anomalies(entries, taken: int) -> tuple[ArrayEvent, ...]:
 _SNR_LOSS_KEYS = {
     "arrays": ("n_arrays", int),
     "channels_per_array": ("channels_per_array", int),
-    "snr_db": ("snr_db", float),
-    "atoms": ("n_atoms", int),
 }
 
 
@@ -220,7 +218,8 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     array = _parse_array(data.get("array", {"n": 64}))
     dictionary = _require_mapping(data.get("dictionary", {}), "dictionary")
     _check_keys(dictionary, {"atoms"}, "dictionary")
-    n_atoms = _get(dictionary, "atoms", "dictionary", int, default=8 * array.n_antennas)
+    # a sweep's grid must be fine enough that off-grid error does not mask the array mismatch: 32N atoms, not 8N
+    n_atoms = _get(dictionary, "atoms", "dictionary", int, default=(32 if "snr_loss" in data else 8) * array.n_antennas)
     snr = _parse_snr(data["snr"]) if "snr" in data else FixedSnr()
     channel = _parse_channel(data.get("channel"), snr)
     training = _parse_training(data.get("training"))

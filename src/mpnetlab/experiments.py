@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 from typing import BinaryIO, Sequence
@@ -95,35 +95,23 @@ class ArraySpec:
     def doa_grid(self, count: int) -> np.ndarray:
         return doa_grid_ula(count) if self.geometry == "ula" else doa_grid_upa(count)
 
-    @property
-    def doa_domain(self) -> str:
-        return "azimuth" if self.geometry == "ula" else "hemisphere"
-
 
 @dataclass(frozen=True)
 class SnrLossSpec:
-    """Grid sweep of gain/position uncertainty for the model-mismatch experiment."""
+    """Grid sweep of gain/position uncertainty for the model-mismatch experiment, run at the config's ``n_atoms`` and ``channel.snr``."""
 
     pos_stds: tuple[float, ...]
     gain_stds: tuple[float, ...]
     n_arrays: int = 5
     channels_per_array: int = 200
-    snr_db: float = 10.0
-    n_atoms: int | None = None  # defaults to 32 * N
 
     def __post_init__(self) -> None:
         if not self.pos_stds or not self.gain_stds:
             raise ValueError("the sweep needs at least one value per axis")
         if not all(v >= 0 for v in (*self.pos_stds, *self.gain_stds)):
             raise ValueError("uncertainty values must be nonnegative")
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
-        if self.snr_db == -math.inf:
-            raise ValueError("snr_db must not be -inf")
         if self.n_arrays < 1 or self.channels_per_array < 1:
             raise ValueError("trial counts must be >= 1")
-        if self.n_atoms is not None and self.n_atoms < 1:
-            raise ValueError("dictionary size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -217,6 +205,8 @@ class ExperimentConfig:
                 raise ValueError("a learning run needs a nonempty estimator roster")
         elif self.snr_loss is None:
             raise ValueError("config describes neither a learning run nor an SNR-loss sweep")
+        if self.snr_loss is not None and not isinstance(self.channel.snr, FixedSnr):
+            raise ValueError("the SNR-loss sweep needs a fixed SNR (snr.model: fixed)")
 
 
 @dataclass
@@ -263,8 +253,9 @@ class LearningRun:
     mpNet entry's trainer under its name), the MP/OMP dictionaries and the
     minibatch count and size; then how many minibatches it has ``taken``,
     the SNR histogram so far and the oracle dictionary's array. A binary
-    handle set as ``dump`` gets each minibatch's stream rows. A replay too
-    short for the count, or a noiseless live stream, fails when it is built."""
+    handle set as ``dump`` gets each minibatch's stream rows. A run with no
+    whole minibatch, a replay too short for the count, or a noiseless live
+    stream fails when it is built."""
 
     stream: ChannelStream | ReplayStream
     specs: Sequence[EstimatorSpec]
@@ -279,6 +270,8 @@ class LearningRun:
     oracle_array: AntennaArray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
+        if self.n_minibatches < 1:
+            raise ValueError("total_samples is smaller than one minibatch")
         if isinstance(self.stream, ReplayStream):
             needed = self.n_minibatches * self.batch_size
             if self.stream.count < needed:
@@ -323,8 +316,6 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     is used exclusively for the reported rMSE.
     """
     specs = [parse_estimator(s) for s in cfg.estimators]
-    if cfg.total_samples < cfg.training.minibatch_size:
-        raise ValueError("total_samples is smaller than one minibatch")
 
     seed_root = np.random.SeedSequence(cfg.seed)
     perturb_seed, stream_seed, xavier_seed = seed_root.spawn(3)
@@ -338,7 +329,6 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         "ideal": build_dictionary(true_array, directions),
     }
 
-    channel_cfg = replace(cfg.channel, doa_domain=cfg.array.doa_domain)
     if cfg.replay_stream is not None:
         stream = ReplayStream(cfg.replay_stream)
         if stream.n_antennas != nominal.size:
@@ -346,7 +336,7 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         if any(spec.source == "oracle" for spec in specs):
             raise ValueError("oracle estimators need a live stream (not a replay)")
     else:
-        stream = ChannelStream(channel_cfg, true_array, as_rng(stream_seed), cfg.anomalies)
+        stream = ChannelStream(cfg.channel, true_array, as_rng(stream_seed), cfg.anomalies)
 
     xavier_rng = as_rng(xavier_seed)
     trainers: dict[str, OnlineTrainer] = {}
@@ -381,8 +371,8 @@ def train_online(model: MpNetModel, stream: ChannelStream | ReplayStream, total_
     """Train ``model`` on the first ``total_samples`` samples of a stream, one
     Adam update per minibatch of ``cfg.minibatch_size``: a learning run whose
     roster is this one mpNet entry. A trailing partial minibatch is never
-    taken. A replay too short for the rest, or a live stream with no noise,
-    fails before the first step."""
+    taken. Fewer samples than one minibatch, a replay too short for the
+    rest, or a live stream with no noise fails before the first step."""
     trainer = OnlineTrainer(model, cfg)
     spec = EstimatorSpec(trainer.name, "mpnet", "nominal", model.rule)  # the run reads no mpNet entry's source
     run = LearningRun(stream, [spec], {trainer.name: trainer}, {}, total_samples // cfg.minibatch_size, cfg.minibatch_size)
@@ -432,11 +422,12 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
     """Mean estimation-error penalty (dB) of using the assumed dictionary instead
     of the true one, over a grid of gain/position uncertainties.
 
-    Single-path channels with uniformly random azimuth, estimated by one
-    projection step with each dictionary. The same underlying noise draws are
-    reused across grid cells, so the sweep is smooth and the zero-uncertainty
-    cell is exactly 0 dB. Returns (pos_stds, gain_stds, loss_db) with loss_db
-    indexed [pos, gain].
+    Single-path channels with uniformly random azimuth at the fixed SNR
+    ``cfg.channel.snr`` (``inf`` is noiseless), estimated by one projection
+    step with each dictionary of ``cfg.n_atoms`` atoms. The same underlying
+    noise draws are reused across grid cells, so the sweep is smooth and the
+    zero-uncertainty cell is exactly 0 dB. Returns (pos_stds, gain_stds,
+    loss_db) with loss_db indexed [pos, gain].
     """
     spec = cfg.snr_loss
     if spec is None:
@@ -446,8 +437,7 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
 
     nominal = cfg.array.build_nominal()
     n = nominal.size
-    n_atoms = spec.n_atoms if spec.n_atoms is not None else 32 * n
-    directions = doa_grid_ula(n_atoms)
+    directions = doa_grid_ula(cfg.n_atoms)
     dict_nominal = build_dictionary(nominal, directions)
     rule = StoppingRule.fixed(1)
     rng = as_rng(np.random.SeedSequence(cfg.seed))
@@ -455,7 +445,7 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
     pos_stds = np.asarray(spec.pos_stds, dtype=float)
     gain_stds = np.asarray(spec.gain_stds, dtype=float)
     ratios = np.zeros((pos_stds.size, gain_stds.size))
-    snr_lin = from_db(spec.snr_db)
+    snr_lin = from_db(cfg.channel.snr.value_db)
 
     no_noise_var = [0.0] * spec.channels_per_array  # a fixed-depth rule never reads it
     for _ in range(spec.n_arrays):

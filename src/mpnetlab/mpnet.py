@@ -349,8 +349,10 @@ def save_checkpoint(path, model: MpNetModel, adam: AdamState | None = None) -> N
 
 
 def load_checkpoint(path) -> tuple[MpNetModel, AdamState | None]:
-    """Read a checkpoint back. The Adam hyperparameters are range-checked as a
-    TrainConfig; ``minibatch_size`` is not stored and keeps its default."""
+    """Read a checkpoint back. The Adam moments must be finite (the second
+    one nonnegative) and the step count nonnegative; the hyperparameters are
+    range-checked as a TrainConfig; ``minibatch_size`` is not stored and
+    keeps its default."""
     with np.load(path) as data:
         version = int(data["format_version"])
         if version != CHECKPOINT_VERSION:
@@ -367,13 +369,21 @@ def load_checkpoint(path) -> tuple[MpNetModel, AdamState | None]:
         adam = None
         if "adam_m" in data:
             expected = (2, *weights.shape)
-            for key in ("adam_m", "adam_v"):
-                if data[key].shape != expected:
-                    raise ValueError(f"checkpoint {key} has shape {data[key].shape}, expected {expected} for the stored weights")
+            moments = {key: data[key] for key in ("adam_m", "adam_v")}
+            for key, value in moments.items():
+                if value.shape != expected:
+                    raise ValueError(f"checkpoint {key} has shape {value.shape}, expected {expected} for the stored weights")
+                if not np.all(np.isfinite(value)):
+                    raise ValueError(f"checkpoint {key} holds non-finite values")
+            if np.any(moments["adam_v"] < 0.0):
+                raise ValueError("checkpoint adam_v holds negative values (a second moment is >= 0)")
+            step = int(data["adam_step"])
+            if step < 0:
+                raise ValueError(f"checkpoint adam_step is {step}, expected >= 0")
             fields = {name: data[f"adam_{name}"].item() for name in _ADAM_FIELDS}
             try:
                 cfg = TrainConfig(**fields)
             except ValueError as exc:  # TrainConfig names the field first
                 raise ValueError(f"checkpoint adam_{exc}") from None
-            adam = AdamState(data["adam_m"], data["adam_v"], cfg, int(data["adam_step"]))
+            adam = AdamState(moments["adam_m"], moments["adam_v"], cfg, step)
     return model, adam

@@ -88,11 +88,11 @@ def ref_snr_loss(cfg) -> np.ndarray:
     spec = cfg.snr_loss
     nominal = cfg.array.build_nominal()
     n = nominal.size
-    directions = doa_grid_ula(spec.n_atoms if spec.n_atoms is not None else 32 * n)
+    directions = doa_grid_ula(cfg.n_atoms)
     dict_nominal = build_dictionary(nominal, directions)
     rule = StoppingRule.fixed(1)
     rng = as_rng(np.random.SeedSequence(cfg.seed))
-    snr_lin = from_db(spec.snr_db)
+    snr_lin = from_db(cfg.channel.snr.value_db)
     ratios = np.zeros((len(spec.pos_stds), len(spec.gain_stds)))
     for _ in range(spec.n_arrays):
         gain_noise = complex_normal(rng, n, 1.0)

@@ -70,8 +70,6 @@ def test_criterion_01_snr_loss_reproduction():
             gain_stds=(0.0, 0.09),
             n_arrays=5,
             channels_per_array=200,
-            snr_db=10.0,
-            n_atoms=2048,
         ),
     )
     start = time.monotonic()

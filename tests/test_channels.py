@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula, perturb_array
+from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula, make_upa, perturb_array
 from mpnetlab.channels import (
     ArrayEvent,
     ChannelGenConfig,
@@ -62,11 +62,21 @@ class TestGenerateChannel:
             ChannelGenConfig(paths_min=0)
 
     def test_clustered_directions_stay_in_domain(self, rng):
-        cfg = ChannelGenConfig(paths_min=5, paths_max=5, cluster_std_deg=3.0, doa_domain="hemisphere")
-        ch = generate_channel(cfg, make_ula(8), rng)
+        cfg = ChannelGenConfig(paths_min=5, paths_max=5, cluster_std_deg=3.0)
+        ch = generate_channel(cfg, make_upa(4, 2), rng)
         assert np.all(ch.directions[:, 1] >= 0.0)
         spread = ch.directions.std(axis=0).max()
         assert spread < 0.3  # tight cluster
+
+    @pytest.mark.parametrize("cfg", [ChannelGenConfig(), ChannelGenConfig(cluster_std_deg=3.0)], ids=["default", "clustered"])
+    def test_directions_follow_the_array_geometry(self, rng, cfg):
+        # a UPA draws from the y > 0 hemisphere, off the z = 0 plane; a ULA stays on it
+        planar = np.concatenate([generate_channel(cfg, make_upa(4, 4), rng).directions for _ in range(20)])
+        assert np.all(planar[:, 1] >= 0.0)
+        assert np.mean(np.abs(planar[:, 2]) > 1e-3) > 0.5
+        linear = np.concatenate([generate_channel(cfg, make_ula(8), rng).directions for _ in range(20)])
+        assert np.all(linear[:, 2] == 0.0)
+        assert np.all(linear[:, 1] >= 0.0)
 
 
 class TestObserve:

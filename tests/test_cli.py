@@ -107,12 +107,12 @@ class TestRuns:
             """
 seed: 2
 array: {geometry: ula, n: 16}
+dictionary: {atoms: 256}
 snr_loss:
   pos_stds: [0.0, 0.03]
   gain_stds: [0.0, 0.09]
   arrays: 2
   channels_per_array: 30
-  atoms: 256
 """,
         )
         out = tmp_path / "loss"

@@ -221,8 +221,9 @@ class TestSectionTypeErrors:
         [
             ("arrays", "five", "'snr_loss.arrays' must be an integer"),
             ("channels_per_array", 2.0, "'snr_loss.channels_per_array' must be an integer"),
-            ("snr_db", None, "'snr_loss.snr_db' must be a number"),
-            ("atoms", "many", "'snr_loss.atoms' must be an integer"),
+            # the sweep's dictionary size and SNR are dictionary.atoms and snr
+            ("atoms", 256, "unknown key 'snr_loss.atoms'"),
+            ("snr_db", 10.0, "unknown key 'snr_loss.snr_db'"),
         ],
     )
     def test_snr_loss_message_is_exact(self, key, value, message):
@@ -230,6 +231,11 @@ class TestSectionTypeErrors:
         with pytest.raises(ConfigError) as exc:
             config_from_mapping(data)
         assert str(exc.value) == message
+
+    def test_sweep_needs_a_fixed_snr(self):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(_sweep(snr={"model": "truncated_gaussian"}))
+        assert str(exc.value) == "the SNR-loss sweep needs a fixed SNR (snr.model: fixed)"
 
 
 class TestDefaultsFromDataclasses:
@@ -248,6 +254,13 @@ class TestDefaultsFromDataclasses:
     def test_snr_loss_defaults(self):
         data = {"seed": 1, "array": {"n": 16}, "snr_loss": {"pos_stds": [0.0], "gain_stds": [0.1]}}
         assert config_from_mapping(data).snr_loss == SnrLossSpec((0.0,), (0.1,))
+
+    def test_dictionary_size_default_follows_the_experiment(self):
+        # 32 atoms per antenna for a sweep, 8 for a learning run
+        assert config_from_mapping(_sweep()).n_atoms == 32 * 16
+        learning = minimal_mapping()
+        del learning["dictionary"]
+        assert config_from_mapping(learning).n_atoms == 8 * 16
 
 
 class TestAnomalyScheduleBound:
@@ -295,8 +308,13 @@ class TestAnomalyScheduleBound:
 HUGE = 10**400  # 401 digits: past the float range
 
 
+def _sweep(**overrides):
+    """A sweep config with the top-level keys of ``overrides``."""
+    return {"seed": 1, "array": {"n": 16}, "snr_loss": {"pos_stds": [0.0], "gain_stds": [0.0]}, **overrides}
+
+
 def _snr_loss_with(key, value):
-    data = {"seed": 1, "array": {"n": 16}, "snr_loss": {"pos_stds": [0.0], "gain_stds": [0.0]}}
+    data = _sweep()
     data["snr_loss"][key] = value
     return data
 
@@ -379,7 +397,6 @@ class TestOutOfRangeValues:
             (minimal_mapping(snr={"model": "truncated_gaussian", "floor_db": math.nan}), "snr: SNR floor leaves a negligible acceptance probability"),
             (_snr_loss_with("pos_stds", [0.0, math.nan]), "snr_loss: uncertainty values must be nonnegative"),
             (_snr_loss_with("gain_stds", [math.nan]), "snr_loss: uncertainty values must be nonnegative"),
-            (_snr_loss_with("snr_db", math.nan), "snr_loss: snr_db must not be NaN"),
         ],
         ids=[
             "array.spacing",
@@ -392,7 +409,6 @@ class TestOutOfRangeValues:
             "snr.floor_db",
             "snr_loss.pos_stds",
             "snr_loss.gain_stds",
-            "snr_loss.snr_db",
         ],
     )
     def test_nan_fails_its_range_check(self, data, message):
@@ -410,9 +426,8 @@ class TestOutOfRangeValues:
         "data, message",
         [
             (minimal_mapping(snr={"model": "fixed", "value_db": -math.inf}), "snr: value_db must not be -inf"),
-            (_snr_loss_with("snr_db", -math.inf), "snr_loss: snr_db must not be -inf"),
         ],
-        ids=["snr.value_db", "snr_loss.snr_db"],
+        ids=["snr.value_db"],
     )
     def test_minus_infinite_snr_fails_at_load(self, data, message):
         with pytest.raises(ConfigError) as exc:
@@ -420,13 +435,13 @@ class TestOutOfRangeValues:
         assert str(exc.value) == message
 
     def test_infinite_snr_loss_snr_stays_valid(self):
-        assert config_from_mapping(_snr_loss_with("snr_db", math.inf)).snr_loss.snr_db == math.inf
+        assert config_from_mapping(_sweep(snr={"model": "fixed", "value_db": math.inf})).channel.snr == FixedSnr(math.inf)
 
     @pytest.mark.parametrize("atoms", [0, -3])
     def test_snr_loss_atom_count_below_one(self, atoms):
         with pytest.raises(ConfigError) as exc:
-            config_from_mapping(_snr_loss_with("atoms", atoms))
-        assert str(exc.value) == "snr_loss: dictionary size must be >= 1"
+            config_from_mapping(_sweep(dictionary={"atoms": atoms}))
+        assert str(exc.value) == "dictionary size must be >= 1"
 
     # numpy seeds and sample counts are nonnegative: a negative one used to load,
     # and a run then failed with numpy's own message after making its output directory
@@ -434,8 +449,8 @@ class TestOutOfRangeValues:
         "data, message",
         [
             (minimal_mapping(seed=-1), "seed must be >= 0"),
-            ({**_snr_loss_with("atoms", 64), "seed": -1}, "seed must be >= 0"),
-            ({**_snr_loss_with("atoms", 64), "total_samples": -5}, "total_samples must be >= 0"),
+            (_sweep(dictionary={"atoms": 64}, seed=-1), "seed must be >= 0"),
+            (_sweep(dictionary={"atoms": 64}, total_samples=-5), "total_samples must be >= 0"),
             # the anomaly bound used to read the negative length and name the event instead
             (minimal_mapping(total_samples=-5, anomalies=[{"kind": "break", "index": 3, "fraction": 0.3}]), "total_samples must be >= 0"),
         ],

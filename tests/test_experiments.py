@@ -258,16 +258,14 @@ class TestSnrLossExperiment:
         return ExperimentConfig(
             seed=3,
             array=ArraySpec(shape=(n,)),
-            n_atoms=64,
-            channel=ChannelGenConfig(),
+            n_atoms=atoms if atoms is not None else 32 * n,
+            channel=ChannelGenConfig(snr=FixedSnr(snr_db)),
             training=TrainConfig(),
             snr_loss=SnrLossSpec(
                 pos_stds=tuple(pos),
                 gain_stds=tuple(gain),
                 n_arrays=arrays,
                 channels_per_array=channels,
-                snr_db=snr_db,
-                n_atoms=atoms,
             ),
         )
 
@@ -428,6 +426,21 @@ class TestShortReplay:
             train_online(model, ReplayStream(stream), 400, TrainConfig(minibatch_size=100))
         assert str(exc.value) == f"replay file {stream} holds 250 samples; the run needs 400 (4 minibatches of 100)"
         assert np.array_equal(model.weights, weights)
+
+    def test_train_online_without_a_whole_minibatch_fails_as_a_run_does(self, monkeypatch):
+        import mpnetlab.experiments as experiments
+
+        monkeypatch.setattr(experiments, "score_minibatch", lambda *args: pytest.fail("a minibatch ran"))
+        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(16), np.random.default_rng(5))
+        model = MpNetModel.from_dictionary(build_dictionary(make_ula(16), doa_grid_ula(64)), StoppingRule.sc2())
+        weights = model.weights.copy()
+        with pytest.raises(ValueError) as exc:
+            train_online(model, stream, 30, TrainConfig(minibatch_size=50))
+        assert str(exc.value) == "total_samples is smaller than one minibatch"
+        assert np.array_equal(model.weights, weights)
+        with pytest.raises(ValueError) as exc:
+            run_learning_experiment(small_config(total_samples=30))
+        assert str(exc.value) == "total_samples is smaller than one minibatch"
 
     def test_trailing_partial_minibatch_is_not_needed(self, tmp_path):
         from dataclasses import replace

@@ -355,6 +355,33 @@ class TestCheckpointValidation:
             load_checkpoint(tmp_path / "edited.npz")
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("adam_step", lambda step: np.array(-400)),
+            ("adam_m", lambda m: np.where(np.arange(m.size).reshape(m.shape) == 3, np.nan, m)),
+            ("adam_m", lambda m: np.full_like(m, np.inf)),
+            ("adam_v", lambda v: np.where(np.arange(v.size).reshape(v.shape) == 5, np.nan, v)),
+            ("adam_v", lambda v: np.full_like(v, -np.inf)),
+            ("adam_v", lambda v: v - 2.0 * v.max()),
+        ],
+        ids=["negative_step", "nan_m", "inf_m", "nan_v", "minus_inf_v", "negative_v"],
+    )
+    def test_corrupt_adam_state_rejected(self, tmp_path, rng, key, edit):
+        d = make_incoherent_dictionary(8, 16, seed=7)
+        trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.sc2()), TrainConfig(minibatch_size=4))
+        trainer.step(ChannelStream(ChannelGenConfig(), make_ula(8), rng).take(4))
+        save_checkpoint(tmp_path / "model.npz", trainer.model, trainer.adam)
+        with np.load(tmp_path / "model.npz") as data:
+            payload = dict(data)
+        np.savez(tmp_path / "unedited.npz", **payload)
+        assert load_checkpoint(tmp_path / "unedited.npz")[1].step == 1
+        payload[key] = edit(payload[key])
+        np.savez(tmp_path / "edited.npz", **payload)
+        with pytest.raises(ValueError, match=f"^checkpoint {key} ") as exc:
+            load_checkpoint(tmp_path / "edited.npz")
+        assert "\n" not in str(exc.value)
+
 
 class TestDivergenceGuard:
     def test_nan_gradient_raises_and_keeps_weights(self, rng, monkeypatch):

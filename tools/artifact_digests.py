@@ -18,7 +18,9 @@ two commits write the same bytes is one ``diff`` of their outputs.
 REF with ``git archive``, runs the same scenarios (with this checkout's
 configs) on that package in a child process and on this checkout here, and
 prints a unified diff of the two outputs. It exits 1 on any difference and
-otherwise reports how many lines are identical.
+otherwise reports how many lines are identical. When REF's artifacts cannot
+be made (git does not know REF, or REF's package fails a scenario), it prints
+the failing command's standard error and exits 2 naming REF.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import difflib
 import hashlib
 import io
+import shlex
 import subprocess
 import sys
 import tarfile
@@ -111,7 +114,13 @@ def main(argv=None) -> int:
         for line in digest_lines(names, args.seed):
             print(line)
         return 0
-    theirs = digest_lines_at(args.against, names, args.seed)
+    try:
+        theirs = digest_lines_at(args.against, names, args.seed)
+    except subprocess.CalledProcessError as exc:
+        stderr = exc.stderr.decode(errors="replace") if isinstance(exc.stderr, bytes) else exc.stderr
+        sys.stderr.write(stderr)
+        print(f"cannot make the artifacts of {args.against}: {shlex.join(exc.cmd)} exited {exc.returncode}", file=sys.stderr)
+        return 2
     ours = digest_lines(names, args.seed)
     diff = list(difflib.unified_diff(theirs, ours, args.against, "this checkout", lineterm=""))
     for line in diff:
