@@ -15,7 +15,6 @@ from .arrays import (
 )
 from .channels import (
     ArrayEvent,
-    ChannelGenConfig,
     ChannelSample,
     ChannelStream,
     FixedSnr,

@@ -2,17 +2,20 @@
 
 Ground-truth channels are built from unnormalized steering vectors of the true
 array (that is the physics); the dictionaries used by estimators are a separate,
-normalized object. Stream production is sequential: the sample order is part of
-the contract and every randomized operation is a pure function of its inputs
-and the generator state. A stream's ``take`` gives one columnar
-:class:`SampleBatch`, drawn live (:class:`ChannelStream`) or parsed from a
-stream dump (:class:`ReplayStream`).
+normalized object. Every channel comes from one fixed multipath model (the
+``PATHS_MIN``, ``PATHS_MAX`` and ``GAIN_DECAY`` constants, directions drawn
+by the array's geometry); what a live stream configures is its SNR model.
+Stream production is sequential: the sample order is part of the contract
+and every randomized operation is a pure function of its inputs and the
+generator state. A stream's ``take`` gives one columnar :class:`SampleBatch`,
+drawn live (:class:`ChannelStream`) or parsed from a stream dump
+(:class:`ReplayStream`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -154,61 +157,29 @@ def sample_snr(model, rng) -> float:
     raise TypeError(f"unknown SNR model: {model!r}")
 
 
-@dataclass(frozen=True)
-class ChannelGenConfig:
-    """Configurable sparse-multipath generator.
-
-    Path count is uniform on [paths_min, paths_max]; path gains are complex
-    Gaussian with expected powers decaying geometrically by ``gain_decay``;
-    arrival directions are uniform over the y > 0 hemisphere on a UPA and the
-    azimuth half-plane on any other array, optionally scattered around a
-    per-channel cluster center.
-    """
-
-    paths_min: int = 1
-    paths_max: int = 10
-    gain_decay: float = 0.7
-    cluster_std_deg: float | None = None
-    snr: FixedSnr | TruncatedGaussianSnr = field(default_factory=FixedSnr)
-
-    def __post_init__(self) -> None:
-        if self.paths_min < 1:
-            raise ValueError("paths_min must be >= 1 (a channel cannot have zero paths)")
-        if self.paths_max < self.paths_min:
-            raise ValueError("paths_max must be >= paths_min")
-        if not 0.0 < self.gain_decay <= 1.0:
-            raise ValueError("gain_decay must lie in (0, 1]")
-        if self.cluster_std_deg is not None and not self.cluster_std_deg >= 0.0:
-            raise ValueError("cluster_std_deg must be nonnegative")
+# the one multipath model every live stream draws from: a path count uniform
+# on [PATHS_MIN, PATHS_MAX], complex Gaussian path gains whose expected powers
+# decay geometrically by GAIN_DECAY
+PATHS_MIN, PATHS_MAX = 1, 10
+GAIN_DECAY = 0.7
 
 
-def _sample_directions(cfg: ChannelGenConfig, geometry: str, count: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_directions(geometry: str, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform arrival directions: over the y > 0 hemisphere on a UPA, the azimuth half-plane on any other array."""
     if geometry != "upa":
-        if cfg.cluster_std_deg is None:
-            azimuth = rng.uniform(-np.pi / 2.0, np.pi / 2.0, count)
-        else:
-            center = rng.uniform(-np.pi / 2.0, np.pi / 2.0)
-            spread = np.deg2rad(cfg.cluster_std_deg)
-            azimuth = np.clip(center + rng.normal(0.0, spread, count), -np.pi / 2.0, np.pi / 2.0)
-        return azimuth_directions(azimuth)
-    if cfg.cluster_std_deg is None:
-        dirs = rng.standard_normal((count, 3))
-    else:
-        center = rng.standard_normal(3)
-        center /= np.linalg.norm(center)
-        spread = np.deg2rad(cfg.cluster_std_deg)
-        dirs = center[None, :] + spread * rng.standard_normal((count, 3))
+        return azimuth_directions(rng.uniform(-np.pi / 2.0, np.pi / 2.0, count))
+    dirs = rng.standard_normal((count, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs[:, 1] = np.abs(dirs[:, 1])
     return dirs
 
 
-def generate_channel(cfg: ChannelGenConfig, true_array: AntennaArray, rng) -> MultipathChannel:
+def generate_channel(true_array: AntennaArray, rng) -> MultipathChannel:
     """Draw one sparse channel realization on ``true_array``, from directions of its geometry."""
     rng = as_rng(rng)
-    n_paths = int(rng.integers(cfg.paths_min, cfg.paths_max + 1))
-    directions = _sample_directions(cfg, true_array.geometry, n_paths, rng)
-    powers = cfg.gain_decay ** np.arange(n_paths)
+    n_paths = int(rng.integers(PATHS_MIN, PATHS_MAX + 1))
+    directions = _sample_directions(true_array.geometry, n_paths, rng)
+    powers = GAIN_DECAY ** np.arange(n_paths)
     gains = complex_normal(rng, n_paths, 1.0) * np.sqrt(powers)
     vector = steering_matrix(true_array, directions) @ gains
     return MultipathChannel(gains, directions, vector)
@@ -289,10 +260,10 @@ class ChannelStream:
     :meth:`take`; each ``take`` continues where the last one stopped.
     Scheduled :class:`ArrayEvent` entries swap the true array mid-stream at
     their declared sample indices. The samples are a pure function of the
-    configuration (``cfg``), the base array, the events, and the generator seed."""
+    SNR model (``snr``), the base array, the events, and the generator seed."""
 
-    def __init__(self, cfg: ChannelGenConfig, true_array: AntennaArray, rng, events: Sequence[ArrayEvent] = ()):
-        self.cfg = cfg
+    def __init__(self, snr: FixedSnr | TruncatedGaussianSnr, true_array: AntennaArray, rng, events: Sequence[ArrayEvent] = ()):
+        self.snr = snr
         self._array = true_array
         self._rng = as_rng(rng)
         self._events = sorted(events, key=lambda e: e.index)
@@ -311,8 +282,8 @@ class ChannelStream:
             while self._event_pos < len(self._events) and self._events[self._event_pos].index <= self._index:
                 self._array = self._events[self._event_pos].apply(self._array, self._rng)
                 self._event_pos += 1
-            snr_db = sample_snr(self.cfg.snr, self._rng)
-            samples.append(observe(generate_channel(self.cfg, self._array, self._rng), snr_db, self._rng))
+            snr_db = sample_snr(self.snr, self._rng)
+            samples.append(observe(generate_channel(self._array, self._rng), snr_db, self._rng))
             self._index += 1
         if not samples:  # N comes from the array, as a replay's comes from its header
             empty = np.zeros((0, self._array.size), dtype=complex)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import yaml
 
-from .channels import ArrayEvent, ChannelGenConfig, FixedSnr, TruncatedGaussianSnr
+from .channels import ArrayEvent, FixedSnr, TruncatedGaussianSnr
 from .experiments import ArraySpec, ExperimentConfig, SnrLossSpec
 from .mpnet import TrainConfig
 
@@ -24,7 +24,6 @@ _TOP_KEYS = {
     "output_dir",
     "array",
     "dictionary",
-    "channel",
     "snr",
     "training",
     "estimators",
@@ -89,7 +88,7 @@ def _build(cls, prefix: str, **fields):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-_ARRAY_KEYS = {"spacing": ("spacing", float), "gain_std": ("gain_std", float), "pos_std": ("pos_std", float)}
+_ARRAY_KEYS = {"gain_std": ("gain_std", float), "pos_std": ("pos_std", float)}
 
 
 def _parse_array(data: dict) -> ArraySpec:
@@ -122,18 +121,6 @@ def _parse_snr(data) -> FixedSnr | TruncatedGaussianSnr:
         raise ConfigError("'snr.model' must be 'fixed' or 'truncated_gaussian'")
     _check_keys(data, {"model", *_TRUNCATED_GAUSSIAN_KEYS}, "snr")
     return _build(TruncatedGaussianSnr, "snr: ", **_fields(data, _TRUNCATED_GAUSSIAN_KEYS, "snr"))
-
-
-_CHANNEL_KEYS = {"paths_min": ("paths_min", int), "paths_max": ("paths_max", int), "gain_decay": ("gain_decay", float)}
-
-
-def _parse_channel(data, snr) -> ChannelGenConfig:
-    data = _require_mapping(data, "channel") if data is not None else {}
-    _check_keys(data, {*_CHANNEL_KEYS, "cluster_std_deg"}, "channel")
-    fields = _fields(data, _CHANNEL_KEYS, "channel")
-    if data.get("cluster_std_deg") is not None:  # null means no clustering
-        fields["cluster_std_deg"] = _get(data, "cluster_std_deg", "channel", float)
-    return _build(ChannelGenConfig, "channel: ", snr=snr, **fields)
 
 
 _TRAINING_KEYS = {
@@ -221,7 +208,6 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     # a sweep's grid must be fine enough that off-grid error does not mask the array mismatch: 32N atoms, not 8N
     n_atoms = _get(dictionary, "atoms", "dictionary", int, default=(32 if "snr_loss" in data else 8) * array.n_antennas)
     snr = _parse_snr(data["snr"]) if "snr" in data else FixedSnr()
-    channel = _parse_channel(data.get("channel"), snr)
     training = _parse_training(data.get("training"))
     total_samples = _get(data, "total_samples", "", int, default=0)
 
@@ -249,7 +235,7 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
         seed=seed,
         array=array,
         n_atoms=n_atoms,
-        channel=channel,
+        snr=snr,
         training=training,
         estimators=tuple(estimators),
         total_samples=total_samples,

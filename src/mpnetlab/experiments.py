@@ -35,10 +35,10 @@ from .arrays import (
 from .arrays import steering_vector  # noqa: F401
 from .channels import (
     ArrayEvent,
-    ChannelGenConfig,
     ChannelStream,
     FixedSnr,
     ReplayStream,
+    TruncatedGaussianSnr,
     broken_count,
     stream_header,
     stream_rows,
@@ -67,15 +67,12 @@ class ArraySpec:
     """Base-station array description plus the uncertainty of the true hardware."""
 
     shape: tuple[int, ...]
-    spacing: float = 0.5
     gain_std: float = 0.0
     pos_std: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.shape) not in (1, 2) or any(d < 1 for d in self.shape):
             raise ValueError("array shape must be (n,) for a ULA or (nx, nz) for a UPA")
-        if not self.spacing > 0.0:
-            raise ValueError("spacing must be positive")
         if not (self.gain_std >= 0.0 and self.pos_std >= 0.0):
             raise ValueError("uncertainty standard deviations must be nonnegative")
 
@@ -89,8 +86,8 @@ class ArraySpec:
 
     def build_nominal(self) -> AntennaArray:
         if self.geometry == "ula":
-            return make_ula(self.shape[0], self.spacing)
-        return make_upa(self.shape[0], self.shape[1], self.spacing)
+            return make_ula(self.shape[0])
+        return make_upa(self.shape[0], self.shape[1])
 
     def doa_grid(self, count: int) -> np.ndarray:
         return doa_grid_ula(count) if self.geometry == "ula" else doa_grid_upa(count)
@@ -98,7 +95,7 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class SnrLossSpec:
-    """Grid sweep of gain/position uncertainty for the model-mismatch experiment, run at the config's ``n_atoms`` and ``channel.snr``."""
+    """Grid sweep of gain/position uncertainty for the model-mismatch experiment, run at the config's ``n_atoms`` and ``snr``."""
 
     pos_stds: tuple[float, ...]
     gain_stds: tuple[float, ...]
@@ -164,12 +161,13 @@ def parse_estimator(spec: str) -> EstimatorSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs: geometry, channel model, roster, training, schedule."""
+    """Everything one experiment needs, a learning run or an SNR-loss sweep:
+    geometry, dictionary size, SNR model, training, roster, schedule."""
 
     seed: int
     array: ArraySpec
     n_atoms: int
-    channel: ChannelGenConfig
+    snr: FixedSnr | TruncatedGaussianSnr
     training: TrainConfig
     estimators: tuple[str, ...] = ()
     total_samples: int = 0
@@ -185,6 +183,19 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.n_atoms < 1:
             raise ValueError("dictionary size must be >= 1")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ValueError("duplicate estimator roster entries")
+        for spec in self.estimators:
+            parse_estimator(spec)
+        if self.snr_loss is not None:
+            if self.total_samples > 0 or self.estimators or self.anomalies or self.dump_stream or self.replay_stream is not None:
+                raise ValueError("a config describes one experiment: an snr_loss section takes no total_samples, estimators, anomalies or stream settings")
+            if self.array.geometry != "ula":
+                raise ValueError("the SNR-loss sweep is defined for linear arrays")
+            if not isinstance(self.snr, FixedSnr):
+                raise ValueError("the SNR-loss sweep needs a fixed SNR (snr.model: fixed)")
+        elif 0 < self.total_samples < self.training.minibatch_size:
+            raise ValueError("total_samples is smaller than one minibatch")
         taken = self.total_samples // self.training.minibatch_size * self.training.minibatch_size  # whole minibatches only
         n = working = self.array.n_antennas  # antennas with a nonzero gain
         for event in sorted(self.anomalies, key=lambda e: e.index):  # the order the stream applies them in
@@ -196,17 +207,11 @@ class ExperimentConfig:
                 working -= broken_count(event.fraction, working)
                 if working == 0:
                     raise ValueError(f"break at index {event.index} (fraction {event.fraction}) zeroes all {n} antennas, leaving no channel")
-        if len(set(self.estimators)) != len(self.estimators):
-            raise ValueError("duplicate estimator roster entries")
-        for spec in self.estimators:
-            parse_estimator(spec)
         if self.total_samples > 0:
             if not self.estimators:
                 raise ValueError("a learning run needs a nonempty estimator roster")
         elif self.snr_loss is None:
             raise ValueError("config describes neither a learning run nor an SNR-loss sweep")
-        if self.snr_loss is not None and not isinstance(self.channel.snr, FixedSnr):
-            raise ValueError("the SNR-loss sweep needs a fixed SNR (snr.model: fixed)")
 
 
 @dataclass
@@ -276,7 +281,7 @@ class LearningRun:
             needed = self.n_minibatches * self.batch_size
             if self.stream.count < needed:
                 raise ValueError(f"replay file {self.stream.path} holds {self.stream.count} samples; the run needs {needed} ({self.n_minibatches} minibatches of {self.batch_size})")
-        elif self.stream.cfg.snr == FixedSnr(math.inf):
+        elif self.stream.snr == FixedSnr(math.inf):
             raise ValueError("snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)")
 
     def step(self) -> dict[str, MinibatchRecord]:
@@ -336,7 +341,7 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         if any(spec.source == "oracle" for spec in specs):
             raise ValueError("oracle estimators need a live stream (not a replay)")
     else:
-        stream = ChannelStream(cfg.channel, true_array, as_rng(stream_seed), cfg.anomalies)
+        stream = ChannelStream(cfg.snr, true_array, as_rng(stream_seed), cfg.anomalies)
 
     xavier_rng = as_rng(xavier_seed)
     trainers: dict[str, OnlineTrainer] = {}
@@ -423,7 +428,7 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
     of the true one, over a grid of gain/position uncertainties.
 
     Single-path channels with uniformly random azimuth at the fixed SNR
-    ``cfg.channel.snr`` (``inf`` is noiseless), estimated by one projection
+    ``cfg.snr`` (``inf`` is noiseless), estimated by one projection
     step with each dictionary of ``cfg.n_atoms`` atoms. The same underlying
     noise draws are reused across grid cells, so the sweep is smooth and the
     zero-uncertainty cell is exactly 0 dB. Returns (pos_stds, gain_stds,
@@ -432,8 +437,6 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
     spec = cfg.snr_loss
     if spec is None:
         raise ValueError("config has no snr_loss section")
-    if cfg.array.geometry != "ula":
-        raise ValueError("the SNR-loss sweep is defined for linear arrays")
 
     nominal = cfg.array.build_nominal()
     n = nominal.size
@@ -445,7 +448,7 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
     pos_stds = np.asarray(spec.pos_stds, dtype=float)
     gain_stds = np.asarray(spec.gain_stds, dtype=float)
     ratios = np.zeros((pos_stds.size, gain_stds.size))
-    snr_lin = from_db(cfg.channel.snr.value_db)
+    snr_lin = from_db(cfg.snr.value_db)
 
     no_noise_var = [0.0] * spec.channels_per_array  # a fixed-depth rule never reads it
     for _ in range(spec.n_arrays):

@@ -357,7 +357,10 @@ def load_checkpoint(path) -> tuple[MpNetModel, AdamState | None]:
         version = int(data["format_version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        weights = data["w_re"] + 1j * data["w_im"]
+        w_re, w_im = data["w_re"], data["w_im"]
+        if w_re.shape != w_im.shape:  # they would broadcast into weights of neither shape
+            raise ValueError(f"checkpoint w_re has shape {w_re.shape} but w_im has shape {w_im.shape}")
+        weights = w_re + 1j * w_im
         depth = int(data["rule_depth"])
         max_depth = int(data["rule_max_depth"])
         rule = StoppingRule(

@@ -92,7 +92,7 @@ def ref_snr_loss(cfg) -> np.ndarray:
     dict_nominal = build_dictionary(nominal, directions)
     rule = StoppingRule.fixed(1)
     rng = as_rng(np.random.SeedSequence(cfg.seed))
-    snr_lin = from_db(cfg.channel.snr.value_db)
+    snr_lin = from_db(cfg.snr.value_db)
     ratios = np.zeros((len(spec.pos_stds), len(spec.gain_stds)))
     for _ in range(spec.n_arrays):
         gain_noise = complex_normal(rng, n, 1.0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula, perturb_array
-from mpnetlab.channels import ArrayEvent, ChannelGenConfig, FixedSnr, generate_channel, observe
+from mpnetlab.channels import ArrayEvent, FixedSnr, generate_channel, observe
 from mpnetlab.cli import main as cli_main
 from mpnetlab.estimators import StoppingRule, ls_estimate, matching_pursuit, omp
 from mpnetlab.experiments import ArraySpec, ExperimentConfig, SnrLossSpec, run_learning_experiment, snr_loss_experiment
@@ -43,7 +43,7 @@ def learning_run():
         seed=SEED,
         array=ArraySpec(shape=(64,), gain_std=0.3, pos_std=0.1),
         n_atoms=512,
-        channel=ChannelGenConfig(snr=FixedSnr(10.0)),
+        snr=FixedSnr(10.0),
         training=TrainConfig(minibatch_size=200),
         estimators=("mp:nominal:sc2", "omp:ideal:sc2", "mpnet:nominal:sc2", "mpnet:xavier:sc2"),
         total_samples=40_000,
@@ -63,7 +63,7 @@ def test_criterion_01_snr_loss_reproduction():
         seed=SEED,
         array=ArraySpec(shape=(64,)),
         n_atoms=2048,
-        channel=ChannelGenConfig(),
+        snr=FixedSnr(),
         training=TrainConfig(),
         snr_loss=SnrLossSpec(
             pos_stds=(0.0, 0.03),
@@ -224,10 +224,9 @@ def test_criterion_06_pursuit_invariant_suite():
 def test_criterion_07_noise_and_snr_calibration():
     rng = np.random.default_rng(SEED + 7)
     arr = make_ula(64)
-    cfg = ChannelGenConfig()
     ratio_sum = 0.0
     draws = 10_000
-    channel = generate_channel(cfg, arr, rng)
+    channel = generate_channel(arr, rng)
     for _ in range(draws):
         s = observe(channel, 10.0, rng)
         ratio_sum += energy(s.observation - s.channel) / (64 * s.noise_var)
@@ -235,7 +234,7 @@ def test_criterion_07_noise_and_snr_calibration():
     ls_sum = 0.0
     ls_draws = 4000
     for _ in range(ls_draws):
-        ch = generate_channel(cfg, arr, rng)
+        ch = generate_channel(arr, rng)
         s = observe(ch, 10.0, rng)
         ls_sum += rmse(ls_estimate(s.observation).channel, s.channel)
     ls_db = to_db(ls_sum / ls_draws)
@@ -255,7 +254,7 @@ def test_criterion_08_anomaly_detection_and_recovery():
         seed=SEED,
         array=ArraySpec(shape=(64,), gain_std=0.15, pos_std=0.05),
         n_atoms=512,
-        channel=ChannelGenConfig(snr=FixedSnr(10.0)),
+        snr=FixedSnr(10.0),
         training=TrainConfig(minibatch_size=200),
         estimators=("ls", "mpnet:nominal:sc2"),
         total_samples=total,

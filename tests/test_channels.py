@@ -9,8 +9,10 @@ from scipy import stats
 
 from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula, make_upa, perturb_array
 from mpnetlab.channels import (
+    GAIN_DECAY,
+    PATHS_MAX,
+    PATHS_MIN,
     ArrayEvent,
-    ChannelGenConfig,
     ChannelSample,
     ChannelStream,
     FixedSnr,
@@ -27,68 +29,54 @@ from mpnetlab.channels import (
     sample_to_row,
     stream_rows,
 )
-from mpnetlab.arrays import steering_vector
+from mpnetlab.arrays import steering_matrix
 from mpnetlab.estimators import StoppingRule, pursuit_batch
 from mpnetlab.utils import energy
 
 
 class TestGenerateChannel:
-    def test_single_path_matches_steering_vector(self, rng):
+    def test_vector_is_the_steering_matrix_times_the_gains(self, rng):
         arr = perturb_array(make_ula(16), 0.2, 0.05, rng)
-        cfg = ChannelGenConfig(paths_min=1, paths_max=1, gain_decay=1.0)
-        ch = generate_channel(cfg, arr, rng)
-        assert ch.n_paths == 1
-        expected = ch.gains[0] * steering_vector(arr, ch.directions[0])
-        assert np.allclose(ch.vector, expected)
+        for _ in range(50):
+            ch = generate_channel(arr, rng)
+            assert np.allclose(ch.vector, steering_matrix(arr, ch.directions) @ ch.gains)
 
     def test_path_count_bounds(self, rng):
-        cfg = ChannelGenConfig(paths_min=1, paths_max=10)
         arr = make_ula(8)
-        counts = {generate_channel(cfg, arr, rng).n_paths for _ in range(300)}
+        counts = {generate_channel(arr, rng).n_paths for _ in range(300)}
         assert counts <= set(range(1, 11))
         assert len(counts) > 3
 
     def test_mean_energy_matches_closed_form(self):
-        # E||h||^2 = sum_p decay^p * sum_i |g_i|^2 for independent CN gains
+        # E||h||^2 = E_P[sum_{p<P} decay^p] * sum_i |g_i|^2 for independent CN gains,
+        # with the path count P uniform on [PATHS_MIN, PATHS_MAX]
         rng = np.random.default_rng(42)
         arr = perturb_array(make_ula(16), 0.3, 0.1, rng)
-        cfg = ChannelGenConfig(paths_min=4, paths_max=4, gain_decay=0.7)
-        draws = [energy(generate_channel(cfg, arr, rng).vector) for _ in range(10_000)]
-        expected = sum(0.7**p for p in range(4)) * energy(arr.gains)
+        draws = [energy(generate_channel(arr, rng).vector) for _ in range(10_000)]
+        counts = range(PATHS_MIN, PATHS_MAX + 1)
+        expected = np.mean([sum(GAIN_DECAY**p for p in range(count)) for count in counts]) * energy(arr.gains)
         assert np.mean(draws) == pytest.approx(expected, rel=0.05)
 
-    def test_rejects_zero_path_config(self):
-        with pytest.raises(ValueError):
-            ChannelGenConfig(paths_min=0)
-
-    def test_clustered_directions_stay_in_domain(self, rng):
-        cfg = ChannelGenConfig(paths_min=5, paths_max=5, cluster_std_deg=3.0)
-        ch = generate_channel(cfg, make_upa(4, 2), rng)
-        assert np.all(ch.directions[:, 1] >= 0.0)
-        spread = ch.directions.std(axis=0).max()
-        assert spread < 0.3  # tight cluster
-
-    @pytest.mark.parametrize("cfg", [ChannelGenConfig(), ChannelGenConfig(cluster_std_deg=3.0)], ids=["default", "clustered"])
-    def test_directions_follow_the_array_geometry(self, rng, cfg):
+    def test_directions_follow_the_array_geometry(self, rng):
         # a UPA draws from the y > 0 hemisphere, off the z = 0 plane; a ULA stays on it
-        planar = np.concatenate([generate_channel(cfg, make_upa(4, 4), rng).directions for _ in range(20)])
+        planar = np.concatenate([generate_channel(make_upa(4, 4), rng).directions for _ in range(20)])
         assert np.all(planar[:, 1] >= 0.0)
         assert np.mean(np.abs(planar[:, 2]) > 1e-3) > 0.5
-        linear = np.concatenate([generate_channel(cfg, make_ula(8), rng).directions for _ in range(20)])
+        linear = np.concatenate([generate_channel(make_ula(8), rng).directions for _ in range(20)])
         assert np.all(linear[:, 2] == 0.0)
         assert np.all(linear[:, 1] >= 0.0)
 
 
 class TestObserve:
     def test_infinite_snr_is_noiseless(self, rng):
-        ch = generate_channel(ChannelGenConfig(), make_ula(8), rng)
+        ch = generate_channel(make_ula(8), rng)
         sample = observe(ch, math.inf, rng)
         assert sample.noise_var == 0.0
         assert np.array_equal(sample.observation, ch.vector)
 
     def test_noise_variance_formula(self, rng):
         arr = make_ula(64)
-        ch = generate_channel(ChannelGenConfig(), arr, rng)
+        ch = generate_channel(arr, rng)
         sample = observe(ch, 10.0, rng)
         assert sample.noise_var == pytest.approx(energy(ch.vector) / 640.0, rel=1e-12)
         # recorded SNR back-solves exactly
@@ -96,7 +84,7 @@ class TestObserve:
         assert 10.0 * np.log10(implied) == pytest.approx(sample.snr_db, rel=1e-12)
 
     def test_preserves_ground_truth(self, rng):
-        ch = generate_channel(ChannelGenConfig(), make_ula(8), rng)
+        ch = generate_channel(make_ula(8), rng)
         before = ch.vector.copy()
         observe(ch, 0.0, rng)
         assert np.array_equal(ch.vector, before)
@@ -105,7 +93,7 @@ class TestObserve:
         # empirical ||x - h||^2 / (N sigma^2) concentrates at 1
         rng = np.random.default_rng(7)
         arr = make_ula(16)
-        ch = generate_channel(ChannelGenConfig(), arr, rng)
+        ch = generate_channel(arr, rng)
         total = 0.0
         draws = 10_000
         for _ in range(draws):
@@ -220,23 +208,21 @@ class TestAgeAntennas:
 class TestStream:
     def test_same_seed_same_sequence(self):
         arr = make_ula(8)
-        cfg = ChannelGenConfig(snr=FixedSnr(10.0))
-        a = ChannelStream(cfg, arr, np.random.default_rng(3)).take(20)
-        b = ChannelStream(cfg, arr, np.random.default_rng(3)).take(20)
+        a = ChannelStream(FixedSnr(10.0), arr, np.random.default_rng(3)).take(20)
+        b = ChannelStream(FixedSnr(10.0), arr, np.random.default_rng(3)).take(20)
         for s, t in zip(a, b):
             assert np.array_equal(s.observation, t.observation)
             assert np.array_equal(s.channel, t.channel)
             assert s.noise_var == t.noise_var
 
     def test_take_zero(self, rng):
-        stream = ChannelStream(ChannelGenConfig(), make_ula(4), rng)
+        stream = ChannelStream(FixedSnr(), make_ula(4), rng)
         assert len(stream.take(0)) == 0
 
     def test_break_event_switches_array(self):
         arr = make_ula(32)
-        cfg = ChannelGenConfig(snr=FixedSnr(math.inf))
         events = [ArrayEvent(index=5, kind="break", fraction=0.5)]
-        stream = ChannelStream(cfg, arr, np.random.default_rng(0), events)
+        stream = ChannelStream(FixedSnr(math.inf), arr, np.random.default_rng(0), events)
         samples = list(stream.take(10))
         # noiseless samples expose the channel: before the event no antenna is
         # silenced, afterwards the same 16 entries are zero in every sample
@@ -246,13 +232,13 @@ class TestStream:
         assert all(np.array_equal(mask, broken_masks[0]) for mask in broken_masks)
 
     def test_fixed_snr_recorded_exactly(self, rng):
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(7.5)), make_ula(8), rng)
+        stream = ChannelStream(FixedSnr(7.5), make_ula(8), rng)
         assert all(s.snr_db == 7.5 for s in stream.take(50))
 
     def test_current_array_tracks_events(self):
         arr = make_ula(8)
         events = [ArrayEvent(index=3, kind="age", gain_std=0.5)]
-        stream = ChannelStream(ChannelGenConfig(), arr, np.random.default_rng(0), events)
+        stream = ChannelStream(FixedSnr(), arr, np.random.default_rng(0), events)
         stream.take(3)
         assert stream.current_array is arr
         stream.take(1)
@@ -261,7 +247,7 @@ class TestStream:
 
 class TestStreamFiles:
     def test_dump_and_load_roundtrip(self, tmp_path, rng):
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        stream = ChannelStream(FixedSnr(10.0), make_ula(8), rng)
         samples = stream.take(12)
         path = tmp_path / "stream.csv"
         dump_stream(samples, path)
@@ -275,7 +261,7 @@ class TestStreamFiles:
 
     def test_replay_stream_interface(self, tmp_path, rng):
         path = tmp_path / "stream.csv"
-        dump_stream(ChannelStream(ChannelGenConfig(), make_ula(4), rng).take(6), path)
+        dump_stream(ChannelStream(FixedSnr(), make_ula(4), rng).take(6), path)
         replay = ReplayStream(path)
         assert (replay.n_antennas, replay.count) == (4, 6)
         assert len(replay.take(2)) == 2
@@ -291,7 +277,7 @@ class TestStreamFiles:
 
     def _dumped_lines(self, tmp_path, rng):
         path = tmp_path / "stream.csv"
-        dump_stream(ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(4), rng).take(5), path)
+        dump_stream(ChannelStream(FixedSnr(10.0), make_ula(4), rng).take(5), path)
         return path, path.read_text().splitlines()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -378,7 +364,7 @@ class TestOpenStream:
 
     def test_counts_rows_and_parses_lazily(self, tmp_path, rng):
         path = tmp_path / "stream.csv"
-        dump_stream(ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(4), rng).take(8), path)
+        dump_stream(ChannelStream(FixedSnr(10.0), make_ula(4), rng).take(8), path)
         lines = path.read_text().splitlines()
         lines[7] = lines[7].replace(",", ",x", 1)
         path.write_text("\n".join(lines) + "\n")
@@ -396,7 +382,7 @@ class TestOpenStream:
             ReplayStream(path)
 
     def test_lines_split_as_the_whole_text_splits(self, tmp_path, rng):
-        samples = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(2), rng).take(3)
+        samples = ChannelStream(FixedSnr(10.0), make_ula(2), rng).take(3)
         path = tmp_path / "stream.csv"
         dump_stream(samples, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
@@ -408,25 +394,25 @@ COLUMNS = ("channel", "observation", "noise_var", "snr_db")
 
 class TestSampleBatch:
     def test_take_continues_where_the_last_take_stopped(self):
-        cfg = ChannelGenConfig(snr=TruncatedGaussianSnr())
+        snr = TruncatedGaussianSnr()
         events = [ArrayEvent(index=4, kind="break", fraction=0.5)]
-        batch = ChannelStream(cfg, make_ula(8), np.random.default_rng(4), events).take(9)
-        twin = ChannelStream(cfg, make_ula(8), np.random.default_rng(4), events)
+        batch = ChannelStream(snr, make_ula(8), np.random.default_rng(4), events).take(9)
+        twin = ChannelStream(snr, make_ula(8), np.random.default_rng(4), events)
         first, second = twin.take(4), twin.take(5)
         for column in COLUMNS:
             assert np.array_equal(getattr(batch, column), np.concatenate([getattr(first, column), getattr(second, column)]))
 
     def test_take_matches_the_per_draw_reference(self):
         # events due, then the SNR, the channel and its observation, draw by draw
-        cfg = ChannelGenConfig(snr=TruncatedGaussianSnr())
+        snr = TruncatedGaussianSnr()
         events = [ArrayEvent(index=4, kind="break", fraction=0.5)]
-        batch = ChannelStream(cfg, make_ula(8), np.random.default_rng(4), events).take(9)
+        batch = ChannelStream(snr, make_ula(8), np.random.default_rng(4), events).take(9)
         rng, array, drawn = np.random.default_rng(4), make_ula(8), []
         for index in range(9):
             if index == events[0].index:
                 array = events[0].apply(array, rng)
-            snr_db = sample_snr(cfg.snr, rng)
-            drawn.append(observe(generate_channel(cfg, array, rng), snr_db, rng))
+            snr_db = sample_snr(snr, rng)
+            drawn.append(observe(generate_channel(array, rng), snr_db, rng))
         expected = SampleBatch.of(drawn)
         for column in COLUMNS:
             assert np.array_equal(getattr(batch, column), getattr(expected, column))
@@ -436,7 +422,7 @@ class TestSampleBatch:
             assert (row.noise_var, row.snr_db) == (sample.noise_var, sample.snr_db)
 
     def test_replayed_takes_equal_the_dumped_batch(self, tmp_path, rng):
-        batch = ChannelStream(ChannelGenConfig(snr=TruncatedGaussianSnr()), make_ula(4), rng).take(8)
+        batch = ChannelStream(TruncatedGaussianSnr(), make_ula(4), rng).take(8)
         path = tmp_path / "stream.csv"
         dump_stream(batch, path)
         replay = ReplayStream(path)
@@ -445,7 +431,7 @@ class TestSampleBatch:
             assert np.array_equal(np.concatenate([getattr(first, column), getattr(second, column)]), getattr(batch, column))
 
     def test_take_zero_gives_empty_columns_as_wide_as_the_array(self, tmp_path, rng):
-        live = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        live = ChannelStream(FixedSnr(10.0), make_ula(8), rng)
         dump_stream(live.take(3), tmp_path / "stream.csv")
         for batch in (live.take(0), ReplayStream(tmp_path / "stream.csv").take(0)):
             assert batch.channel.shape == batch.observation.shape == (0, 8)

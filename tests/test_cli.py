@@ -77,6 +77,21 @@ class TestConfigErrors:
         assert capsys.readouterr().err == "config error: seed must be >= 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("train", SMALL.replace("total_samples: 300", "total_samples: 50"), "total_samples is smaller than one minibatch"),
+            ("snr-loss", "seed: 1\narray: {geometry: upa, nx: 4, nz: 4}\nsnr_loss: {pos_stds: [0.0], gain_stds: [0.0]}\n", "the SNR-loss sweep is defined for linear arrays"),
+        ],
+        ids=["short learning run", "planar sweep"],
+    )
+    def test_run_that_cannot_succeed_exits_1_before_the_output_dir(self, tmp_path, capsys, command, text, message):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_missing_output_dir_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)
         assert main(["train", "--config", str(cfg)]) == 1

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpnetlab.config
-from mpnetlab.channels import ChannelGenConfig, FixedSnr, TruncatedGaussianSnr
+from mpnetlab.channels import ArrayEvent, FixedSnr, TruncatedGaussianSnr
 from mpnetlab.config import ConfigError, config_from_mapping, load_config
 from mpnetlab.experiments import ArraySpec, ExperimentConfig, SnrLossSpec
 from mpnetlab.mpnet import TrainConfig
@@ -36,7 +37,7 @@ class TestValidMappings:
         assert cfg.seed == 7
         assert cfg.array.shape == (16,)
         assert cfg.n_atoms == 64
-        assert isinstance(cfg.channel.snr, FixedSnr)
+        assert isinstance(cfg.snr, FixedSnr)
         assert cfg.training.minibatch_size == 100
 
     def test_defaults_fill_in(self):
@@ -45,12 +46,12 @@ class TestValidMappings:
         cfg = config_from_mapping(data)
         assert cfg.n_atoms == 8 * 16
         assert cfg.training.minibatch_size == 200
-        assert cfg.channel.snr == FixedSnr(10.0)
+        assert cfg.snr == FixedSnr(10.0)
 
     def test_truncated_gaussian_snr(self):
         data = minimal_mapping(snr={"model": "truncated_gaussian", "mean_db": 9.0})
         cfg = config_from_mapping(data)
-        assert cfg.channel.snr == TruncatedGaussianSnr(mean_db=9.0, std_db=4.0, floor_db=1.0)
+        assert cfg.snr == TruncatedGaussianSnr(mean_db=9.0, std_db=4.0, floor_db=1.0)
 
     def test_upa_shape(self):
         data = minimal_mapping(array={"geometry": "upa", "nx": 4, "nz": 4})
@@ -83,8 +84,8 @@ class TestRejections:
             config_from_mapping(minimal_mapping(snrr={}))
 
     def test_unknown_nested_key_named(self):
-        data = minimal_mapping(channel={"paths_mim": 2})
-        with pytest.raises(ConfigError, match="channel.paths_mim"):
+        data = minimal_mapping(training={"minibatch_sise": 100})
+        with pytest.raises(ConfigError, match="training.minibatch_sise"):
             config_from_mapping(data)
 
     def test_missing_seed(self):
@@ -121,10 +122,42 @@ class TestRejections:
         with pytest.raises(ConfigError, match="array"):
             config_from_mapping(data)
 
-    def test_paths_min_zero(self):
-        data = minimal_mapping(channel={"paths_min": 0})
-        with pytest.raises(ConfigError, match="channel"):
-            config_from_mapping(data)
+    # a sweep and a learning run are separate experiments, each with its own config
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"total_samples": 400, "estimators": ["ls"]},
+            {"total_samples": 400},
+            {"estimators": ["ls"]},
+            {"stream": {"dump": True}},
+            {"stream": {"replay": "stream.csv"}},
+        ],
+        ids=["learning run", "total_samples", "roster", "dump", "replay"],
+    )
+    def test_sweep_beside_a_learning_run_rejected(self, overrides):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(_sweep(**overrides))
+        assert str(exc.value) == "a config describes one experiment: an snr_loss section takes no total_samples, estimators, anomalies or stream settings"
+
+    def test_sweep_beside_anomalies_rejected(self):
+        # built directly: the loader bounds an anomaly by total_samples first
+        sweep = config_from_mapping(_sweep())
+        with pytest.raises(ValueError, match="^a config describes one experiment: "):
+            replace(sweep, anomalies=(ArrayEvent(index=0, kind="break", fraction=0.3),))
+
+    @pytest.mark.parametrize("total", [1, 99])
+    def test_fewer_samples_than_one_minibatch_rejected(self, total):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(minimal_mapping(total_samples=total))
+        assert str(exc.value) == "total_samples is smaller than one minibatch"
+
+    def test_one_minibatch_of_samples_loads(self):
+        assert config_from_mapping(minimal_mapping(total_samples=100)).total_samples == 100
+
+    def test_sweep_on_a_planar_array_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(_sweep(array={"geometry": "upa", "nx": 4, "nz": 4}))
+        assert str(exc.value) == "the SNR-loss sweep is defined for linear arrays"
 
 
 class TestLoadConfig:
@@ -202,13 +235,14 @@ class TestSectionTypeErrors:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"array": {"geometry": "ula", "n": 16, "spacing": "wide"}}, "'array.spacing' must be a number"),
+            # the channel model is fixed and elements are half a wavelength apart: no such keys
+            ({"array": {"geometry": "ula", "n": 16, "spacing": "wide"}}, "unknown key 'array.spacing'"),
             ({"array": {"geometry": "ula", "n": 16, "pos_std": True}}, "'array.pos_std' must be a number"),
             ({"snr": {"model": "fixed", "value_db": "loud"}}, "'snr.value_db' must be a number"),
             ({"snr": {"model": "truncated_gaussian", "std_db": [4.0]}}, "'snr.std_db' must be a number"),
-            ({"channel": {"paths_min": 2.5}}, "'channel.paths_min' must be an integer"),
-            ({"channel": {"gain_decay": "fast"}}, "'channel.gain_decay' must be a number"),
-            ({"channel": {"cluster_std_deg": "wide"}}, "'channel.cluster_std_deg' must be a number"),
+            ({"channel": {"paths_min": 2.5}}, "unknown key 'channel'"),
+            ({"channel": {"gain_decay": "fast"}}, "unknown key 'channel'"),
+            ({"channel": {"cluster_std_deg": "wide"}}, "unknown key 'channel'"),
         ],
     )
     def test_message_is_exact(self, overrides, message):
@@ -244,12 +278,12 @@ class TestDefaultsFromDataclasses:
         del data["snr"], data["training"]
         cfg = config_from_mapping(data)
         assert cfg.array == ArraySpec((16,))
-        assert cfg.channel == ChannelGenConfig(snr=FixedSnr())
+        assert cfg.snr == FixedSnr()
         assert cfg.training == TrainConfig()
 
     def test_truncated_gaussian_defaults(self):
         cfg = config_from_mapping(minimal_mapping(snr={"model": "truncated_gaussian"}))
-        assert cfg.channel.snr == TruncatedGaussianSnr()
+        assert cfg.snr == TruncatedGaussianSnr()
 
     def test_snr_loss_defaults(self):
         data = {"seed": 1, "array": {"n": 16}, "snr_loss": {"pos_stds": [0.0], "gain_stds": [0.1]}}
@@ -370,8 +404,8 @@ class TestOutOfRangeValues:
 
     def test_huge_integer_for_a_float_key(self):
         with pytest.raises(ConfigError) as exc:
-            config_from_mapping(minimal_mapping(array={"geometry": "ula", "n": 16, "spacing": HUGE}))
-        assert str(exc.value) == "'array.spacing' is too large for a float"
+            config_from_mapping(minimal_mapping(array={"geometry": "ula", "n": 16, "gain_std": HUGE}))
+        assert str(exc.value) == "'array.gain_std' is too large for a float"
 
     @pytest.mark.parametrize("key", ["pos_stds", "gain_stds"])
     def test_huge_integer_in_an_snr_loss_list(self, key):
@@ -387,10 +421,8 @@ class TestOutOfRangeValues:
     @pytest.mark.parametrize(
         "data, message",
         [
-            (minimal_mapping(array={"n": 16, "spacing": math.nan}), "array: spacing must be positive"),
             (minimal_mapping(array={"n": 16, "gain_std": math.nan}), "array: uncertainty standard deviations must be nonnegative"),
             (minimal_mapping(array={"n": 16, "pos_std": math.nan}), "array: uncertainty standard deviations must be nonnegative"),
-            (minimal_mapping(channel={"cluster_std_deg": math.nan}), "channel: cluster_std_deg must be nonnegative"),
             (minimal_mapping(snr={"model": "fixed", "value_db": math.nan}), "snr: value_db must not be NaN"),
             (minimal_mapping(snr={"model": "truncated_gaussian", "mean_db": math.nan}), "snr: SNR floor leaves a negligible acceptance probability"),
             (minimal_mapping(snr={"model": "truncated_gaussian", "std_db": math.nan}), "snr: std_db must be nonnegative"),
@@ -399,10 +431,8 @@ class TestOutOfRangeValues:
             (_snr_loss_with("gain_stds", [math.nan]), "snr_loss: uncertainty values must be nonnegative"),
         ],
         ids=[
-            "array.spacing",
             "array.gain_std",
             "array.pos_std",
-            "channel.cluster_std_deg",
             "snr.value_db",
             "snr.mean_db",
             "snr.std_db",
@@ -435,7 +465,7 @@ class TestOutOfRangeValues:
         assert str(exc.value) == message
 
     def test_infinite_snr_loss_snr_stays_valid(self):
-        assert config_from_mapping(_sweep(snr={"model": "fixed", "value_db": math.inf})).channel.snr == FixedSnr(math.inf)
+        assert config_from_mapping(_sweep(snr={"model": "fixed", "value_db": math.inf})).snr == FixedSnr(math.inf)
 
     @pytest.mark.parametrize("atoms", [0, -3])
     def test_snr_loss_atom_count_below_one(self, atoms):
@@ -465,7 +495,7 @@ class TestOutOfRangeValues:
         assert config_from_mapping(minimal_mapping(seed=0)).seed == 0
 
     def test_infinite_fixed_snr_stays_valid(self):
-        assert config_from_mapping(minimal_mapping(snr={"model": "fixed", "value_db": math.inf})).channel.snr == FixedSnr(math.inf)
+        assert config_from_mapping(minimal_mapping(snr={"model": "fixed", "value_db": math.inf})).snr == FixedSnr(math.inf)
 
     # an infinite mean or spread draws infinite SNRs, which no histogram bin holds
     @pytest.mark.parametrize(

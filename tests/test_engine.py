@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from mpnetlab import estimators, mpnet
 from mpnetlab.arrays import Dictionary, make_ula
-from mpnetlab.channels import ChannelGenConfig, ChannelSample, ChannelStream, FixedSnr, SampleBatch
+from mpnetlab.channels import ChannelSample, ChannelStream, FixedSnr, SampleBatch
 from mpnetlab.estimators import CORR_TILE, StoppingRule, matching_pursuit, omp, pursuit_batch, row_dot, should_stop
 from mpnetlab.experiments import ArraySpec, ExperimentConfig, run_learning_experiment
 from mpnetlab.mpnet import MpNetModel, OnlineTrainer, TrainConfig, backward, estimate, forward, forward_batch
@@ -318,7 +318,7 @@ class TestTrainerWithoutGroundTruth:
 
     def test_channels_do_not_reach_the_trainer(self):
         d = make_incoherent_dictionary(8, 24, seed=3)
-        samples = list(ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(3)).take(60))
+        samples = list(ChannelStream(FixedSnr(10.0), make_ula(8), np.random.default_rng(3)).take(60))
         rng = np.random.default_rng(4)
         decoys = [
             ChannelSample(10.0 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)), s.observation, s.noise_var, s.snr_db)
@@ -345,7 +345,7 @@ class TestPartialMinibatch:
     def test_cost_and_gradient_are_means_over_the_samples_processed(self):
         d = make_incoherent_dictionary(8, 24, seed=5)
         model = trained_model(d, StoppingRule.sc2(), 5)
-        samples = list(ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(5)).take(7))
+        samples = list(ChannelStream(FixedSnr(10.0), make_ula(8), np.random.default_rng(5)).take(7))
         cost, dense = 0.0, np.zeros(model.weights.shape, dtype=complex)
         for sample in samples:
             norm = np.linalg.norm(sample.observation)
@@ -376,7 +376,7 @@ class TestRosterIndependence:
             seed=11,
             array=ArraySpec(shape=(16,), gain_std=0.3, pos_std=0.1),
             n_atoms=64,
-            channel=ChannelGenConfig(snr=FixedSnr(10.0)),
+            snr=FixedSnr(10.0),
             training=TrainConfig(minibatch_size=50),
             total_samples=300,
         )
@@ -440,7 +440,7 @@ class TestFusedPass:
 
     def _trainer_and_samples(self):
         d = make_incoherent_dictionary(8, 24, seed=9)
-        samples = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(9)).take(2 * CORR_TILE + 3)
+        samples = ChannelStream(FixedSnr(10.0), make_ula(8), np.random.default_rng(9)).take(2 * CORR_TILE + 3)
         return OnlineTrainer(trained_model(d, StoppingRule.sc2(), 9), TrainConfig(minibatch_size=len(samples))), samples
 
     def test_step_replays_nothing(self):

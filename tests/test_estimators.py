@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpnetlab.arrays import Dictionary, build_dictionary, doa_grid_ula, make_ula, perturb_array, steering_matrix
-from mpnetlab.channels import ChannelGenConfig, ChannelStream, FixedSnr, generate_channel, observe
+from mpnetlab.channels import ChannelStream, FixedSnr, generate_channel, observe
 from mpnetlab.estimators import (
     Estimate,
     StoppingRule,
@@ -121,7 +121,7 @@ class TestLsEstimate:
         total = 0.0
         draws = 2000
         for _ in range(draws):
-            ch = generate_channel(ChannelGenConfig(), arr, rng)
+            ch = generate_channel(arr, rng)
             s = observe(ch, 10.0, rng)
             est = ls_estimate(s.observation)
             total += energy(est.channel - s.channel) / energy(s.channel)
@@ -235,7 +235,7 @@ class TestOmp:
     def test_residual_orthogonal_to_selected(self, rng):
         arr = perturb_array(make_ula(16), 0.3, 0.1, rng)
         d = build_dictionary(arr, doa_grid_ula(128))
-        ch = generate_channel(ChannelGenConfig(), arr, rng)
+        ch = generate_channel(arr, rng)
         s = observe(ch, 10.0, rng)
         est = omp(d, s.observation, StoppingRule.sc2(), s.noise_var)
         residual = s.observation - est.channel
@@ -275,7 +275,7 @@ class TestPursuitInvariants:
         # the looser threshold (sc1) always stops at most as deep as sc2
         arr = perturb_array(make_ula(16), 0.2, 0.05, rng)
         d = build_dictionary(arr, doa_grid_ula(64))
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), arr, rng)
+        stream = ChannelStream(FixedSnr(10.0), arr, rng)
         for sample in stream.take(100):
             d1 = matching_pursuit(d, sample.observation, StoppingRule.sc1(), sample.noise_var).depth
             d2 = matching_pursuit(d, sample.observation, StoppingRule.sc2(), sample.noise_var).depth

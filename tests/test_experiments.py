@@ -7,7 +7,6 @@ import pytest
 from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula, perturb_array
 from mpnetlab.channels import (
     ArrayEvent,
-    ChannelGenConfig,
     ChannelStream,
     FixedSnr,
     ReplayStream,
@@ -37,7 +36,7 @@ def small_config(**overrides):
         seed=5,
         array=ArraySpec(shape=(16,), gain_std=0.3, pos_std=0.1),
         n_atoms=64,
-        channel=ChannelGenConfig(snr=FixedSnr(10.0)),
+        snr=FixedSnr(10.0),
         training=TrainConfig(minibatch_size=50),
         estimators=("ls", "mp:nominal:sc2", "mpnet:nominal:sc2"),
         total_samples=500,
@@ -87,7 +86,7 @@ class TestConfigValidation:
             seed=1,
             array=ArraySpec(shape=(8,)),
             n_atoms=64,
-            channel=ChannelGenConfig(),
+            snr=FixedSnr(),
             training=TrainConfig(),
             snr_loss=SnrLossSpec(pos_stds=(0.0,), gain_stds=(0.0,)),
         )
@@ -99,7 +98,7 @@ class TestConfigValidation:
                 seed=1,
                 array=ArraySpec(shape=(8,)),
                 n_atoms=64,
-                channel=ChannelGenConfig(),
+                snr=FixedSnr(),
                 training=TrainConfig(),
                 estimators=("mp:wrong:sc2",),
                 snr_loss=SnrLossSpec(pos_stds=(0.0,), gain_stds=(0.0,)),
@@ -204,7 +203,7 @@ class TestLearningExperiment:
 
     def test_varying_snr_histogram_respects_floor(self):
         cfg = small_config(
-            channel=ChannelGenConfig(snr=TruncatedGaussianSnr(mean_db=10.0, std_db=4.0, floor_db=1.0)),
+            snr=TruncatedGaussianSnr(mean_db=10.0, std_db=4.0, floor_db=1.0),
             estimators=("ls",),
         )
         result = run_learning_experiment(cfg)
@@ -242,7 +241,7 @@ class TestDepthDistributions:
         rng = np.random.default_rng(12)
         true = perturb_array(make_ula(64), 0.3, 0.1, rng)
         matched = build_dictionary(true, doa_grid_ula(512))
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), true, rng)
+        stream = ChannelStream(FixedSnr(10.0), true, rng)
         sc1_depths, sc2_depths = [], []
         for sample in stream.take(1000):
             sc1_depths.append(matching_pursuit(matched, sample.observation, StoppingRule.sc1(), sample.noise_var).depth)
@@ -259,7 +258,7 @@ class TestSnrLossExperiment:
             seed=3,
             array=ArraySpec(shape=(n,)),
             n_atoms=atoms if atoms is not None else 32 * n,
-            channel=ChannelGenConfig(snr=FixedSnr(snr_db)),
+            snr=FixedSnr(snr_db),
             training=TrainConfig(),
             snr_loss=SnrLossSpec(
                 pos_stds=tuple(pos),
@@ -306,21 +305,21 @@ class TestSnrLossExperiment:
         assert len(text) == 5
 
     def test_requires_ula(self):
-        cfg = ExperimentConfig(
-            seed=3,
-            array=ArraySpec(shape=(4, 4)),
-            n_atoms=64,
-            channel=ChannelGenConfig(),
-            training=TrainConfig(),
-            snr_loss=SnrLossSpec(pos_stds=(0.0,), gain_stds=(0.0,)),
-        )
-        with pytest.raises(ValueError):
-            snr_loss_experiment(cfg)
+        # checked when the config is built, before any run can start
+        with pytest.raises(ValueError, match="^the SNR-loss sweep is defined for linear arrays$"):
+            ExperimentConfig(
+                seed=3,
+                array=ArraySpec(shape=(4, 4)),
+                n_atoms=64,
+                snr=FixedSnr(),
+                training=TrainConfig(),
+                snr_loss=SnrLossSpec(pos_stds=(0.0,), gain_stds=(0.0,)),
+            )
 
 
 class TestRunRecords:
     def test_records_equal_train_online_on_the_dumped_stream(self, tmp_path):
-        cfg = small_config(channel=ChannelGenConfig(snr=TruncatedGaussianSnr(mean_db=10.0, std_db=4.0, floor_db=1.0)), dump_stream=True)
+        cfg = small_config(snr=TruncatedGaussianSnr(mean_db=10.0, std_db=4.0, floor_db=1.0), dump_stream=True)
         result = run_learning_experiment(cfg, tmp_path)
         samples = load_stream(result.output_files["stream"])
         nominal = build_dictionary(cfg.array.build_nominal(), cfg.array.doa_grid(cfg.n_atoms))
@@ -352,7 +351,7 @@ class TestLearningRun:
         model = MpNetModel.from_dictionary(dictionaries["nominal"], StoppingRule.sc2())
         trainers = {"mpnet:nominal:sc2": OnlineTrainer(model, TrainConfig(minibatch_size=50), name="mpnet:nominal:sc2")}
         snr = TruncatedGaussianSnr(mean_db=10.0, std_db=4.0, floor_db=1.0)
-        stream = ChannelStream(ChannelGenConfig(snr=snr), true, np.random.default_rng(2), (ArrayEvent(index=225, kind="break", fraction=0.3),))
+        stream = ChannelStream(snr, true, np.random.default_rng(2), (ArrayEvent(index=225, kind="break", fraction=0.3),))
         run = LearningRun(stream, [parse_estimator(s) for s in self.ROSTER], trainers, dictionaries, 10, 50)
         run.dump = io.BytesIO()
         return run
@@ -383,14 +382,14 @@ class TestInfiniteSnr:
         import mpnetlab.experiments as experiments
 
         monkeypatch.setattr(experiments, "score_minibatch", lambda *args: pytest.fail("a minibatch ran"))
-        cfg = small_config(channel=ChannelGenConfig(snr=FixedSnr(math.inf)), dump_stream=True)
+        cfg = small_config(snr=FixedSnr(math.inf), dump_stream=True)
         with pytest.raises(ValueError) as exc:
             run_learning_experiment(cfg, tmp_path / "out")
         assert str(exc.value) == "snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)"
         assert not (tmp_path / "out").exists()
 
     def test_train_online_rejects_a_noiseless_stream_before_its_first_step(self):
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(math.inf)), make_ula(16), np.random.default_rng(5))
+        stream = ChannelStream(FixedSnr(math.inf), make_ula(16), np.random.default_rng(5))
         model = MpNetModel.from_dictionary(build_dictionary(make_ula(16), doa_grid_ula(64)), StoppingRule.sc2())
         weights = model.weights.copy()
         with pytest.raises(ValueError) as exc:
@@ -419,7 +418,7 @@ class TestShortReplay:
 
     def test_train_online_rejects_before_its_first_step(self, tmp_path):
         stream = tmp_path / "stream.csv"
-        dump_stream(ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(16), np.random.default_rng(5)).take(250), stream)
+        dump_stream(ChannelStream(FixedSnr(10.0), make_ula(16), np.random.default_rng(5)).take(250), stream)
         model = MpNetModel.from_dictionary(build_dictionary(make_ula(16), doa_grid_ula(64)), StoppingRule.sc2())
         weights = model.weights.copy()
         with pytest.raises(ValueError) as exc:
@@ -431,7 +430,7 @@ class TestShortReplay:
         import mpnetlab.experiments as experiments
 
         monkeypatch.setattr(experiments, "score_minibatch", lambda *args: pytest.fail("a minibatch ran"))
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(16), np.random.default_rng(5))
+        stream = ChannelStream(FixedSnr(10.0), make_ula(16), np.random.default_rng(5))
         model = MpNetModel.from_dictionary(build_dictionary(make_ula(16), doa_grid_ula(64)), StoppingRule.sc2())
         weights = model.weights.copy()
         with pytest.raises(ValueError) as exc:
@@ -495,7 +494,7 @@ class TestSingleFile:
     def test_failed_dump_leaves_the_old_stream(self, tmp_path, monkeypatch):
         import mpnetlab.channels as channels
 
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), np.random.default_rng(5))
+        stream = ChannelStream(FixedSnr(10.0), make_ula(8), np.random.default_rng(5))
         path = tmp_path / "stream.csv"
         dump_stream(stream.take(4), path)
         old = path.read_bytes()

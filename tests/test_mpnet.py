@@ -5,7 +5,7 @@ import pytest
 
 from mpnetlab import mpnet
 from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula, perturb_array
-from mpnetlab.channels import ChannelGenConfig, ChannelStream, FixedSnr
+from mpnetlab.channels import ChannelStream, FixedSnr
 from mpnetlab.estimators import StoppingRule, matching_pursuit
 from mpnetlab.mpnet import (
     AdamState,
@@ -222,7 +222,7 @@ class TestTraining:
         nominal = make_ula(16)
         true = perturb_array(nominal, 0.3, 0.1, rng)
         d = build_dictionary(nominal, doa_grid_ula(64))
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), true, rng)
+        stream = ChannelStream(FixedSnr(10.0), true, rng)
         return d, stream
 
     def test_cost_decreases_on_repeated_sample(self, rng, tmp_path):
@@ -277,7 +277,7 @@ class TestTraining:
         nominal = make_ula(16)
         true = perturb_array(nominal, 0.3, 0.1, rng)
         d = build_dictionary(nominal, doa_grid_ula(128))
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), true, rng)
+        stream = ChannelStream(FixedSnr(10.0), true, rng)
         model = MpNetModel.from_dictionary(d, StoppingRule.sc2())
         cfg = TrainConfig(minibatch_size=200)
         records = train_online(model, stream, 8000, cfg)
@@ -300,7 +300,7 @@ class TestCheckpoints:
         d = make_incoherent_dictionary(8, 16, seed=7)
         model = MpNetModel.from_dictionary(d, StoppingRule.sc1(max_depth=5))
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=4))
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        stream = ChannelStream(FixedSnr(10.0), make_ula(8), rng)
         trainer.step(stream.take(4))
         path = tmp_path / "model.npz"
         save_checkpoint(path, trainer.model, trainer.adam)
@@ -316,7 +316,7 @@ class TestCheckpoints:
         # at a minibatch boundary a trainer is its weights and Adam state
         d = make_incoherent_dictionary(8, 16, seed=7)
         trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.sc2()), TrainConfig(minibatch_size=4, decay_every=2))
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        stream = ChannelStream(FixedSnr(10.0), make_ula(8), rng)
         for _ in range(3):
             trainer.step(stream.take(4))
         save_checkpoint(tmp_path / "model.npz", trainer.model, trainer.adam)
@@ -355,6 +355,19 @@ class TestCheckpointValidation:
             load_checkpoint(tmp_path / "edited.npz")
         assert "\n" not in str(exc.value)
 
+    def test_mismatched_weight_parts_rejected(self, tmp_path, rng):
+        # a (A,) imaginary part would broadcast against the (N, A) real part
+        model = random_model(rng)
+        save_checkpoint(tmp_path / "model.npz", model)
+        with np.load(tmp_path / "model.npz") as data:
+            payload = dict(data)
+        real_shape = payload["w_re"].shape
+        payload["w_im"] = payload["w_im"][0]
+        np.savez(tmp_path / "edited.npz", **payload)
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(tmp_path / "edited.npz")
+        assert str(exc.value) == f"checkpoint w_re has shape {real_shape} but w_im has shape {real_shape[1:]}"
+
     @pytest.mark.parametrize(
         "key, edit",
         [
@@ -370,7 +383,7 @@ class TestCheckpointValidation:
     def test_corrupt_adam_state_rejected(self, tmp_path, rng, key, edit):
         d = make_incoherent_dictionary(8, 16, seed=7)
         trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.sc2()), TrainConfig(minibatch_size=4))
-        trainer.step(ChannelStream(ChannelGenConfig(), make_ula(8), rng).take(4))
+        trainer.step(ChannelStream(FixedSnr(), make_ula(8), rng).take(4))
         save_checkpoint(tmp_path / "model.npz", trainer.model, trainer.adam)
         with np.load(tmp_path / "model.npz") as data:
             payload = dict(data)
@@ -388,7 +401,7 @@ class TestDivergenceGuard:
         d = make_incoherent_dictionary(8, 16, seed=2)
         model = MpNetModel.from_dictionary(d, StoppingRule.sc2())
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=4), name="mpnet:nominal:sc2")
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        stream = ChannelStream(FixedSnr(10.0), make_ula(8), rng)
         trainer.step(stream.take(4))
         before = model.weights.copy()
         original = mpnet.adam_step
@@ -402,7 +415,7 @@ class TestDivergenceGuard:
         # steps on from them as a copy taken before the rejected minibatch does
         d = make_incoherent_dictionary(8, 16, seed=2)
         trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.sc2()), TrainConfig(minibatch_size=4))
-        stream = ChannelStream(ChannelGenConfig(snr=FixedSnr(10.0)), make_ula(8), rng)
+        stream = ChannelStream(FixedSnr(10.0), make_ula(8), rng)
         trainer.step(stream.take(4))
         copy = deepcopy(trainer)
         original = mpnet.adam_step

@@ -3,6 +3,10 @@
 import re
 from pathlib import Path
 
+import yaml
+
+from mpnetlab.config import config_from_mapping
+
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -12,3 +16,12 @@ def test_library_quick_start_runs(capsys):
     assert block.count("40_000") == 1
     exec(compile(block.replace("40_000", "400"), "README.md quick start", "exec"), {})
     assert re.fullmatch(r"relative error: -?\d+\.\d dB -> -?\d+\.\d dB\n", capsys.readouterr().out)
+
+
+def test_configuration_blocks_load():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"## Configuration file\n(.*?)\n## ", text, re.S).group(1)
+    blocks = re.findall(r"```yaml\n(.*?)```", section, re.S)
+    assert len(blocks) == 2  # a learning run and an SNR-loss sweep
+    kinds = [config_from_mapping(yaml.safe_load(block)).snr_loss is None for block in blocks]
+    assert kinds == [True, False]

@@ -4,8 +4,10 @@
     python3 tools/artifact_digests.py --against REF [--seed ...] [--scenario ...]
 
 Each scenario runs at the given seed into a temporary directory, importing
-the package from this checkout's ``src/`` (or from ``--src DIR``). Learning
-scenarios other than ``smoke`` are cut to 2000 samples; ``fig6_break30`` and
+the package from this checkout's ``src/`` (or from ``--src DIR``). Every
+shipped config is a scenario. Learning scenarios other than ``smoke`` are cut
+to 2000 samples; ``fig2_left``, ``fig2_center`` and ``fig2_right`` cover the
+fixed-SNR rosters at both uncertainty levels and at 5 dB; ``fig6_break30`` and
 ``fig8_break50`` break their antennas at the midpoint, ``fig6_break30`` dumps
 the stream and replays it without the oracle entry, and ``fig7_aging`` ages
 its array from sample 1000, every 100 samples, ten times.
@@ -41,7 +43,7 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 
 CUT = 2000
-SCENARIOS = ("smoke", "fig2_left", "fig5_varying_snr", "fig6_break30", "fig7_aging", "fig8_break50", "fig9_upa", "fig1_snr_loss")
+SCENARIOS = ("smoke", "fig2_left", "fig2_center", "fig2_right", "fig5_varying_snr", "fig6_break30", "fig7_aging", "fig8_break50", "fig9_upa", "fig1_snr_loss")
 
 
 def _shipped(name: str, seed: int) -> dict:
