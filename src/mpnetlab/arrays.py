@@ -8,6 +8,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,9 @@ _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 UNIT_TOL = 1e-12
 NORM_TOL = 1e-9
+
+# Columns per block of build_dictionary's column norms
+NORM_BLOCK = 256
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -42,6 +46,8 @@ class AntennaArray:
             raise ValueError("an antenna array needs at least one element")
         if gains.shape != (positions.shape[0],):
             raise ValueError("gains must have shape (N,) matching positions")
+        if not (np.isfinite(positions).all() and np.isfinite(gains).all()):
+            raise ValueError("positions and gains must be finite")
         object.__setattr__(self, "positions", _readonly(positions))
         object.__setattr__(self, "gains", _readonly(gains))
 
@@ -52,7 +58,11 @@ class AntennaArray:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Unit-norm steering-vector atoms over a direction grid; one column per direction."""
+    """Unit-norm steering-vector atoms over a direction grid; one column per direction.
+
+    The atoms are copied, so the dictionary owns them, read-only. The unit-norm
+    check allocates nothing N x A-sized, and fails on NaN or infinite atoms.
+    """
 
     atoms: np.ndarray
     directions: np.ndarray
@@ -64,7 +74,8 @@ class Dictionary:
             raise ValueError("atoms must have shape (N, A) with A >= 1")
         if directions.shape != (atoms.shape[1], 3):
             raise ValueError("directions must have shape (A, 3) matching atoms")
-        if np.max(np.abs(np.linalg.norm(atoms, axis=0) - 1.0)) > NORM_TOL:
+        energies = np.einsum("na,na->a", atoms.real, atoms.real) + np.einsum("na,na->a", atoms.imag, atoms.imag)
+        if not np.all(np.abs(np.sqrt(energies) - 1.0) <= NORM_TOL):  # NaN fails
             raise ValueError("dictionary atoms must have unit norm")
         object.__setattr__(self, "atoms", _readonly(atoms))
         object.__setattr__(self, "directions", _readonly(directions))
@@ -151,9 +162,11 @@ def _check_directions(directions) -> np.ndarray:
 def unit_response(positions: np.ndarray, directions) -> np.ndarray:
     """Unit-gain responses exp(-2j*pi * p_i . u) of antennas at ``positions``
     (N x 3), one column per direction: the geometry part of
-    :func:`steering_matrix`, shared by every array with these positions."""
-    phases = positions @ _check_directions(directions).T
-    return np.exp(-2j * np.pi * phases)
+    :func:`steering_matrix`, shared by every array with these positions.
+    The exponential is taken in place, so the result is the only complex
+    N x A array allocated."""
+    phases = -2j * np.pi * (positions @ _check_directions(directions).T)
+    return np.exp(phases, out=phases)
 
 
 def steering_matrix(array: AntennaArray, directions: np.ndarray, response: np.ndarray | None = None) -> np.ndarray:
@@ -200,9 +213,15 @@ def doa_grid_upa(count: int) -> np.ndarray:
 
 def build_dictionary(array: AntennaArray, directions: np.ndarray, response: np.ndarray | None = None) -> Dictionary:
     """Dictionary of the steering vectors on ``directions``, scaled to unit
-    norm. ``response`` is as in :func:`steering_matrix`."""
+    norm. ``response`` is as in :func:`steering_matrix`.
+
+    The column norms are taken over near-equal blocks of about NORM_BLOCK
+    columns, so their temporaries stay N x NORM_BLOCK. A block never has one
+    column unless A is 1: a one-column slice is reduced in another order and
+    its norm can differ in the last bit from the whole matrix's."""
     atoms = steering_matrix(array, directions, response)
-    norms = np.linalg.norm(atoms, axis=0)
+    blocks = np.array_split(atoms, math.ceil(atoms.shape[1] / NORM_BLOCK), axis=1)
+    norms = np.concatenate([np.linalg.norm(block, axis=0) for block in blocks])
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero steering vector (all gains zero)")
     atoms /= norms

@@ -160,11 +160,15 @@ def pursue(
     Rows run in tiles of CORR_TILE, layer by layer; the rows still active in a
     tile share their depth, so a layer is a few whole-block operations. One
     matrix product correlates the block with the atoms and the largest modulus
-    per row wins (lowest index on ties). Matching pursuit subtracts the
-    rank-one projection onto the picked atom, so atoms may be reselected. OMP
-    (``orthogonal``) masks the support, orthonormalizes the picked atom
-    against the row's basis and projects the residual off it; it raises
-    numpy.linalg.LinAlgError when the support is linearly dependent or full.
+    per row wins (lowest index on ties). The product is ``atoms.T`` times the
+    conjugated residual block: conjugating the block (at most CORR_TILE x N)
+    instead of the atoms copies nothing N x A-sized, and the moduli are the
+    same bits as those of ``atoms^H`` times the block. Matching pursuit
+    subtracts the rank-one projection onto the picked atom, so atoms may be
+    reselected. OMP (``orthogonal``) masks the support, orthonormalizes the
+    picked atom against the row's basis and projects the residual off it; it
+    raises numpy.linalg.LinAlgError when the support is linearly dependent or
+    full.
 
     A row stops where ``should_stop`` first holds for its residual energy over
     its ``input_energies`` entry, tested against bounds set once per tile. A
@@ -176,7 +180,7 @@ def pursue(
     minus the final residuals, with supports as wide as the deepest row.
     """
     n, n_atoms = atoms.shape
-    atoms_h, atom_rows = atoms.conj().T, atoms.T
+    atom_rows = atoms.T
     X = np.asarray(X, dtype=complex)
     residuals = np.array(X)  # a copy, in X's memory order
     input_energies, noise_var_norms = np.asarray(input_energies, dtype=float), np.asarray(noise_var_norms, dtype=float)
@@ -195,7 +199,7 @@ def pursue(
         layers = []
         while len(live):
             depth = len(layers)
-            corr = np.abs(atoms_h @ R.T)
+            corr = np.abs(atom_rows @ R.conj().T)
             if orthogonal:
                 if depth >= n_atoms:
                     raise np.linalg.LinAlgError("every atom is already in the support")

@@ -190,6 +190,8 @@ class ExperimentConfig:
         if self.snr_loss is not None:
             if self.total_samples > 0 or self.estimators or self.anomalies or self.dump_stream or self.replay_stream is not None:
                 raise ValueError("a config describes one experiment: an snr_loss section takes no total_samples, estimators, anomalies or stream settings")
+            if self.array.gain_std != 0.0 or self.array.pos_std != 0.0 or self.training != TrainConfig():
+                raise ValueError("the SNR-loss sweep reads its uncertainty from snr_loss.pos_stds and snr_loss.gain_stds and trains nothing: it takes no array.gain_std, array.pos_std or training settings")
             if self.array.geometry != "ula":
                 raise ValueError("the SNR-loss sweep is defined for linear arrays")
             if not isinstance(self.snr, FixedSnr):
@@ -478,6 +480,7 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
                     cell += ratio
                 ratios[i, j] += cell / spec.channels_per_array
                 del dict_true, H, X, by_nominal, by_true
+            del atom_response, chan_response  # before the next position's are built
     ratios /= spec.n_arrays
     loss_db = 10.0 * np.log10(ratios)
 

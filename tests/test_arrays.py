@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mpnetlab.arrays import (
     AntennaArray,
+    Dictionary,
     build_dictionary,
     doa_grid_ula,
     doa_grid_upa,
@@ -15,6 +16,47 @@ from mpnetlab.arrays import (
     steering_vector,
     unit_response,
 )
+
+
+class TestAntennaArray:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_position(self, bad):
+        positions = make_ula(4).positions.copy()
+        positions[2, 0] = bad
+        with pytest.raises(ValueError, match="^positions and gains must be finite$"):
+            AntennaArray(positions, np.ones(4, complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf, complex(1.0, -np.inf)])
+    def test_rejects_a_non_finite_gain(self, bad):
+        gains = np.ones(4, complex)
+        gains[1] = bad
+        with pytest.raises(ValueError, match="^positions and gains must be finite$"):
+            AntennaArray(make_ula(4).positions, gains)
+
+
+class TestDictionaryCheck:
+    @pytest.mark.parametrize("bad", [np.nan + 0j, complex(0.0, np.nan), np.inf + 0j])
+    def test_rejects_non_finite_atoms(self, bad):
+        with pytest.raises(ValueError, match="^dictionary atoms must have unit norm$"):
+            Dictionary(np.full((4, 3), bad), doa_grid_ula(3))
+
+    def test_rejects_one_non_finite_entry(self):
+        atoms = build_dictionary(make_ula(4), doa_grid_ula(3)).atoms.copy()
+        atoms[1, 2] = np.nan
+        with pytest.raises(ValueError, match="^dictionary atoms must have unit norm$"):
+            Dictionary(atoms, doa_grid_ula(3))
+
+    def test_rejects_a_column_off_unit_norm(self):
+        atoms = build_dictionary(make_ula(4), doa_grid_ula(3)).atoms * (1.0 + 1e-8)
+        with pytest.raises(ValueError, match="^dictionary atoms must have unit norm$"):
+            Dictionary(atoms, doa_grid_ula(3))
+
+    def test_owns_a_read_only_copy(self):
+        atoms = build_dictionary(make_ula(4), doa_grid_ula(3)).atoms.copy()
+        d = Dictionary(atoms, doa_grid_ula(3))
+        atoms[0, 0] = 0.0
+        assert d.atoms[0, 0] != 0.0
+        assert not d.atoms.flags.writeable
 
 
 class TestMakeUla:
@@ -250,9 +292,11 @@ class TestPrecomputedResponse:
     """A response computed once for some positions stands in for the one
     ``steering_matrix`` and ``build_dictionary`` would compute, to the bit."""
 
-    @pytest.mark.parametrize("arr, dirs", _perturbed_arrays(), ids=["ula", "upa"])
+    # unit_response exponentiates in place; it must give the out-of-place bits
+    @pytest.mark.parametrize("arr, dirs", _perturbed_arrays() + [(make_ula(64), doa_grid_ula(2048))], ids=["ula", "upa", "ula64"])
     def test_steering_matrix_is_bit_equal(self, arr, dirs):
         response = unit_response(arr.positions, dirs)
+        assert np.array_equal(response, np.exp(-2j * np.pi * (arr.positions @ dirs.T)))
         given = steering_matrix(arr, dirs, response=response)
         assert np.array_equal(given, steering_matrix(arr, dirs))
         assert np.array_equal(given, arr.gains[:, None] * np.exp(-2j * np.pi * (arr.positions @ dirs.T)))
@@ -264,6 +308,17 @@ class TestPrecomputedResponse:
         assert np.array_equal(given.atoms, own.atoms)
         raw = steering_matrix(arr, dirs)
         assert np.array_equal(own.atoms, raw / np.linalg.norm(raw, axis=0))
+
+    # the blocked norms must give np.linalg.norm's bits; 257 and 2049 are the
+    # sizes where fixed 256-column blocks would leave a one-column block, whose
+    # norm differs in the last bit at N = 9, A = 257 and N = 8, A = 2049
+    @pytest.mark.parametrize("n", [8, 9, 64])
+    @pytest.mark.parametrize("a", [1, 2, 257, 2048, 2049])
+    def test_blocked_norms_are_the_whole_matrix_norms(self, n, a):
+        arr = perturb_array(make_ula(n), 0.2, 0.05, np.random.default_rng(a))
+        dirs = doa_grid_ula(a)
+        raw = steering_matrix(arr, dirs)
+        assert np.array_equal(build_dictionary(arr, dirs).atoms, raw / np.linalg.norm(raw, axis=0))
 
     def test_one_response_serves_every_gain_draw(self):
         arr = make_ula(8)

@@ -82,8 +82,14 @@ class TestConfigErrors:
         [
             ("train", SMALL.replace("total_samples: 300", "total_samples: 50"), "total_samples is smaller than one minibatch"),
             ("snr-loss", "seed: 1\narray: {geometry: upa, nx: 4, nz: 4}\nsnr_loss: {pos_stds: [0.0], gain_stds: [0.0]}\n", "the SNR-loss sweep is defined for linear arrays"),
+            (
+                "snr-loss",
+                "seed: 1\narray: {n: 16, gain_std: 0.3}\ntraining: {minibatch_size: 7}\nsnr_loss: {pos_stds: [0.0], gain_stds: [0.0]}\n",
+                "the SNR-loss sweep reads its uncertainty from snr_loss.pos_stds and snr_loss.gain_stds and trains nothing: "
+                "it takes no array.gain_std, array.pos_std or training settings",
+            ),
         ],
-        ids=["short learning run", "planar sweep"],
+        ids=["short learning run", "planar sweep", "sweep with unread settings"],
     )
     def test_run_that_cannot_succeed_exits_1_before_the_output_dir(self, tmp_path, capsys, command, text, message):
         cfg = write_config(tmp_path, text)

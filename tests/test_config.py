@@ -159,6 +159,32 @@ class TestRejections:
             config_from_mapping(_sweep(array={"geometry": "upa", "nx": 4, "nz": 4}))
         assert str(exc.value) == "the SNR-loss sweep is defined for linear arrays"
 
+    SWEEP_SETTINGS_MESSAGE = (
+        "the SNR-loss sweep reads its uncertainty from snr_loss.pos_stds and snr_loss.gain_stds and trains nothing: "
+        "it takes no array.gain_std, array.pos_std or training settings"
+    )
+
+    # the sweep builds only the nominal array and trains nothing, so these settings would be silently ignored
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"array": {"n": 16, "gain_std": 0.3, "pos_std": 0.1}, "training": {"minibatch_size": 7, "learning_rate": 0.5}},
+            {"array": {"n": 16, "gain_std": 0.3}},
+            {"array": {"n": 16, "pos_std": 0.1}},
+            {"training": {"minibatch_size": 7}},
+            {"training": {"learning_rate": 0.5}},
+        ],
+        ids=["unread settings", "gain_std", "pos_std", "minibatch_size", "learning_rate"],
+    )
+    def test_sweep_with_settings_it_never_reads_rejected(self, overrides):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(_sweep(**overrides))
+        assert str(exc.value) == self.SWEEP_SETTINGS_MESSAGE
+
+    def test_sweep_with_default_settings_loads(self):
+        data = _sweep(array={"n": 16, "gain_std": 0.0, "pos_std": 0.0}, training={"minibatch_size": 200})
+        assert config_from_mapping(data).training == TrainConfig()
+
 
 class TestLoadConfig:
     def test_roundtrip_file(self, tmp_path):

@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpnetlab import estimators, mpnet
-from mpnetlab.arrays import Dictionary, make_ula
+from mpnetlab.arrays import Dictionary, build_dictionary, doa_grid_ula, make_ula, unit_response
 from mpnetlab.channels import ChannelSample, ChannelStream, FixedSnr, SampleBatch
 from mpnetlab.estimators import CORR_TILE, StoppingRule, matching_pursuit, omp, pursuit_batch, row_dot, should_stop
 from mpnetlab.experiments import ArraySpec, ExperimentConfig, run_learning_experiment
@@ -310,6 +310,71 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert peak / 2**20 < self.PEAK_BOUND_MB
+
+
+def _peak_mb(call) -> float:
+    """tracemalloc peak of ``call()`` in MB, after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoWholeMatrixScratch:
+    """At N=64, A=2048 (2 MB of complex atoms), B=200: the dictionary builds
+    and the pursuit kernel allocate no N x A array beyond the ones their result
+    keeps. Measured peaks: 3.13, 4.13, 2.09, 2.28 and 3.21 MB; with a scratch
+    copy of the atoms (conjugate, norm temporaries, out-of-place exponential)
+    5.00, 6.09, 4.08, 4.28 and 5.21 MB."""
+
+    N, A, B = 64, 2048, 200
+
+    @pytest.fixture(scope="class")
+    def dictionary(self):
+        return build_dictionary(make_ula(self.N), doa_grid_ula(self.A))
+
+    @pytest.fixture(scope="class")
+    def observations(self):
+        rng = np.random.default_rng(8)
+        return rng.standard_normal((self.B, self.N)) + 1j * rng.standard_normal((self.B, self.N))
+
+    def test_unit_response(self):
+        positions, dirs = make_ula(self.N).positions, doa_grid_ula(self.A)
+        assert _peak_mb(lambda: unit_response(positions, dirs)) < 3.5
+
+    def test_build_dictionary(self):
+        arr, dirs = make_ula(self.N), doa_grid_ula(self.A)
+        assert _peak_mb(lambda: build_dictionary(arr, dirs)) < 4.5
+
+    def test_dictionary_check(self, dictionary):
+        atoms, dirs = np.array(dictionary.atoms), dictionary.directions
+        assert _peak_mb(lambda: Dictionary(atoms, dirs)) < 2.5
+
+    def test_matching_pursuit(self, dictionary, observations):
+        noise = [0.0] * self.B
+        assert _peak_mb(lambda: pursuit_batch(dictionary, observations, StoppingRule.fixed(1), noise)) < 2.75
+
+    def test_omp(self, dictionary, observations):
+        noise = [0.0] * self.B
+        assert _peak_mb(lambda: pursuit_batch(dictionary, observations, StoppingRule.fixed(8), noise, orthogonal=True)) < 3.75
+
+
+class TestCorrelationForm:
+    """``pursue`` correlates as ``|atoms^T conj(R)^T|``; its moduli must be the
+    bits of ``|atoms^H R^T|``, or every pick and artifact could move."""
+
+    @pytest.mark.parametrize("m", [1, 7, 32])
+    @pytest.mark.parametrize("a", [512, 2048])
+    def test_moduli_are_bit_equal(self, m, a):
+        rng = np.random.default_rng(m * a)
+        steering = build_dictionary(make_ula(64), doa_grid_ula(a)).atoms
+        weights = rng.standard_normal((64, a)) + 1j * rng.standard_normal((64, a))  # mpNet's are arbitrary
+        for W in (steering, weights):
+            R = rng.standard_normal((m, 64)) + 1j * rng.standard_normal((m, 64))
+            assert np.array_equal(np.abs(W.T @ R.conj().T), np.abs(W.conj().T @ R.T))
 
 
 class TestTrainerWithoutGroundTruth:
