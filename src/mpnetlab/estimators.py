@@ -176,8 +176,10 @@ def pursue(
     within 1e-12 of a per-sample loop. ``on_tile`` gets each finished tile's
     final residual rows (a view) and its layers, one (live rows as ascending
     tile positions, picked atoms, vectors peeled off, coefficients, residual
-    rows before the update) tuple each. Returns the rows' estimates: ``X``
-    minus the final residuals, with supports as wide as the deepest row.
+    rows before the update) tuple each. Only then are the layers kept: MP
+    and OMP drop a layer's arrays once the next layer starts. OMP allocates
+    its bases once per call, one tile's worth. Returns the rows' estimates:
+    ``X`` minus the final residuals, with supports as wide as the deepest row.
     """
     n, n_atoms = atoms.shape
     atom_rows = atoms.T
@@ -187,6 +189,8 @@ def pursue(
     stop_depth = min(rule.depth, rule.cap(n)) if rule.kind == "fixed" else rule.cap(n)  # should_stop's depth test
     depths = np.zeros(len(residuals), dtype=int)
     supports = np.zeros((len(residuals), stop_depth), dtype=np.intp)
+    if orthogonal:  # an orthonormal basis of each tile row's support (at most N vectors)
+        basis = np.empty((min(len(residuals), CORR_TILE), min(rule.cap(n), n), n), dtype=complex)
     for start in range(0, len(residuals), CORR_TILE):
         tile = slice(start, start + CORR_TILE)
         energies = input_energies[tile]
@@ -194,11 +198,8 @@ def pursue(
         limits = np.fmax(sc_threshold(rule, noise_var_norms[tile], n), ZERO_RESIDUAL_FLOOR)
         live = np.flatnonzero((energies > 0.0).astype(float) > limits)
         R = residuals[tile][live]
-        if orthogonal:  # an orthonormal basis of each row's support (at most N vectors)
-            basis = np.empty((len(energies), min(rule.cap(n), n), n), dtype=complex)
-        layers = []
+        depth, layers = 0, []
         while len(live):
-            depth = len(layers)
             corr = np.abs(atom_rows @ R.conj().T)
             if orthogonal:
                 if depth >= n_atoms:
@@ -211,9 +212,11 @@ def pursue(
                 basis[live, depth] = cols
             supports[start + live, depth], depths[start + live] = picks, depth + 1
             coeffs = row_dot(cols, R)
-            layers.append((live, picks, cols, coeffs, R))
+            if on_tile is not None:
+                layers.append((live, picks, cols, coeffs, R))
             R = R - cols * coeffs[:, None]
-            stop = (row_dot(R, R).real / energies[live] <= limits[live]) | (depth + 1 >= stop_depth)
+            depth += 1
+            stop = (row_dot(R, R).real / energies[live] <= limits[live]) | (depth >= stop_depth)
             residuals[start + live[stop]] = R[stop]
             live, R = live[~stop], R[~stop]
         if on_tile is not None:

@@ -257,12 +257,12 @@ def _add_counts(total: np.ndarray, extra: np.ndarray) -> np.ndarray:
 @dataclass
 class LearningRun:
     """A learning run at a minibatch boundary: its stream, its roster (each
-    mpNet entry's trainer under its name), the MP/OMP dictionaries and the
-    minibatch count and size; then how many minibatches it has ``taken``,
-    the SNR histogram so far and the oracle dictionary's array. A binary
-    handle set as ``dump`` gets each minibatch's stream rows. A run with no
-    whole minibatch, a replay too short for the count, or a noiseless live
-    stream fails when it is built."""
+    mpNet entry's trainer under its name), the MP/OMP dictionaries, the
+    minibatch count and size, and the array the ``oracle`` dictionary was
+    built from, if any; then how many minibatches it has ``taken`` and the
+    SNR histogram so far. A binary handle set as ``dump`` gets each
+    minibatch's stream rows. A run with no whole minibatch, a replay too
+    short for the count, or a noiseless live stream fails when it is built."""
 
     stream: ChannelStream | ReplayStream
     specs: Sequence[EstimatorSpec]
@@ -270,11 +270,11 @@ class LearningRun:
     dictionaries: dict[str, Dictionary]
     n_minibatches: int
     batch_size: int
+    oracle_array: AntennaArray | None = None
     dump: BinaryIO | None = field(init=False, default=None)
     taken: int = field(init=False, default=0)
     snr_floors: Counter[int] = field(init=False, default_factory=Counter)
     snr_top: float = field(init=False, default=-math.inf)
-    oracle_array: AntennaArray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.n_minibatches < 1:
@@ -289,7 +289,9 @@ class LearningRun:
     def step(self) -> dict[str, MinibatchRecord]:
         """Run the next minibatch: take it, rebuild the oracle dictionary when
         an anomaly has replaced the true array, count its SNRs, append it to
-        the dump, then run and score each roster entry in order."""
+        the dump, then run and score each roster entry in order. MP and OMP
+        entries of one family and rule on the same dictionary object share
+        one pass."""
         batch = self.stream.take(self.batch_size)
         if any(spec.source == "oracle" for spec in self.specs) and self.stream.current_array is not self.oracle_array:
             self.oracle_array = self.stream.current_array
@@ -301,7 +303,7 @@ class LearningRun:
         self.taken += 1
         # the roster sees the observations and noise variances
         X, noise_vars = batch.observation, batch.noise_var
-        record = {}
+        record, pursued = {}, {}
         for spec in self.specs:
             mean_cost = math.nan
             if spec.family == "mpnet":
@@ -310,7 +312,11 @@ class LearningRun:
             elif spec.family == "ls":
                 estimates = BatchEstimate(X, np.zeros(len(X), dtype=int), np.zeros((len(X), 0), dtype=np.intp), np.zeros(len(X)))
             else:
-                estimates = pursuit_batch(self.dictionaries[spec.source], X, spec.rule, noise_vars, spec.family == "omp")
+                dictionary = self.dictionaries[spec.source]
+                key = (spec.family, spec.rule, id(dictionary))  # every dictionary lives through the step
+                if key not in pursued:
+                    pursued[key] = pursuit_batch(dictionary, X, spec.rule, noise_vars, spec.family == "omp")
+                estimates = pursued[key]
             record[spec.name] = score_minibatch(self.taken, batch.channel, estimates, mean_cost)
         return record
 
@@ -330,11 +336,11 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     nominal = cfg.array.build_nominal()
     true_array = perturb_array(nominal, cfg.array.gain_std, cfg.array.pos_std, as_rng(perturb_seed))
     directions = cfg.array.doa_grid(cfg.n_atoms)
-    # the run adds the oracle dictionary, which follows the stream's true array
     dictionaries = {
         "nominal": build_dictionary(nominal, directions),
         "ideal": build_dictionary(true_array, directions),
     }
+    dictionaries["oracle"] = dictionaries["ideal"]  # it follows the stream's true array from there
 
     if cfg.replay_stream is not None:
         stream = ReplayStream(cfg.replay_stream)
@@ -356,7 +362,7 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
             trainers[spec.name] = OnlineTrainer(model, cfg.training, name=spec.name)
 
     batch_size = cfg.training.minibatch_size
-    run = LearningRun(stream, specs, trainers, dictionaries, cfg.total_samples // batch_size, batch_size)
+    run = LearningRun(stream, specs, trainers, dictionaries, cfg.total_samples // batch_size, batch_size, oracle_array=true_array)
     out_dir = None if out_dir is None else Path(out_dir)
     with ExitStack() as stack:
         # every artifact is staged (fileio.staged) and moves in when the run ends; a

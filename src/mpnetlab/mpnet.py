@@ -87,7 +87,7 @@ class MpNetModel:
 
     @classmethod
     def from_dictionary(cls, dictionary, rule: StoppingRule) -> "MpNetModel":
-        return cls(dictionary.atoms.copy(), rule, init=INIT_NOMINAL)
+        return cls(dictionary.atoms, rule, init=INIT_NOMINAL)  # __post_init__ copies
 
     @classmethod
     def xavier(cls, n_antennas: int, n_atoms: int, rule: StoppingRule, rng) -> "MpNetModel":
@@ -115,19 +115,22 @@ def _reverse(grad: np.ndarray, layers: Sequence[tuple], final: np.ndarray) -> No
     """The reverse pass over a tile's layers, from its final residual rows;
     O(depth * N) per row. Adds into ``grad`` (A x N: a weight column is a row)
     one gradient column per distinct (row, weight column) pair, in row and
-    then column order, a row's repeat visits summed in reverse layer order."""
+    then column order, a row's repeat visits summed in reverse layer order.
+    The pairs' slots are found up front, and each layer's terms are taken
+    off their slots as the layer is reached: a layer visits a pair at most
+    once, so each slot sums its visits in reverse layer order, from zero."""
     n_atoms = len(grad)
+    pairs = [live * n_atoms + picks for live, picks, *_ in reversed(layers)]
+    keys, slots = np.unique(np.concatenate([np.zeros(0, dtype=np.intp), *pairs]), return_inverse=True)  # a depth-0 tile has none
     R = np.array(final, dtype=complex)  # carries the adjoint from here on
-    pairs, terms = [np.zeros(0, dtype=np.intp)], [np.zeros((0, R.shape[1]), dtype=complex)]  # a depth-0 tile has none
+    columns = np.zeros((len(keys), R.shape[1]), dtype=complex)
+    end = 0
     for live, picks, cols, coeffs, before in reversed(layers):
         mu = R[live]
         overlaps = row_dot(cols, mu)  # w_s^H mu
-        pairs.append(live * n_atoms + picks)
-        terms.append(np.conj(coeffs)[:, None] * mu + np.conj(overlaps)[:, None] * before)
+        start, end = end, end + len(live)
+        columns[slots[start:end]] -= np.conj(coeffs)[:, None] * mu + np.conj(overlaps)[:, None] * before
         R[live] = mu - cols * overlaps[:, None]
-    keys, slots = np.unique(np.concatenate(pairs), return_inverse=True)
-    columns = np.zeros((len(keys), R.shape[1]), dtype=complex)
-    add_rows_at(columns, slots, -np.concatenate(terms))  # 0 - t, a sample's visits in turn
     add_rows_at(grad, keys % n_atoms, columns)
 
 
@@ -208,17 +211,35 @@ class AdamState:
 
 def adam_step(state: AdamState, weights: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, AdamState]:
     """One Adam update of the complex weights at ``state``'s learning rate:
-    returns the new weights and the next state, and mutates neither input."""
+    returns the new weights and the next state, and mutates neither input.
+
+    The update is Kingma & Ba's, in one fixed order of operations; beside
+    what it returns it allocates only two weight-sized scratch arrays, the
+    stacked gradient and the step, and reuses them in place."""
     if grad.shape != weights.shape:
         raise ValueError("gradient and weights must share a shape")
-    g = np.stack([grad.real, grad.imag])
+    g = np.empty((2, *weights.shape))  # C order, as the moments and the new weights are, whatever grad's layout
+    g[0], g[1] = grad.real, grad.imag
     cfg, t = state.cfg, state.step + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g**2
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    stacked = np.stack([weights.real, weights.imag]) - state.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-    return stacked[0] + 1j * stacked[1], replace(state, m=m, v=v, step=t)
+    step = (1.0 - cfg.beta1) * g
+    m = cfg.beta1 * state.m
+    m += step
+    np.square(g, out=g)
+    g *= 1.0 - cfg.beta2
+    v = cfg.beta2 * state.v
+    v += g
+    np.divide(m, 1.0 - cfg.beta1**t, out=step)  # m_hat
+    step *= state.learning_rate
+    np.divide(v, 1.0 - cfg.beta2**t, out=g)  # v_hat
+    np.sqrt(g, out=g)
+    g += cfg.eps
+    step /= g
+    g[0], g[1] = weights.real, weights.imag
+    g -= step
+    del step  # freed before the new weights are made
+    new = 1j * g[1]
+    new += g[0]
+    return new, replace(state, m=m, v=v, step=t)
 
 
 def unit_rows(observations: Sequence[np.ndarray], noise_vars: Sequence[float]):
@@ -315,7 +336,8 @@ class OnlineTrainer:
             cost += 0.5 * residual_energy
         estimates = _rescaled(unit, norms)
         del X_unit, unit  # freed before the Adam update makes its own arrays
-        weights, adam = adam_step(self.adam, self.model.weights, grad.T / len(batch))
+        grad /= len(batch)
+        weights, adam = adam_step(self.adam, self.model.weights, grad.T)
         if not np.all(np.isfinite(weights.view(float))):
             raise ValueError(f"{self.name}: non-finite weights after the Adam update of minibatch {adam.step}")
         self.model.weights, self.adam = weights, adam

@@ -3,7 +3,8 @@
 Everything here is written in plain loops, deliberately sharing no code with
 the package under test, except :func:`ref_snr_loss`: it restates the SNR-loss
 sweep cell by cell over the package's per-array building blocks, so that the
-whole-matrix sweep can be held to the same bits.
+whole-matrix sweep can be held to the same bits. :func:`ref_adam_step` is the
+Adam update as whole-array expressions, the bits the in-place update keeps.
 """
 
 from __future__ import annotations
@@ -79,6 +80,22 @@ def selection_margin(weights: np.ndarray, x: np.ndarray, depth: int) -> float:
         s = int(np.argmax(mags))
         r = r - weights[:, s] * np.vdot(weights[:, s], r)
     return margin
+
+
+def ref_adam_step(m: np.ndarray, v: np.ndarray, step: int, cfg, weights: np.ndarray, grad: np.ndarray):
+    """One Adam update (Kingma & Ba, ICLR 2015) of complex weights on their
+    stacked real and imaginary parts, from moments ``m`` and ``v`` after
+    ``step`` updates, at the rate ``cfg.base_rate`` decayed by ``cfg.decay``
+    every ``cfg.decay_every`` updates; returns the new weights, m and v."""
+    g = np.stack([grad.real, grad.imag])
+    t = step + 1
+    rate = cfg.base_rate * cfg.decay ** (step // cfg.decay_every)
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * v + (1.0 - cfg.beta2) * g**2
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    stacked = np.stack([weights.real, weights.imag]) - rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return stacked[0] + 1j * stacked[1], m, v
 
 
 def ref_snr_loss(cfg) -> np.ndarray:

@@ -286,19 +286,25 @@ class TestStoppingDepth:
 
 
 class TestMemory:
-    # tracemalloc peak of this step (N=64, A=512, B=200, depth 8) with the
-    # Adam update left out: 2.73 MB with per-layer residuals held for one
-    # tile, 5.2 MB with the update. The pass with the whole minibatch as one
-    # tile peaked at 7.7 MB.
+    # tracemalloc peaks at N=64, A=512, B=200. The step (depth 8) with the
+    # Adam update left out: 1.90 MB with per-layer residuals held for one
+    # tile; the pass with the whole minibatch as one tile peaked at 7.7 MB.
+    # The step with its update: 2.85 MB (2.86 under sc2), the update alone
+    # 2.13 MB and OMP fixed(16) 1.90 MB. Whole-array Adam expressions, a
+    # concatenated and negated reverse pass and layer records that nothing
+    # reads made those 5.22, 4.00 and 2.86 MB.
     PEAK_BOUND_MB = 3.0
 
-    def test_step_peak_is_tile_bounded(self):
+    def _trainer_and_samples(self, rule):
         n, a, b = 64, 512, 200
         rng = np.random.default_rng(7)
         d = make_incoherent_dictionary(n, a, seed=7)
         X = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
         samples = [ChannelSample(x, x, 1e-4 * np.vdot(x, x).real, 10.0) for x in X]
-        trainer = OnlineTrainer(trained_model(d, StoppingRule.fixed(8), 7), TrainConfig(minibatch_size=b))
+        return OnlineTrainer(trained_model(d, rule, 7), TrainConfig(minibatch_size=b)), samples
+
+    def test_step_peak_is_tile_bounded(self):
+        trainer, samples = self._trainer_and_samples(StoppingRule.fixed(8))
         batch = SampleBatch.of(samples)
         # the bound is on the pass; the Adam update adds its own arrays
         with patch.object(mpnet, "adam_step", lambda state, w, grad: (w, state)):
@@ -310,6 +316,25 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert peak / 2**20 < self.PEAK_BOUND_MB
+
+    @pytest.mark.parametrize("rule", [StoppingRule.fixed(8), StoppingRule.sc2()], ids=["fixed8", "sc2"])
+    def test_step_with_its_update_allocates_only_what_it_keeps(self, rule):
+        trainer, samples = self._trainer_and_samples(rule)
+        batch = SampleBatch.of(samples)
+        assert _peak_mb(lambda: trainer.step(batch)) < 4.0
+
+    def test_adam_step_allocates_two_scratch_arrays(self):
+        rng = np.random.default_rng(8)
+        weights = rng.standard_normal((64, 512)) + 1j * rng.standard_normal((64, 512))
+        grad = rng.standard_normal((512, 64)) + 1j * rng.standard_normal((512, 64))  # A x N, as the trainer holds it
+        state = mpnet.AdamState.for_shape(weights.shape)
+        assert _peak_mb(lambda: mpnet.adam_step(state, weights, grad.T)) < 3.0
+
+    def test_omp_keeps_no_layer_records(self):
+        rng = np.random.default_rng(9)
+        d = make_incoherent_dictionary(64, 512, seed=9)
+        X = rng.standard_normal((200, 64)) + 1j * rng.standard_normal((200, 64))
+        assert _peak_mb(lambda: pursuit_batch(d, X, StoppingRule.fixed(16), [0.0] * 200, orthogonal=True)) < 2.4
 
 
 def _peak_mb(call) -> float:
@@ -487,6 +512,53 @@ class TestOrderedFold:
         rng = np.random.default_rng(len(rows))
         values = rng.standard_normal((len(rows), 3)) * 10.0 ** rng.uniform(-8, 8, (len(rows), 1)) + 0j
         self.check(rng.standard_normal((3, 3)) + 0j, np.array(rows, dtype=np.intp), values)
+
+
+def concatenated_reverse(grad, layers, final):
+    """The reverse pass folded at the end of the tile: every layer's terms
+    concatenated in reverse layer order, negated, and summed into zeroed
+    (row, weight column) slots by one ordered scatter-add."""
+    n_atoms = len(grad)
+    R = np.array(final, dtype=complex)
+    pairs, terms = [np.zeros(0, dtype=np.intp)], [np.zeros((0, R.shape[1]), dtype=complex)]
+    for live, picks, cols, coeffs, before in reversed(layers):
+        mu = R[live]
+        overlaps = row_dot(cols, mu)
+        pairs.append(live * n_atoms + picks)
+        terms.append(np.conj(coeffs)[:, None] * mu + np.conj(overlaps)[:, None] * before)
+        R[live] = mu - cols * overlaps[:, None]
+    keys, slots = np.unique(np.concatenate(pairs), return_inverse=True)
+    columns = np.zeros((len(keys), R.shape[1]), dtype=complex)
+    add_rows_at(columns, slots, -np.concatenate(terms))
+    add_rows_at(grad, keys % n_atoms, columns)
+
+
+class TestReverseFold:
+    """``mpnet._reverse`` takes each layer's terms off their slots as it goes;
+    the sums must be the bits of the fold over the concatenated terms, on
+    tiles where a row visits a weight column again and on depth-0 tiles."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("rule", [StoppingRule.fixed(12), StoppingRule.sc2(max_depth=10)], ids=["fixed12", "sc2"])
+    def test_bit_equal_to_the_concatenated_fold(self, seed, rule):
+        rng = np.random.default_rng(seed)
+        n, a, b = 4, 6, CORR_TILE + 5  # few atoms and deep layers: rows pick a column again
+        weights = rng.standard_normal((n, a)) + 1j * rng.standard_normal((n, a))
+        X = unit_rows(rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n)))
+        noise = rng.uniform(0.0, 0.2, b)
+        X[CORR_TILE:] = 0.0  # the second tile stops before its first layer
+        tiles = []
+        estimators.pursue(weights, X, np.where(X.any(axis=1), 1.0, 0.0), noise, rule, on_tile=lambda layers, final: tiles.append((layers, final.copy())))
+        assert [len(layers) > 0 for layers, _ in tiles] == [True, False]
+        revisits = 0
+        for layers, final in tiles:
+            revisits += sum(len(live) for live, *_ in layers) - len({(r, p) for live, picks, *_ in layers for r, p in zip(live.tolist(), picks.tolist())})
+            start = rng.standard_normal((a, n)) + 1j * rng.standard_normal((a, n))  # a minibatch gradient so far
+            got, expected = start.copy(), start.copy()
+            mpnet._reverse(got, layers, final)
+            concatenated_reverse(expected, layers, final)
+            assert got.tobytes() == expected.tobytes()
+        assert revisits > 0
 
 
 class TestRowEnergies:

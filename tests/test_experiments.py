@@ -643,12 +643,29 @@ class TestOracleRefresh:
 
     def test_rebuilt_in_the_minibatches_that_change_the_array(self, monkeypatch):
         built = self._builds(monkeypatch, ("omp:oracle:sc2",))
-        # nominal and ideal before the run, then minibatches 1, 3 and 7
-        assert [before for before, _ in built] == [0, 0, 0, 2, 6]
-        ideal, first, broken, aged = (array for _, array in built[1:])
-        assert first is ideal
+        # nominal and ideal before the run (the oracle starts as the ideal one), then minibatches 3 and 7
+        assert [before for before, _ in built] == [0, 0, 2, 6]
+        broken, aged = (array for _, array in built[2:])
         assert np.count_nonzero(broken.gains == 0) == 5  # round(0.3 * 16)
         assert np.count_nonzero(aged.gains == 0) == 0
+
+    def test_shares_the_ideal_pass_until_the_array_changes(self, monkeypatch):
+        from dataclasses import replace
+
+        import mpnetlab.experiments as experiments
+
+        calls, original = [], experiments.pursuit_batch
+        monkeypatch.setattr(experiments, "pursuit_batch", lambda *args, **kwargs: calls.append(args[0]) or original(*args, **kwargs))
+        roster = ("omp:ideal:sc2", "omp:oracle:sc2", "mp:ideal:sc2", "omp:oracle:sc1")
+        cfg = small_config(estimators=roster, total_samples=800, training=TrainConfig(minibatch_size=100), anomalies=self.EVENTS)
+        result = run_learning_experiment(cfg)
+        # one OMP sc2 pass for the ideal and oracle entries in minibatches 1-2; two from the break in minibatch 3 on
+        assert len(calls) == 2 * 3 + 6 * 4
+        ideal, oracle = result.rmse_linear["omp:ideal:sc2"], result.rmse_linear["omp:oracle:sc2"]
+        assert np.array_equal(ideal[:2], oracle[:2])
+        assert not np.any(ideal[2:] == oracle[2:])
+        alone = run_learning_experiment(replace(cfg, estimators=("omp:oracle:sc2",)))
+        assert np.array_equal(alone.rmse_linear["omp:oracle:sc2"], oracle)
 
     def test_not_built_without_an_oracle_entry(self, monkeypatch):
         assert [before for before, _ in self._builds(monkeypatch, ("ls", "omp:ideal:sc2"))] == [0, 0]

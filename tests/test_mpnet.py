@@ -24,7 +24,7 @@ from mpnetlab.experiments import train_online
 from mpnetlab.utils import complex_normal, energy
 
 from conftest import make_incoherent_dictionary
-from reference import numerical_gradient, selection_margin
+from reference import numerical_gradient, ref_adam_step, selection_margin
 
 
 def random_model(rng, n=6, a=12, depth=3):
@@ -172,6 +172,34 @@ class TestAdam:
         state = AdamState.for_shape((2, 2))
         with pytest.raises(ValueError):
             adam_step(state, np.zeros((2, 2), complex), np.zeros((3, 2), complex))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bit_equal_to_the_whole_array_expressions(self, seed):
+        rng = np.random.default_rng(seed)
+        n, a = (int(d) for d in rng.integers(1, 9, 2))
+        cfg = TrainConfig(
+            base_rate=10.0 ** rng.uniform(-5, 0),
+            decay=rng.uniform(0.5, 1.0),
+            decay_every=int(rng.integers(1, 300)),
+            beta1=rng.uniform(0.0, 0.999),
+            beta2=rng.uniform(0.0, 0.9999),
+            eps=10.0 ** rng.uniform(-12, -4),
+        )
+        scale = 10.0 ** rng.uniform(-8, 4, (2, n, a))  # magnitudes far apart, so rounding shows
+        m, v = rng.standard_normal((2, n, a)) * scale, rng.standard_normal((2, n, a)) ** 2 * scale**2
+        v[0, 0, 0] = 0.0
+        state = AdamState(m, v, cfg, int(rng.integers(0, 2000)))
+        weights = complex_normal(rng, (n, a)) * 10.0 ** rng.uniform(-3, 3)
+        grad = (complex_normal(rng, (a, n)) * 10.0 ** rng.uniform(-6, 2, (a, n))).T  # a transposed view, as the trainer passes it
+        grad[0, 0] = 0.0
+        inputs = [x.copy() for x in (m, v, weights, grad)]
+        new, nxt = adam_step(state, weights, grad)
+        expected, ref_m, ref_v = ref_adam_step(m, v, state.step, cfg, weights, grad)
+        assert np.array_equal(new, expected) and np.array_equal(nxt.m, ref_m) and np.array_equal(nxt.v, ref_v)
+        assert new.tobytes() == expected.tobytes() and nxt.m.tobytes() == ref_m.tobytes() and nxt.v.tobytes() == ref_v.tobytes()
+        assert new.flags.c_contiguous and nxt.m.flags.c_contiguous and nxt.v.flags.c_contiguous
+        assert nxt.step == state.step + 1 and nxt.cfg is cfg
+        assert all(x.tobytes() == y.tobytes() for x, y in zip((m, v, weights, grad), inputs))
 
 
 class TestXavierInit:
