@@ -60,15 +60,28 @@ class AntennaArray:
 class Dictionary:
     """Unit-norm steering-vector atoms over a direction grid; one column per direction.
 
-    The atoms are copied, so the dictionary owns them, read-only. The unit-norm
-    check allocates nothing N x A-sized, and fails on NaN or infinite atoms.
+    A caller's atoms are copied, read-only ones included, so the dictionary
+    owns them, read-only; only ``build_dictionary`` hands over its own fresh
+    array uncopied. The unit-norm check allocates nothing N x A-sized, and
+    fails on NaN or infinite atoms.
     """
 
     atoms: np.ndarray
     directions: np.ndarray
 
     def __post_init__(self) -> None:
-        atoms = np.array(self.atoms, dtype=complex)
+        self._own(np.array(self.atoms, dtype=complex))
+
+    @classmethod
+    def _of_fresh(cls, atoms: np.ndarray, directions) -> "Dictionary":
+        """The dictionary of complex ``atoms`` that nothing else references,
+        taking them over instead of copying them."""
+        dictionary = object.__new__(cls)
+        object.__setattr__(dictionary, "directions", directions)
+        dictionary._own(atoms)
+        return dictionary
+
+    def _own(self, atoms: np.ndarray) -> None:
         directions = np.array(self.directions, dtype=float)
         if atoms.ndim != 2 or atoms.shape[1] == 0:
             raise ValueError("atoms must have shape (N, A) with A >= 1")
@@ -173,11 +186,13 @@ def steering_matrix(array: AntennaArray, directions: np.ndarray, response: np.nd
     """Stack steering vectors for several directions as the columns of an (N, A) matrix.
 
     ``response`` is a precomputed ``unit_response(array.positions, directions)``;
-    only the gains are then applied, with the same bits.
+    only the gains are then applied, with the same bits, into a new array. A
+    response built here is scaled in place, so it is the one N x A array made.
     """
     if response is None:
         response = unit_response(array.positions, directions)
-    elif response.shape != (array.size, _check_directions(directions).shape[0]):
+        return np.multiply(array.gains[:, None], response, out=response)
+    if response.shape != (array.size, _check_directions(directions).shape[0]):
         raise ValueError("response must have shape (N, A) matching the array and directions")
     return array.gains[:, None] * response
 
@@ -218,11 +233,14 @@ def build_dictionary(array: AntennaArray, directions: np.ndarray, response: np.n
     The column norms are taken over near-equal blocks of about NORM_BLOCK
     columns, so their temporaries stay N x NORM_BLOCK. A block never has one
     column unless A is 1: a one-column slice is reduced in another order and
-    its norm can differ in the last bit from the whole matrix's."""
+    its norm can differ in the last bit from the whole matrix's.
+
+    The atoms are one fresh N x A array, normalized in place and handed to the
+    dictionary uncopied; a caller's ``response`` is only read."""
     atoms = steering_matrix(array, directions, response)
     blocks = np.array_split(atoms, math.ceil(atoms.shape[1] / NORM_BLOCK), axis=1)
     norms = np.concatenate([np.linalg.norm(block, axis=0) for block in blocks])
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero steering vector (all gains zero)")
     atoms /= norms
-    return Dictionary(atoms, np.asarray(directions, dtype=float))
+    return Dictionary._of_fresh(atoms, directions)

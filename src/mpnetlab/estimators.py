@@ -27,6 +27,11 @@ _RANK_TOL = 1e-10
 # at the same speed.
 CORR_TILE = 32
 
+# Atoms per block of a layer's correlation: the product with a tile is formed
+# ATOM_BLOCK atoms at a time, so its scratch stays CORR_TILE x ATOM_BLOCK
+# whatever the dictionary size.
+ATOM_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class StoppingRule:
@@ -158,21 +163,23 @@ def pursue(
     the one kernel behind matching pursuit, OMP and the mpNet forward pass.
 
     Rows run in tiles of CORR_TILE, layer by layer; the rows still active in a
-    tile share their depth, so a layer is a few whole-block operations. One
-    matrix product correlates the block with the atoms and the largest modulus
-    per row wins (lowest index on ties). The product is ``atoms.T`` times the
-    conjugated residual block: conjugating the block (at most CORR_TILE x N)
-    instead of the atoms copies nothing N x A-sized, and the moduli are the
-    same bits as those of ``atoms^H`` times the block. Matching pursuit
-    subtracts the rank-one projection onto the picked atom, so atoms may be
-    reselected. OMP (``orthogonal``) masks the support, orthonormalizes the
-    picked atom against the row's basis and projects the residual off it; it
-    raises numpy.linalg.LinAlgError when the support is linearly dependent or
-    full.
+    tile share their depth, so a layer is a few whole-block operations. The
+    block is correlated with ATOM_BLOCK atoms at a time and the largest modulus
+    per row wins (lowest index on ties), so the correlation scratch is at most
+    CORR_TILE x ATOM_BLOCK whatever the atom count. The product is ``atoms.T``
+    times the residual block, conjugated once per layer: conjugating the block
+    (at most CORR_TILE x N) instead of the atoms copies nothing N x A-sized,
+    and the moduli are the same bits as those of ``atoms^H`` times the block.
+    Matching pursuit subtracts the rank-one projection onto the picked atom,
+    so atoms may be reselected. OMP (``orthogonal``) masks the support,
+    orthonormalizes the picked atom against the row's basis and projects the
+    residual off it; it raises numpy.linalg.LinAlgError when the support is
+    linearly dependent or full.
 
     A row stops where ``should_stop`` first holds for its residual energy over
     its ``input_energies`` entry, tested against bounds set once per tile. A
-    row's results are the same bytes whatever the batch and tile sizes, and
+    row's results are the same bytes whatever the batch, tile and atom-block
+    sizes, and
     within 1e-12 of a per-sample loop. ``on_tile`` gets each finished tile's
     final residual rows (a view) and its layers, one (live rows as ascending
     tile positions, picked atoms, vectors peeled off, coefficients, residual
@@ -200,12 +207,12 @@ def pursue(
         R = residuals[tile][live]
         depth, layers = 0, []
         while len(live):
-            corr = np.abs(atom_rows @ R.conj().T)
+            taken = None
             if orthogonal:
                 if depth >= n_atoms:
                     raise np.linalg.LinAlgError("every atom is already in the support")
-                corr[supports[tile][live, :depth].T, np.arange(len(live))] = -1.0
-            picks = np.argmax(corr, axis=0)
+                taken = supports[tile][live, :depth]
+            picks = _select(atom_rows, R.conj().T, taken)
             cols = atom_rows[picks]
             if orthogonal:
                 cols = _orthonormalize(cols, basis[live, :depth])
@@ -222,6 +229,36 @@ def pursue(
         if on_tile is not None:
             on_tile(layers, residuals[tile])
     return BatchEstimate(X - residuals, depths, supports[:, : depths.max(initial=0)], row_energies(residuals))
+
+
+def _select(atom_rows: np.ndarray, Rc: np.ndarray, taken: np.ndarray | None) -> np.ndarray:
+    """Per column j of ``Rc`` (N x m), the atom row with the largest modulus in
+    column j of ``atom_rows @ Rc``, lowest index on ties, skipping the atoms in
+    row j of ``taken`` (m x k, OMP's supports) when given.
+
+    The product runs over blocks of ATOM_BLOCK atom rows. A later block's pick
+    replaces the running one only when its modulus is strictly larger, so ties
+    still go to the lowest index; the BLAS gives a product row the same bits in
+    any block. One block covering every atom is one product, with no merge."""
+    n_atoms = len(atom_rows)
+    for a0 in range(0, n_atoms, ATOM_BLOCK):
+        corr = np.abs(atom_rows[a0 : a0 + ATOM_BLOCK] @ Rc)
+        if taken is not None and n_atoms <= ATOM_BLOCK:
+            corr[taken.T, np.arange(Rc.shape[1])] = -1.0
+        elif taken is not None:  # only the support entries inside this block
+            rows, k = np.nonzero((taken >= a0) & (taken < a0 + ATOM_BLOCK))
+            corr[taken[rows, k] - a0, rows] = -1.0
+        block_picks = np.argmax(corr, axis=0)
+        if n_atoms <= ATOM_BLOCK:
+            return block_picks
+        moduli = corr[block_picks, np.arange(Rc.shape[1])]
+        del corr  # freed before the next block's product
+        if a0 == 0:
+            picks, best = block_picks, moduli
+        else:
+            better = moduli > best
+            picks[better], best[better] = block_picks[better] + a0, moduli[better]
+    return picks
 
 
 def _orthonormalize(cols: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -479,13 +479,14 @@ def snr_loss_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[np.ndarray
                 # C order: pursue and row_energies give other bits on a transposed view
                 H = np.ascontiguousarray(steering_matrix(true_array, chan_dirs, response=chan_response).T)
                 X = H + np.sqrt(row_energies(H) / (n * snr_lin))[:, None] * noise_draws
-                by_nominal = pursuit_batch(dict_nominal, X, rule, no_noise_var).channel
-                by_true = pursuit_batch(dict_true, X, rule, no_noise_var).channel
+                # each pursuit's per-row error energy, not its B x N estimate
+                by_nominal = row_energies(pursuit_batch(dict_nominal, X, rule, no_noise_var).channel - H)
+                by_true = row_energies(pursuit_batch(dict_true, X, rule, no_noise_var).channel - H)
                 cell = 0.0
-                for ratio in (row_energies(by_nominal - H) / row_energies(by_true - H)).tolist():
+                for ratio in (by_nominal / by_true).tolist():
                     cell += ratio
                 ratios[i, j] += cell / spec.channels_per_array
-                del dict_true, H, X, by_nominal, by_true
+                del dict_true, H, X
             del atom_response, chan_response  # before the next position's are built
     ratios /= spec.n_arrays
     loss_db = 10.0 * np.log10(ratios)

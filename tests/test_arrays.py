@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,26 @@ class TestDictionaryCheck:
         atoms[0, 0] = 0.0
         assert d.atoms[0, 0] != 0.0
         assert not d.atoms.flags.writeable
+
+    def test_never_aliases_a_callers_read_only_array(self):
+        atoms = build_dictionary(make_ula(4), doa_grid_ula(3)).atoms.copy()
+        atoms.setflags(write=False)
+        d = Dictionary(atoms, doa_grid_ula(3))
+        kept = d.atoms.copy()
+        atoms.setflags(write=True)  # the caller owns the array, so it may
+        atoms[:] = 0.0
+        assert np.array_equal(d.atoms, kept)
+        assert not np.shares_memory(d.atoms, atoms)
+
+    def test_build_dictionary_atoms_are_referenced_by_the_dictionary_alone(self):
+        arr, dirs = make_ula(8), doa_grid_ula(12)
+        response = unit_response(arr.positions, dirs)
+        for d in (build_dictionary(arr, dirs), build_dictionary(arr, dirs, response=response)):
+            assert not d.atoms.flags.writeable
+            assert d.atoms.base is None and d.atoms.flags.owndata  # not a view of another array
+            refs = sys.getrefcount(d.atoms)  # outside the assert, which holds its operands
+            assert refs == 2  # the dictionary's field and the call's argument
+            assert not np.shares_memory(d.atoms, response)
 
 
 class TestMakeUla:
@@ -300,6 +322,25 @@ class TestPrecomputedResponse:
         given = steering_matrix(arr, dirs, response=response)
         assert np.array_equal(given, steering_matrix(arr, dirs))
         assert np.array_equal(given, arr.gains[:, None] * np.exp(-2j * np.pi * (arr.positions @ dirs.T)))
+
+    # a response steering_matrix builds itself is scaled in place, which must
+    # give the out-of-place product's bits (``response *= gains`` does not)
+    def test_own_response_scaled_in_place_is_bit_equal(self):
+        rng = np.random.default_rng(12)
+        for geometry in ("ula", "upa") * 10:
+            nominal = make_ula(16) if geometry == "ula" else make_upa(4, 3)
+            arr = perturb_array(nominal, 0.5, 0.1, rng)
+            dirs = doa_grid_ula(40) if geometry == "ula" else doa_grid_upa(40)
+            assert np.array_equal(steering_matrix(arr, dirs), arr.gains[:, None] * unit_response(arr.positions, dirs))
+
+    @pytest.mark.parametrize("arr, dirs", _perturbed_arrays(), ids=["ula", "upa"])
+    def test_a_callers_response_is_never_scaled(self, arr, dirs):
+        response = unit_response(arr.positions, dirs)
+        kept = response.copy()
+        scaled = steering_matrix(arr, dirs, response=response)
+        build_dictionary(arr, dirs, response=response)
+        assert np.array_equal(response, kept)
+        assert not np.shares_memory(scaled, response)
 
     @pytest.mark.parametrize("arr, dirs", _perturbed_arrays(), ids=["ula", "upa"])
     def test_build_dictionary_is_bit_equal(self, arr, dirs):

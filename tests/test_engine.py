@@ -351,9 +351,15 @@ def _peak_mb(call) -> float:
 class TestNoWholeMatrixScratch:
     """At N=64, A=2048 (2 MB of complex atoms), B=200: the dictionary builds
     and the pursuit kernel allocate no N x A array beyond the ones their result
-    keeps. Measured peaks: 3.13, 4.13, 2.09, 2.28 and 3.21 MB; with a scratch
-    copy of the atoms (conjugate, norm temporaries, out-of-place exponential)
-    5.00, 6.09, 4.08, 4.28 and 5.21 MB."""
+    keeps. Measured peaks of unit_response, build_dictionary, the Dictionary
+    check, MP fixed(1) and OMP fixed(8): 3.13, 3.13, 2.09, 0.69 and 1.26 MB,
+    and 2.39 MB for build_dictionary from a given response. A correlation over
+    all atoms at once, a scaled copy of the builder's own response and a copy
+    of the built atoms in Dictionary made those 3.13, 4.13, 2.09, 2.28 and 2.79,
+    and 4.11 MB; with a scratch copy of the atoms (conjugate, norm temporaries,
+    out-of-place exponential) 5.00, 6.09, 4.08, 4.28 and 5.21 MB. unit_response
+    holds its float phases beside its complex result: blocking that product
+    over directions would change its bits."""
 
     N, A, B = 64, 2048, 200
 
@@ -386,6 +392,23 @@ class TestNoWholeMatrixScratch:
         noise = [0.0] * self.B
         assert _peak_mb(lambda: pursuit_batch(dictionary, observations, StoppingRule.fixed(8), noise, orthogonal=True)) < 3.75
 
+    def test_build_dictionary_scales_its_own_response_in_place(self):
+        arr, dirs = make_ula(self.N), doa_grid_ula(self.A)
+        assert _peak_mb(lambda: build_dictionary(arr, dirs)) < 3.5  # unit_response's own peak
+
+    def test_build_dictionary_from_a_response_keeps_its_atoms_uncopied(self):
+        arr, dirs = make_ula(self.N), doa_grid_ula(self.A)
+        response = unit_response(arr.positions, dirs)
+        assert _peak_mb(lambda: build_dictionary(arr, dirs, response=response)) < 2.75
+
+    def test_matching_pursuit_correlates_in_atom_blocks(self, dictionary, observations):
+        noise = [0.0] * self.B
+        assert _peak_mb(lambda: pursuit_batch(dictionary, observations, StoppingRule.fixed(1), noise)) < 1.25
+
+    def test_omp_correlates_in_atom_blocks(self, dictionary, observations):
+        noise = [0.0] * self.B
+        assert _peak_mb(lambda: pursuit_batch(dictionary, observations, StoppingRule.fixed(8), noise, orthogonal=True)) < 2.0
+
 
 class TestCorrelationForm:
     """``pursue`` correlates as ``|atoms^T conj(R)^T|``; its moduli must be the
@@ -400,6 +423,108 @@ class TestCorrelationForm:
         for W in (steering, weights):
             R = rng.standard_normal((m, 64)) + 1j * rng.standard_normal((m, 64))
             assert np.array_equal(np.abs(W.T @ R.conj().T), np.abs(W.conj().T @ R.T))
+
+    # pursue correlates ATOM_BLOCK atoms at a time; each block's moduli must be
+    # the whole product's rows, or a pick could depend on the block size
+    @pytest.mark.parametrize("block", [64, 512])
+    @pytest.mark.parametrize("m", [1, 7, 32])
+    @pytest.mark.parametrize("a", [512, 2048])
+    def test_atom_blocks_are_rows_of_the_whole_product(self, a, m, block):
+        rng = np.random.default_rng(m * a + block)
+        steering = build_dictionary(make_ula(64), doa_grid_ula(a)).atoms
+        weights = rng.standard_normal((64, a)) + 1j * rng.standard_normal((64, a))
+        for W in (steering, weights):
+            Rc = (rng.standard_normal((m, 64)) + 1j * rng.standard_normal((m, 64))).conj().T
+            whole = np.abs(W.T @ Rc)
+            for a0 in range(0, a, block):
+                assert np.array_equal(np.abs(W.T[a0 : a0 + block] @ Rc), whole[a0 : a0 + block])
+
+
+class TestAtomBlockInvariance:
+    """A batch's bytes do not depend on how many atoms a correlation block
+    holds: blocks of one atom, of a few, of all but one and of all."""
+
+    N, A = 16, 100
+    BLOCKS = (1, 5, 64, A - 1, A, 2 * A)
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(21)
+        d = make_incoherent_dictionary(self.N, self.A, seed=21)
+        b = 2 * CORR_TILE + 3
+        X = (rng.standard_normal((b, self.N)) + 1j * rng.standard_normal((b, self.N))) * rng.uniform(0.1, 5.0, (b, 1))
+        noise_vars = (rng.uniform(0.0, 0.9, len(X)) * row_energies(X) / self.N).tolist()
+        return d, X, noise_vars
+
+    def _each_block(self, run):
+        with patch.object(estimators, "ATOM_BLOCK", self.A):
+            expected = run()
+        for block in self.BLOCKS:
+            with patch.object(estimators, "ATOM_BLOCK", block):
+                got = run()
+            if isinstance(expected, np.ndarray):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+            else:
+                assert_same_batch(got, expected)
+
+    @pytest.mark.parametrize("rule", [StoppingRule.fixed(3), StoppingRule.sc2(max_depth=8)], ids=["fixed3", "sc2"])
+    @pytest.mark.parametrize("orthogonal", [False, True], ids=["mp", "omp"])
+    def test_pursuit_batch(self, case, rule, orthogonal):
+        d, X, noise_vars = case
+        self._each_block(lambda: pursuit_batch(d, X, rule, noise_vars, orthogonal))
+
+    def test_omp_masks_its_support_across_blocks(self, case):
+        d, X, noise_vars = case
+        est = pursuit_batch(d, X, StoppingRule.fixed(12), noise_vars, orthogonal=True)
+        assert all(len(set(est[i].support)) == est[i].depth == 12 for i in range(len(est)))
+        self._each_block(lambda: pursuit_batch(d, X, StoppingRule.fixed(12), noise_vars, orthogonal=True))
+
+    # OMP's residual is orthogonal to its support, so the mask only matters on
+    # rounding noise; here each column's three largest moduli are masked
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_a_support_is_masked_in_every_block(self, case, block):
+        d, X, _ = case
+        atom_rows, Rc = d.atoms.T, X[:7].conj().T
+        corr = np.abs(atom_rows @ Rc)
+        taken = np.argsort(-corr, axis=0)[:3].T
+        corr[taken.T, np.arange(7)] = -1.0
+        with patch.object(estimators, "ATOM_BLOCK", block):
+            assert np.array_equal(estimators._select(atom_rows, Rc, taken), np.argmax(corr, axis=0))
+
+    @pytest.mark.parametrize("rule", [StoppingRule.fixed(4), StoppingRule.sc2()], ids=["fixed4", "sc2"])
+    def test_mpnet_pass_and_gradient(self, case, rule):
+        d, X, noise_vars = case
+        model = trained_model(d, rule, 21)
+        noise_var_norms = (np.asarray(noise_vars) / row_energies(X)).tolist()
+        self._each_block(lambda: forward_batch(model, unit_rows(X), noise_var_norms))
+        samples = [ChannelSample(x, x, v, 10.0) for x, v in zip(X, noise_vars)]
+        self._each_block(lambda: minibatch_gradient(model, samples))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    @pytest.mark.parametrize("orthogonal", [False, True], ids=["mp", "omp"])
+    def test_ties_across_blocks_go_to_the_lowest_index(self, block, orthogonal):
+        # atoms 2 and 4 are equal, and so are 0 and 3; no block holds both of a pair
+        atoms = np.array([[0.0, 0.6, 1.0, 0.0, 1.0, 0.6], [1.0, 0.8, 0.0, 1.0, 0.0, 0.8]], complex)
+        d = Dictionary(atoms, np.tile([0.0, 1.0, 0.0], (6, 1)))
+        X = np.array([[2.0, 0.0], [0.0, 3.0], [-1.0, 0.0]], complex)
+        with patch.object(estimators, "ATOM_BLOCK", block):
+            est = pursuit_batch(d, X, StoppingRule.fixed(1), [0.0] * 3, orthogonal)
+        assert est.support[:, 0].tolist() == [2, 0, 2]
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_omp_exhausts_a_dictionary_of_several_blocks(self, block):
+        d = make_incoherent_dictionary(8, 5, seed=5)
+        X = np.random.default_rng(5).standard_normal((CORR_TILE + 1, 8)) + 0j
+        with patch.object(estimators, "ATOM_BLOCK", block), pytest.raises(np.linalg.LinAlgError, match="every atom"):
+            pursuit_batch(d, X, StoppingRule.fixed(6), [0.0] * len(X), orthogonal=True)
+
+
+def assert_same_batch(got, expected):
+    """Two BatchEstimates hold the same bytes in every field."""
+    for field in ("channel", "depth", "support", "residual_energy"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
 
 class TestTrainerWithoutGroundTruth:
