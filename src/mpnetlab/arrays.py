@@ -23,6 +23,9 @@ NORM_TOL = 1e-9
 # Columns per block of build_dictionary's column norms
 NORM_BLOCK = 256
 
+# Elements per block of unit_response's exponential (at least one row)
+EXP_BLOCK = 4096
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -176,10 +179,23 @@ def unit_response(positions: np.ndarray, directions) -> np.ndarray:
     """Unit-gain responses exp(-2j*pi * p_i . u) of antennas at ``positions``
     (N x 3), one column per direction: the geometry part of
     :func:`steering_matrix`, shared by every array with these positions.
-    The exponential is taken in place, so the result is the only complex
-    N x A array allocated."""
-    phases = -2j * np.pi * (positions @ _check_directions(directions).T)
-    return np.exp(phases, out=phases)
+
+    The result is the only N x A array allocated. The real products p_i . u
+    are formed by one matrix product into the second half of the result's own
+    memory, then exponentiated into the result in blocks of about EXP_BLOCK
+    elements, in row order: the first i result rows end no later than phase
+    row i starts (2ai <= na + ai while i <= n), so a block only overwrites
+    phases already read. The bits are those of the whole-matrix expression."""
+    directions = _check_directions(directions)
+    n, a = len(positions), len(directions)
+    response = np.empty((n, a), dtype=complex)
+    phases = response.reshape(-1).view(float)[n * a :].reshape(n, a)
+    np.matmul(positions, directions.T, out=phases)
+    rows = max(EXP_BLOCK // a, 1)
+    for i in range(0, n, rows):
+        block = -2j * np.pi * phases[i : i + rows]
+        response[i : i + rows] = np.exp(block, out=block)
+    return response
 
 
 def steering_matrix(array: AntennaArray, directions: np.ndarray, response: np.ndarray | None = None) -> np.ndarray:

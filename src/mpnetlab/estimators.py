@@ -179,14 +179,14 @@ def pursue(
     A row stops where ``should_stop`` first holds for its residual energy over
     its ``input_energies`` entry, tested against bounds set once per tile. A
     row's results are the same bytes whatever the batch, tile and atom-block
-    sizes, and
-    within 1e-12 of a per-sample loop. ``on_tile`` gets each finished tile's
-    final residual rows (a view) and its layers, one (live rows as ascending
-    tile positions, picked atoms, vectors peeled off, coefficients, residual
-    rows before the update) tuple each. Only then are the layers kept: MP
-    and OMP drop a layer's arrays once the next layer starts. OMP allocates
-    its bases once per call, one tile's worth. Returns the rows' estimates:
-    ``X`` minus the final residuals, with supports as wide as the deepest row.
+    sizes, and within 1e-12 of a per-sample loop. ``on_tile`` gets each
+    finished tile's final residual rows (a view) and its layers, one (live
+    rows as ascending tile positions, picked atoms, vectors peeled off,
+    coefficients, residual rows before the update) tuple each. Only then are
+    the layers kept: MP and OMP drop a layer's arrays once the next layer
+    starts. OMP allocates its bases once per call, one tile's worth. Returns
+    the rows' estimates: ``X`` minus the final residuals, with supports as
+    wide as the deepest row.
     """
     n, n_atoms = atoms.shape
     atom_rows = atoms.T
@@ -239,19 +239,15 @@ def _select(atom_rows: np.ndarray, Rc: np.ndarray, taken: np.ndarray | None) -> 
     The product runs over blocks of ATOM_BLOCK atom rows. A later block's pick
     replaces the running one only when its modulus is strictly larger, so ties
     still go to the lowest index; the BLAS gives a product row the same bits in
-    any block. One block covering every atom is one product, with no merge."""
-    n_atoms = len(atom_rows)
-    for a0 in range(0, n_atoms, ATOM_BLOCK):
+    any block."""
+    j = np.arange(Rc.shape[1])
+    for a0 in range(0, len(atom_rows), ATOM_BLOCK):
         corr = np.abs(atom_rows[a0 : a0 + ATOM_BLOCK] @ Rc)
-        if taken is not None and n_atoms <= ATOM_BLOCK:
-            corr[taken.T, np.arange(Rc.shape[1])] = -1.0
-        elif taken is not None:  # only the support entries inside this block
+        if taken is not None:  # only the support entries inside this block
             rows, k = np.nonzero((taken >= a0) & (taken < a0 + ATOM_BLOCK))
             corr[taken[rows, k] - a0, rows] = -1.0
         block_picks = np.argmax(corr, axis=0)
-        if n_atoms <= ATOM_BLOCK:
-            return block_picks
-        moduli = corr[block_picks, np.arange(Rc.shape[1])]
+        moduli = corr[block_picks, j]
         del corr  # freed before the next block's product
         if a0 == 0:
             picks, best = block_picks, moduli

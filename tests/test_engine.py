@@ -352,14 +352,13 @@ class TestNoWholeMatrixScratch:
     """At N=64, A=2048 (2 MB of complex atoms), B=200: the dictionary builds
     and the pursuit kernel allocate no N x A array beyond the ones their result
     keeps. Measured peaks of unit_response, build_dictionary, the Dictionary
-    check, MP fixed(1) and OMP fixed(8): 3.13, 3.13, 2.09, 0.69 and 1.26 MB,
-    and 2.39 MB for build_dictionary from a given response. A correlation over
-    all atoms at once, a scaled copy of the builder's own response and a copy
-    of the built atoms in Dictionary made those 3.13, 4.13, 2.09, 2.28 and 2.79,
-    and 4.11 MB; with a scratch copy of the atoms (conjugate, norm temporaries,
-    out-of-place exponential) 5.00, 6.09, 4.08, 4.28 and 5.21 MB. unit_response
-    holds its float phases beside its complex result: blocking that product
-    over directions would change its bits."""
+    check, MP fixed(1) and OMP fixed(8): 2.19, 2.39, 2.09, 0.69 and 1.26 MB,
+    and 2.39 MB for build_dictionary from a given response. Float phases held
+    beside the complex response, a correlation over all atoms at once, a
+    scaled copy of the builder's own response and a copy of the built atoms in
+    Dictionary made those 3.13, 4.13, 2.09, 2.28 and 2.79, and 4.11 MB; with a
+    scratch copy of the atoms (conjugate, norm temporaries, out-of-place
+    exponential) 5.00, 6.09, 4.08, 4.28 and 5.21 MB."""
 
     N, A, B = 64, 2048, 200
 
@@ -394,7 +393,7 @@ class TestNoWholeMatrixScratch:
 
     def test_build_dictionary_scales_its_own_response_in_place(self):
         arr, dirs = make_ula(self.N), doa_grid_ula(self.A)
-        assert _peak_mb(lambda: build_dictionary(arr, dirs)) < 3.5  # unit_response's own peak
+        assert _peak_mb(lambda: build_dictionary(arr, dirs)) < 2.75
 
     def test_build_dictionary_from_a_response_keeps_its_atoms_uncopied(self):
         arr, dirs = make_ula(self.N), doa_grid_ula(self.A)
