@@ -41,16 +41,7 @@ from .estimators import (
     sc_threshold,
     should_stop,
 )
-from .experiments import (
-    ArraySpec,
-    ExperimentConfig,
-    ExperimentResult,
-    SnrLossSpec,
-    parse_estimator,
-    run_learning_experiment,
-    snr_loss_experiment,
-    train_online,
-)
+from .experiments import ExperimentResult, run_learning_experiment, snr_loss_experiment, train_online
 from .metrics import depth_histogram, rmse, snr_histogram, snr_out
 from .mpnet import (
     AdamState,
@@ -68,6 +59,14 @@ from .mpnet import (
     score_minibatch,
     xavier_init,
 )
-from .config import ConfigError, config_from_mapping, load_config
+from .config import (
+    ArraySpec,
+    ConfigError,
+    ExperimentConfig,
+    SnrLossSpec,
+    config_from_mapping,
+    load_config,
+    parse_estimator,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

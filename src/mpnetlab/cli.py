@@ -1,7 +1,9 @@
-"""Command-line entry point: bind a config file to an experiment run.
+"""Command-line entry point: run the experiment a config file describes.
 
-Logging goes to standard error; data only to files, so standard output stays
-clean for scripting. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+A config with an ``snr_loss`` section is an SNR-loss sweep; any other is a
+learning run. Logging goes to standard error; data only to files, so standard
+output stays clean for scripting. Exit codes: 0 success, 1 runtime failure,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -12,51 +14,25 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, load_config
-from .experiments import ExperimentConfig, run_learning_experiment, snr_loss_experiment
+from .config import load_config
+from .experiments import run_learning_experiment, snr_loss_experiment
 from .utils import to_db
-
-_COMMANDS = {
-    "snr-loss": "sweep the estimation penalty of an uncertain array model",
-    "train": "online-training run with the configured estimator roster",
-    "anomaly": "training run whose config schedules mid-stream array damage",
-    "upa": "training run on a planar-array config",
-    "replay": "re-run the roster on a previously dumped observation stream",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mpnetlab", description=__doc__.splitlines()[0])
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--config", required=True, type=Path, help="experiment config file (YAML)")
-        sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sub.add_argument("--out", type=Path, default=None, help="output directory (overrides config)")
-        verbosity = sub.add_mutually_exclusive_group()
-        verbosity.add_argument("-v", "--verbose", action="store_true", help="log per-minibatch detail")
-        verbosity.add_argument("--quiet", action="store_true", help="suppress log output")
+    parser.add_argument("--config", required=True, type=Path, help="experiment config file (YAML); an 'snr_loss' section makes it a sweep")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--out", type=Path, default=None, help="output directory (overrides config)")
+    verbosity = parser.add_mutually_exclusive_group()
+    verbosity.add_argument("-v", "--verbose", action="store_true", help="log per-minibatch detail")
+    verbosity.add_argument("--quiet", action="store_true", help="suppress log output")
     return parser
 
 
 def _log(args, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
-
-
-def _check_invocation(command: str, cfg: ExperimentConfig) -> None:
-    if command == "snr-loss":
-        if cfg.snr_loss is None:
-            raise ConfigError("snr-loss runs need an 'snr_loss' section")
-        return
-    if cfg.total_samples < 1:
-        raise ConfigError("training runs need 'total_samples' and a nonempty 'estimators' roster")
-    if command == "anomaly" and not cfg.anomalies:
-        raise ConfigError("anomaly runs need a nonempty 'anomalies' schedule")
-    if command == "upa" and cfg.array.geometry != "upa":
-        raise ConfigError("upa runs need 'array.geometry: upa'")
-    if command == "replay" and cfg.replay_stream is None:
-        raise ConfigError("replay runs need 'stream.replay' pointing at a dumped stream")
 
 
 def _prepare_out_dir(out_dir: Path) -> None:
@@ -71,7 +47,6 @@ def _run(args) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        _check_invocation(args.command, cfg)
     except ValueError as exc:  # a ConfigError, or the --seed override's range check
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -88,7 +63,7 @@ def _run(args) -> int:
         return 1
 
     try:
-        if args.command == "snr-loss":
+        if cfg.snr_loss is not None:
             _log(args, f"sweeping SNR loss over {len(cfg.snr_loss.pos_stds)}x{len(cfg.snr_loss.gain_stds)} cells")
             snr_loss_experiment(cfg, out_dir)
         else:

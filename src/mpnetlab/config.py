@@ -1,4 +1,5 @@
-"""Experiment configuration files: strict YAML loading and validation.
+"""What an experiment is: the config types, every check that needs only the
+config, and strict YAML loading.
 
 Unknown keys are rejected with the full dotted path of the offender, so typos
 fail fast instead of silently running a different experiment.
@@ -6,13 +7,182 @@ fail fast instead of silently running a different experiment.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
-from .channels import ArrayEvent, FixedSnr, TruncatedGaussianSnr
-from .experiments import ArraySpec, ExperimentConfig, SnrLossSpec
+from .arrays import AntennaArray, doa_grid_ula, doa_grid_upa, make_ula, make_upa
+from .channels import ArrayEvent, FixedSnr, TruncatedGaussianSnr, broken_count
+from .estimators import StoppingRule
 from .mpnet import TrainConfig
+
+# raised for a config here, and by experiments.LearningRun for a stream it is handed
+NOISELESS_RUN = "snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)"
+
+
+@dataclass(frozen=True)
+class ArraySpec:
+    """Base-station array description plus the uncertainty of the true hardware."""
+
+    shape: tuple[int, ...]
+    gain_std: float = 0.0
+    pos_std: float = 0.0
+
+    def __post_init__(self) -> None:
+        if len(self.shape) not in (1, 2) or any(d < 1 for d in self.shape):
+            raise ValueError("array shape must be (n,) for a ULA or (nx, nz) for a UPA")
+        if not (self.gain_std >= 0.0 and self.pos_std >= 0.0):
+            raise ValueError("uncertainty standard deviations must be nonnegative")
+
+    @property
+    def geometry(self) -> str:
+        return "ula" if len(self.shape) == 1 else "upa"
+
+    @property
+    def n_antennas(self) -> int:
+        return int(np.prod(self.shape))
+
+    def build_nominal(self) -> AntennaArray:
+        if self.geometry == "ula":
+            return make_ula(self.shape[0])
+        return make_upa(self.shape[0], self.shape[1])
+
+    def doa_grid(self, count: int) -> np.ndarray:
+        return doa_grid_ula(count) if self.geometry == "ula" else doa_grid_upa(count)
+
+
+@dataclass(frozen=True)
+class SnrLossSpec:
+    """Grid sweep of gain/position uncertainty for the model-mismatch experiment, run at the config's ``n_atoms`` and ``snr``."""
+
+    pos_stds: tuple[float, ...]
+    gain_stds: tuple[float, ...]
+    n_arrays: int = 5
+    channels_per_array: int = 200
+
+    def __post_init__(self) -> None:
+        if not self.pos_stds or not self.gain_stds:
+            raise ValueError("the sweep needs at least one value per axis")
+        if not all(v >= 0 for v in (*self.pos_stds, *self.gain_stds)):
+            raise ValueError("uncertainty values must be nonnegative")
+        if self.n_arrays < 1 or self.channels_per_array < 1:
+            raise ValueError("trial counts must be >= 1")
+
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """Parsed roster entry; ``name`` is the literal config string."""
+
+    name: str
+    family: str  # ls | mp | omp | mpnet
+    source: str  # none | nominal | ideal | oracle | xavier
+    rule: StoppingRule | None
+
+    @property
+    def column(self) -> str:
+        return self.name.replace(":", "_")
+
+
+def _parse_rule(token: str, context: str) -> StoppingRule:
+    if token == "sc1":
+        return StoppingRule.sc1()
+    if token == "sc2":
+        return StoppingRule.sc2()
+    if token.startswith("fixed"):
+        try:
+            depth = int(token[len("fixed") :])
+        except ValueError:
+            raise ValueError(f"{context}: bad fixed-depth rule {token!r}") from None
+        try:
+            return StoppingRule.fixed(depth)
+        except ValueError as exc:
+            raise ValueError(f"{context}: {exc}") from None
+    raise ValueError(f"{context}: unknown stopping rule {token!r}")
+
+
+def parse_estimator(spec: str) -> EstimatorSpec:
+    """Parse roster strings like ``ls``, ``mp:nominal:sc2``, ``omp:ideal:sc1``,
+    ``omp:oracle:sc2``, ``mpnet:nominal:fixed8`` or ``mpnet:xavier:sc2``."""
+    parts = spec.split(":")
+    if parts == ["ls"]:
+        return EstimatorSpec(spec, "ls", "none", None)
+    if len(parts) != 3:
+        raise ValueError(f"estimator {spec!r}: expected family:source:rule")
+    family, source, rule_token = parts
+    if family in ("mp", "omp"):
+        if source not in ("nominal", "ideal", "oracle"):
+            raise ValueError(f"estimator {spec!r}: dictionary must be nominal, ideal or oracle")
+    elif family == "mpnet":
+        if source not in ("nominal", "xavier"):
+            raise ValueError(f"estimator {spec!r}: init must be nominal or xavier")
+    else:
+        raise ValueError(f"estimator {spec!r}: unknown family {family!r}")
+    return EstimatorSpec(spec, family, source, _parse_rule(rule_token, f"estimator {spec!r}"))
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Everything one experiment needs, a learning run or an SNR-loss sweep:
+    geometry, dictionary size, SNR model, training, roster, schedule. Every
+    check that needs only the config runs when it is built, so an experiment
+    that is sure to fail never starts."""
+
+    seed: int
+    array: ArraySpec
+    n_atoms: int
+    snr: FixedSnr | TruncatedGaussianSnr
+    training: TrainConfig
+    estimators: tuple[str, ...] = ()
+    total_samples: int = 0
+    anomalies: tuple[ArrayEvent, ...] = ()
+    dump_stream: bool = False
+    replay_stream: str | None = None
+    snr_loss: SnrLossSpec | None = None
+    output_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("seed", "total_samples"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.n_atoms < 1:
+            raise ValueError("'dictionary.atoms' must be >= 1")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ValueError("duplicate estimator roster entries")
+        specs = [parse_estimator(spec) for spec in self.estimators]
+        if self.snr_loss is not None:
+            if self.total_samples > 0 or self.estimators or self.anomalies or self.dump_stream or self.replay_stream is not None:
+                raise ValueError("a config describes one experiment: an snr_loss section takes no total_samples, estimators, anomalies or stream settings")
+            if self.array.gain_std != 0.0 or self.array.pos_std != 0.0 or self.training != TrainConfig():
+                raise ValueError("the SNR-loss sweep reads its uncertainty from snr_loss.pos_stds and snr_loss.gain_stds and trains nothing: it takes no array.gain_std, array.pos_std or training settings")
+            if self.array.geometry != "ula":
+                raise ValueError("the SNR-loss sweep is defined for linear arrays")
+            if not isinstance(self.snr, FixedSnr):
+                raise ValueError("the SNR-loss sweep needs a fixed SNR (snr.model: fixed)")
+        elif 0 < self.total_samples < self.training.minibatch_size:
+            raise ValueError("total_samples is smaller than one minibatch")
+        taken = self.total_samples // self.training.minibatch_size * self.training.minibatch_size  # whole minibatches only
+        n = working = self.array.n_antennas  # antennas with a nonzero gain
+        for event in sorted(self.anomalies, key=lambda e: e.index):  # the order the stream applies them in
+            if event.index >= taken:
+                raise ValueError(f"anomaly at index {event.index} falls beyond the stream")
+            if event.kind == "age" and event.gain_std > 0.0:
+                working = n  # aging moves every gain off zero
+            elif event.kind == "break":
+                working -= broken_count(event.fraction, working)
+                if working == 0:
+                    raise ValueError(f"break at index {event.index} (fraction {event.fraction}) zeroes all {n} antennas, leaving no channel")
+        if self.total_samples > 0:
+            if not self.estimators:
+                raise ValueError("a learning run needs a nonempty estimator roster")
+            if self.replay_stream is None and self.snr == FixedSnr(math.inf):
+                raise ValueError(NOISELESS_RUN)
+            if self.replay_stream is not None and any(spec.source == "oracle" for spec in specs):
+                raise ValueError("oracle estimators need a live stream (not a replay)")
+        elif self.snr_loss is None:
+            raise ValueError("config describes neither a learning run nor an SNR-loss sweep")
 
 
 class ConfigError(ValueError):

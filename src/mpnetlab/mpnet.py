@@ -175,7 +175,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name, ok, bounds in (
             ("minibatch_size", self.minibatch_size >= 1, ">= 1"),
-            ("base_rate", self.base_rate > 0.0, "> 0"),
+            ("base_rate", 0.0 < self.base_rate < np.inf, "> 0 and finite"),
             ("decay", 0.0 < self.decay <= 1.0, "in (0, 1]"),
             ("decay_every", self.decay_every >= 1, ">= 1"),
             ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),

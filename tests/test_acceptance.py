@@ -13,8 +13,9 @@ import pytest
 from mpnetlab.arrays import build_dictionary, doa_grid_ula, make_ula, perturb_array
 from mpnetlab.channels import ArrayEvent, FixedSnr, generate_channel, observe
 from mpnetlab.cli import main as cli_main
+from mpnetlab.config import ArraySpec, ExperimentConfig, SnrLossSpec
 from mpnetlab.estimators import StoppingRule, ls_estimate, matching_pursuit, omp
-from mpnetlab.experiments import ArraySpec, ExperimentConfig, SnrLossSpec, run_learning_experiment, snr_loss_experiment
+from mpnetlab.experiments import run_learning_experiment, snr_loss_experiment
 from mpnetlab.metrics import rmse, snr_out
 from mpnetlab.mpnet import MpNetModel, TrainConfig, backward, estimate, forward
 from mpnetlab.utils import energy, to_db
@@ -311,8 +312,8 @@ def test_criterion_09_single_atom_projection_gain():
 def test_criterion_10_determinism_and_replay(tmp_path):
     config = CONFIG_DIR / "smoke.yaml"
     out_a, out_b, out_c = (tmp_path / d for d in ("a", "b", "c"))
-    assert cli_main(["train", "--config", str(config), "--out", str(out_a), "--quiet"]) == 0
-    assert cli_main(["train", "--config", str(config), "--out", str(out_b), "--quiet"]) == 0
+    assert cli_main(["--config", str(config), "--out", str(out_a), "--quiet"]) == 0
+    assert cli_main(["--config", str(config), "--out", str(out_b), "--quiet"]) == 0
     identical = all(
         (out_a / name).read_bytes() == (out_b / name).read_bytes()
         for name in ("curves.csv", "depth_hist.csv", "snr_hist.csv", "stream.csv")
@@ -323,7 +324,7 @@ def test_criterion_10_determinism_and_replay(tmp_path):
             "stream:\n  dump: true", f"stream:\n  replay: {out_a / 'stream.csv'}"
         )
     )
-    assert cli_main(["replay", "--config", str(replay_cfg), "--out", str(out_c), "--quiet"]) == 0
+    assert cli_main(["--config", str(replay_cfg), "--out", str(out_c), "--quiet"]) == 0
     replay_ok = (out_a / "curves.csv").read_bytes() == (out_c / "curves.csv").read_bytes()
     ok = identical and replay_ok
     assert report(

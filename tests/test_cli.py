@@ -36,71 +36,74 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     def test_unknown_subcommand_exits_2(self):
+        # the config names the experiment: a subcommand word is a stray argument
         with pytest.raises(SystemExit) as exc:
-            main(["transmogrify", "--config", "x.yaml"])
+            main(["train", "--config", "x.yaml"])
         assert exc.value.code == 2
 
     def test_missing_config_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
-            main(["train"])
+            main(["--out", "x"])
         assert exc.value.code == 2
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
-            main(["train", "--config", "x.yaml", "--frobnicate"])
+            main(["--config", "x.yaml", "--frobnicate"])
         assert exc.value.code == 2
 
 
 class TestConfigErrors:
     def test_nonexistent_config_exits_1(self, tmp_path, capsys):
-        code = main(["train", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
+        code = main(["--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
     def test_invalid_key_named_in_diagnostic(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL + "\nbogus_key: 1\n")
-        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "bogus_key" in capsys.readouterr().err
-
-    def test_wrong_subcommand_for_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, SMALL)
-        assert main(["anomaly", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert main(["upa", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert main(["replay", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
 
     @pytest.mark.parametrize("text, flags", [(SMALL, ["--seed", "-1"]), (SMALL.replace("seed: 11", "seed: -1"), [])], ids=["--seed", "config"])
     def test_negative_seed_exits_1_before_the_output_dir(self, tmp_path, capsys, text, flags):
         cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
-        assert main(["train", "--config", str(cfg), "--out", str(out), *flags]) == 1
+        assert main(["--config", str(cfg), "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err == "config error: seed must be >= 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, text, message",
+        "text, message",
         [
-            ("train", SMALL.replace("total_samples: 300", "total_samples: 50"), "total_samples is smaller than one minibatch"),
-            ("snr-loss", "seed: 1\narray: {geometry: upa, nx: 4, nz: 4}\nsnr_loss: {pos_stds: [0.0], gain_stds: [0.0]}\n", "the SNR-loss sweep is defined for linear arrays"),
+            (SMALL.replace("total_samples: 300", "total_samples: 50"), "total_samples is smaller than one minibatch"),
+            ("seed: 1\narray: {geometry: upa, nx: 4, nz: 4}\nsnr_loss: {pos_stds: [0.0], gain_stds: [0.0]}\n", "the SNR-loss sweep is defined for linear arrays"),
             (
-                "snr-loss",
                 "seed: 1\narray: {n: 16, gain_std: 0.3}\ntraining: {minibatch_size: 7}\nsnr_loss: {pos_stds: [0.0], gain_stds: [0.0]}\n",
                 "the SNR-loss sweep reads its uncertainty from snr_loss.pos_stds and snr_loss.gain_stds and trains nothing: "
                 "it takes no array.gain_std, array.pos_std or training settings",
             ),
+            (
+                SMALL.replace("value_db: 10.0", "value_db: .inf"),
+                "snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)",
+            ),
+            (SMALL.replace("minibatch_size: 100", "minibatch_size: 100, learning_rate: .inf"), "'training.learning_rate' must be > 0 and finite"),
+            (
+                SMALL.replace("mpnet:nominal:sc2]", "omp:oracle:sc2]").replace("stream: {dump: true}", "stream: {replay: stream.csv}"),
+                "oracle estimators need a live stream (not a replay)",
+            ),
         ],
-        ids=["short learning run", "planar sweep", "sweep with unread settings"],
+        ids=["short learning run", "planar sweep", "sweep with unread settings", "noiseless live run", "infinite learning rate", "replay with an oracle entry"],
     )
-    def test_run_that_cannot_succeed_exits_1_before_the_output_dir(self, tmp_path, capsys, command, text, message):
+    def test_run_that_cannot_succeed_exits_1_before_the_output_dir(self, tmp_path, capsys, text, message):
         cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_missing_output_dir_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)
-        assert main(["train", "--config", str(cfg)]) == 1
+        assert main(["--config", str(cfg)]) == 1
         assert "output" in capsys.readouterr().err
 
 
@@ -108,7 +111,7 @@ class TestRuns:
     def test_train_writes_all_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "out"
-        code = main(["train", "--config", str(cfg), "--out", str(out), "--quiet"])
+        code = main(["--config", str(cfg), "--out", str(out), "--quiet"])
         assert code == 0
         for name in ("curves.csv", "depth_hist.csv", "snr_hist.csv", "stream.csv", "checkpoint_mpnet_nominal_sc2.npz"):
             assert (out / name).exists(), name
@@ -116,9 +119,9 @@ class TestRuns:
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         out1, out2, out3 = (tmp_path / d for d in ("a", "b", "c"))
-        assert main(["train", "--config", str(cfg), "--out", str(out1), "--quiet"]) == 0
-        assert main(["train", "--config", str(cfg), "--out", str(out2), "--quiet", "--seed", "12"]) == 0
-        assert main(["train", "--config", str(cfg), "--out", str(out3), "--quiet", "--seed", "12"]) == 0
+        assert main(["--config", str(cfg), "--out", str(out1), "--quiet"]) == 0
+        assert main(["--config", str(cfg), "--out", str(out2), "--quiet", "--seed", "12"]) == 0
+        assert main(["--config", str(cfg), "--out", str(out3), "--quiet", "--seed", "12"]) == 0
         assert (out1 / "curves.csv").read_bytes() != (out2 / "curves.csv").read_bytes()
         assert (out2 / "curves.csv").read_bytes() == (out3 / "curves.csv").read_bytes()
 
@@ -137,7 +140,7 @@ snr_loss:
 """,
         )
         out = tmp_path / "loss"
-        assert main(["snr-loss", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
         lines = (out / "snr_loss.csv").read_text().splitlines()
         assert lines[0] == "pos_std,gain_std,loss_db"
         assert len(lines) == 5
@@ -145,14 +148,14 @@ snr_loss:
     def test_replay_reproduces_curves_byte_for_byte(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         first = tmp_path / "first"
-        assert main(["train", "--config", str(cfg), "--out", str(first), "--quiet"]) == 0
+        assert main(["--config", str(cfg), "--out", str(first), "--quiet"]) == 0
         replay_cfg = write_config(
             tmp_path,
             SMALL.replace("stream: {dump: true}", f"stream: {{replay: '{first / 'stream.csv'}'}}"),
             name="replay.yaml",
         )
         second = tmp_path / "second"
-        assert main(["replay", "--config", str(replay_cfg), "--out", str(second), "--quiet"]) == 0
+        assert main(["--config", str(replay_cfg), "--out", str(second), "--quiet"]) == 0
         assert (first / "curves.csv").read_bytes() == (second / "curves.csv").read_bytes()
 
     def test_unwritable_output_dir_fails_before_compute(self, tmp_path, capsys):
@@ -163,7 +166,7 @@ snr_loss:
         locked.mkdir()
         locked.chmod(stat.S_IRUSR | stat.S_IXUSR)
         try:
-            assert main(["train", "--config", str(cfg), "--out", str(locked / "out")]) == 1
+            assert main(["--config", str(cfg), "--out", str(locked / "out")]) == 1
         finally:
             locked.chmod(stat.S_IRWXU)
 
@@ -171,7 +174,7 @@ snr_loss:
         cfg = write_config(tmp_path, SMALL)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
-        assert main(["train", "--config", str(cfg), "--out", str(blocker)]) == 1
+        assert main(["--config", str(cfg), "--out", str(blocker)]) == 1
         assert "not writable" in capsys.readouterr().err
         assert blocker.read_text() == "a file, not a directory"
 
@@ -179,7 +182,7 @@ snr_loss:
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "out"
         (out / "checkpoint_mpnet_nominal_sc2.npz").mkdir(parents=True)
-        assert main(["train", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 1
         assert "error:" in capsys.readouterr().err
         assert [p.name for p in out.rglob("*")] == ["checkpoint_mpnet_nominal_sc2.npz"]
 
@@ -187,7 +190,7 @@ snr_loss:
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "out"
         (out / "stream.csv").mkdir(parents=True)
-        assert main(["train", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 1
         assert "error:" in capsys.readouterr().err
         assert [p.name for p in out.rglob("*")] == ["stream.csv"]
 
@@ -197,7 +200,7 @@ snr_loss:
             SMALL.replace("stream: {dump: true}", "anomalies: [{kind: break, index: 200, fraction: 0.25}]"),
         )
         out = tmp_path / "out"
-        assert main(["anomaly", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
         assert (out / "curves.csv").exists()
 
 
@@ -207,7 +210,7 @@ class TestEntryPoint:
         out = tmp_path / "out"
         env = dict(os.environ)
         result = subprocess.run(
-            [sys.executable, "-m", "mpnetlab", "train", "--config", str(cfg), "--out", str(out), "--quiet"],
+            [sys.executable, "-m", "mpnetlab", "--config", str(cfg), "--out", str(out), "--quiet"],
             capture_output=True,
             text=True,
             env=env,
@@ -218,7 +221,7 @@ class TestEntryPoint:
 
     def test_usage_error_exit_code_via_process(self):
         result = subprocess.run(
-            [sys.executable, "-m", "mpnetlab", "train"],
+            [sys.executable, "-m", "mpnetlab"],
             capture_output=True,
             text=True,
         )
@@ -232,7 +235,7 @@ class TestDivergence:
         monkeypatch.setattr(mpnet, "adam_step", lambda state, w, grad: original(state, w, grad * np.nan))
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "out"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "mpnet:nominal:sc2: non-finite weights" in err and "minibatch 1" in err
         assert list(out.iterdir()) == []
@@ -242,6 +245,6 @@ class TestInfiniteSnr:
     def test_noiseless_fixed_snr_exits_1_without_artifacts(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL.replace("value_db: 10.0", "value_db: .inf"))
         out = tmp_path / "out"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
         assert "snr.value_db must be finite" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []

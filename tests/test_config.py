@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import mpnetlab.config
 from mpnetlab.channels import ArrayEvent, FixedSnr, TruncatedGaussianSnr
-from mpnetlab.config import ConfigError, config_from_mapping, load_config
-from mpnetlab.experiments import ArraySpec, ExperimentConfig, SnrLossSpec
+from mpnetlab.config import ArraySpec, ConfigError, ExperimentConfig, SnrLossSpec, config_from_mapping, load_config
 from mpnetlab.mpnet import TrainConfig
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -184,6 +183,30 @@ class TestRejections:
     def test_sweep_with_default_settings_loads(self):
         data = _sweep(array={"n": 16, "gain_std": 0.0, "pos_std": 0.0}, training={"minibatch_size": 200})
         assert config_from_mapping(data).training == TrainConfig()
+
+    # a config sure to fail in the run fails at load, its message naming the key
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                minimal_mapping(snr={"model": "fixed", "value_db": math.inf}),
+                "snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)",
+            ),
+            (minimal_mapping(training={"minibatch_size": 100, "learning_rate": math.inf}), "'training.learning_rate' must be > 0 and finite"),
+            (minimal_mapping(estimators=["mp:nominal:fixed0"]), "estimator 'mp:nominal:fixed0': fixed rules need depth >= 1"),
+            (minimal_mapping(estimators=["ls", "mpnet:nominal:fixed-3"]), "estimator 'mpnet:nominal:fixed-3': fixed rules need depth >= 1"),
+            (minimal_mapping(dictionary={"atoms": 0}), "'dictionary.atoms' must be >= 1"),
+            (
+                minimal_mapping(estimators=["ls", "omp:oracle:sc2"], stream={"replay": "stream.csv"}),
+                "oracle estimators need a live stream (not a replay)",
+            ),
+        ],
+        ids=["noiseless live run", "infinite learning rate", "fixed0", "fixed-3", "no atoms", "replay with an oracle entry"],
+    )
+    def test_run_sure_to_fail_rejected_naming_its_key(self, data, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(data)
+        assert str(exc.value) == message
 
 
 class TestLoadConfig:
@@ -497,7 +520,7 @@ class TestOutOfRangeValues:
     def test_snr_loss_atom_count_below_one(self, atoms):
         with pytest.raises(ConfigError) as exc:
             config_from_mapping(_sweep(dictionary={"atoms": atoms}))
-        assert str(exc.value) == "dictionary size must be >= 1"
+        assert str(exc.value) == "'dictionary.atoms' must be >= 1"
 
     # numpy seeds and sample counts are nonnegative: a negative one used to load,
     # and a run then failed with numpy's own message after making its output directory
@@ -521,7 +544,9 @@ class TestOutOfRangeValues:
         assert config_from_mapping(minimal_mapping(seed=0)).seed == 0
 
     def test_infinite_fixed_snr_stays_valid(self):
-        assert config_from_mapping(minimal_mapping(snr={"model": "fixed", "value_db": math.inf})).snr == FixedSnr(math.inf)
+        # a replay reads no SNR model; a live learning run rejects inf (TestRejections)
+        data = minimal_mapping(snr={"model": "fixed", "value_db": math.inf}, stream={"replay": "stream.csv"})
+        assert config_from_mapping(data).snr == FixedSnr(math.inf)
 
     # an infinite mean or spread draws infinite SNRs, which no histogram bin holds
     @pytest.mark.parametrize(

@@ -25,7 +25,8 @@ from mpnetlab import estimators, mpnet
 from mpnetlab.arrays import Dictionary, build_dictionary, doa_grid_ula, make_ula, unit_response
 from mpnetlab.channels import ChannelSample, ChannelStream, FixedSnr, SampleBatch
 from mpnetlab.estimators import CORR_TILE, StoppingRule, matching_pursuit, omp, pursuit_batch, row_dot, should_stop
-from mpnetlab.experiments import ArraySpec, ExperimentConfig, run_learning_experiment
+from mpnetlab.config import ArraySpec, ExperimentConfig
+from mpnetlab.experiments import run_learning_experiment
 from mpnetlab.mpnet import MpNetModel, OnlineTrainer, TrainConfig, backward, estimate, forward, forward_batch
 from mpnetlab.metrics import rmse
 from mpnetlab.utils import add_rows_at, energy, row_energies

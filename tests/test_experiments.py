@@ -14,17 +14,9 @@ from mpnetlab.channels import (
     dump_stream,
     load_stream,
 )
+from mpnetlab.config import ArraySpec, ExperimentConfig, SnrLossSpec, parse_estimator
 from mpnetlab.estimators import StoppingRule
-from mpnetlab.experiments import (
-    ArraySpec,
-    ExperimentConfig,
-    LearningRun,
-    SnrLossSpec,
-    parse_estimator,
-    run_learning_experiment,
-    snr_loss_experiment,
-    train_online,
-)
+from mpnetlab.experiments import LearningRun, run_learning_experiment, snr_loss_experiment, train_online
 from mpnetlab.metrics import snr_histogram
 from mpnetlab.mpnet import MpNetModel, OnlineTrainer, TrainConfig
 
@@ -193,13 +185,8 @@ class TestLearningExperiment:
         result = run_learning_experiment(cfg, tmp_path)
         from dataclasses import replace
 
-        bad = replace(
-            cfg,
-            estimators=("omp:oracle:sc2",),
-            replay_stream=str(result.output_files["stream"]),
-        )
-        with pytest.raises(ValueError):
-            run_learning_experiment(bad)
+        with pytest.raises(ValueError):  # the config is rejected when it is built
+            replace(cfg, estimators=("omp:oracle:sc2",), replay_stream=str(result.output_files["stream"]))
 
     def test_varying_snr_histogram_respects_floor(self):
         cfg = small_config(
@@ -382,9 +369,8 @@ class TestInfiniteSnr:
         import mpnetlab.experiments as experiments
 
         monkeypatch.setattr(experiments, "score_minibatch", lambda *args: pytest.fail("a minibatch ran"))
-        cfg = small_config(snr=FixedSnr(math.inf), dump_stream=True)
-        with pytest.raises(ValueError) as exc:
-            run_learning_experiment(cfg, tmp_path / "out")
+        with pytest.raises(ValueError) as exc:  # the config is rejected when it is built
+            small_config(snr=FixedSnr(math.inf), dump_stream=True)
         assert str(exc.value) == "snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)"
         assert not (tmp_path / "out").exists()
 
@@ -678,8 +664,7 @@ class TestOracleRefresh:
         cfg = small_config(estimators=("ls",), dump_stream=True)
         stream = run_learning_experiment(cfg, tmp_path / "live").output_files["stream"]
         monkeypatch.setattr(experiments, "score_minibatch", lambda *args: pytest.fail("a minibatch ran"))
-        oracle = replace(cfg, estimators=("ls", "omp:oracle:sc2"), dump_stream=False, replay_stream=str(stream))
-        with pytest.raises(ValueError) as exc:
-            run_learning_experiment(oracle, tmp_path / "replay")
+        with pytest.raises(ValueError) as exc:  # the config is rejected when it is built
+            replace(cfg, estimators=("ls", "omp:oracle:sc2"), dump_stream=False, replay_stream=str(stream))
         assert str(exc.value) == "oracle estimators need a live stream (not a replay)"
         assert not (tmp_path / "replay").exists()

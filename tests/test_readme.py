@@ -1,10 +1,12 @@
 """The README's code runs against the current API."""
 
 import re
+import shlex
 from pathlib import Path
 
 import yaml
 
+from mpnetlab.cli import build_parser
 from mpnetlab.config import config_from_mapping
 
 README = Path(__file__).parent.parent / "README.md"
@@ -25,3 +27,12 @@ def test_configuration_blocks_load():
     assert len(blocks) == 2  # a learning run and an SNR-loss sweep
     kinds = [config_from_mapping(yaml.safe_load(block)).snr_loss is None for block in blocks]
     assert kinds == [True, False]
+
+
+def test_command_lines_parse():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    commands = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines() if line.startswith("mpnetlab ")]
+    assert len(commands) >= 2
+    for command in commands:
+        build_parser().parse_args(command[1:])  # a usage error exits 2
