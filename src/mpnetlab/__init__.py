@@ -42,10 +42,9 @@ from .estimators import (
     should_stop,
 )
 from .experiments import ExperimentResult, run_learning_experiment, snr_loss_experiment, train_online
-from .metrics import depth_histogram, rmse, snr_histogram, snr_out
+from .metrics import rmse, snr_histogram, snr_out
 from .mpnet import (
     AdamState,
-    MinibatchRecord,
     MpNetModel,
     OnlineTrainer,
     TrainConfig,

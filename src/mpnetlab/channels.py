@@ -102,6 +102,16 @@ class SampleBatch:
         return ChannelSample(self.channel[i], self.observation[i], float(self.noise_var[i]), float(self.snr_db[i]))
 
 
+def _check_linear(name: str, value_db: float) -> None:
+    """Raise unless ``from_db``, as the stream calls it, makes ``value_db`` a positive, finite linear SNR."""
+    try:
+        linear = from_db(value_db)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(f"{name} must give a positive, finite linear SNR")
+
+
 @dataclass(frozen=True)
 class FixedSnr:
     """One SNR for every sample; ``inf`` means noiseless observations, and
@@ -114,6 +124,8 @@ class FixedSnr:
             raise ValueError("value_db must not be NaN")
         if self.value_db == -math.inf:
             raise ValueError("value_db must not be -inf")
+        if math.isfinite(self.value_db):  # inf is noiseless
+            _check_linear("value_db", self.value_db)
 
 
 @dataclass(frozen=True)
@@ -134,6 +146,7 @@ class TruncatedGaussianSnr:
                 raise ValueError(f"{name} must be finite")
         if not self.acceptance_probability() >= 1e-6:
             raise ValueError("SNR floor leaves a negligible acceptance probability")
+        _check_linear("mean_db", self.mean_db)
 
     def acceptance_probability(self) -> float:
         if self.std_db == 0.0:

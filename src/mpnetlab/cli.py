@@ -71,8 +71,8 @@ def _run(args) -> int:
             _log(args, f"running {cfg.total_samples} samples ({batches} minibatches) with {len(cfg.estimators)} estimators")
             result = run_learning_experiment(cfg, out_dir)
             if args.verbose:
-                for minibatch, record in enumerate(result.records, 1):
-                    parts = " ".join(f"{name}={to_db(r.mean_rmse):.2f}dB" for name, r in record.items())
+                for minibatch, rmses in enumerate(result.records["mean_rmse"].tolist(), 1):
+                    parts = " ".join(f"{name}={to_db(r):.2f}dB" for name, r in zip(result.estimator_names, rmses))
                     print(f"minibatch {minibatch}: {parts}", file=sys.stderr)
         _log(args, f"wrote results to {out_dir}")
     except Exception as exc:  # surface a one-line cause, leave no partial files

@@ -95,7 +95,9 @@ def _parse_rule(token: str, context: str) -> StoppingRule:
         try:
             depth = int(token[len("fixed") :])
         except ValueError:
-            raise ValueError(f"{context}: bad fixed-depth rule {token!r}") from None
+            depth = None
+        if token != f"fixed{depth}":  # one spelling per depth: int() also takes "03", "+3", " 3" and "1_0"
+            raise ValueError(f"{context}: bad fixed-depth rule {token!r}")
         try:
             return StoppingRule.fixed(depth)
         except ValueError as exc:

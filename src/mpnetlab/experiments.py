@@ -12,7 +12,6 @@ import math
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import reduce
 from pathlib import Path
 from typing import BinaryIO, Sequence
 
@@ -41,7 +40,7 @@ from .fileio import atomic_write_rows, fmt_float, staged
 from .metrics import snr_bins
 # not called here (mpnet.score_minibatch scores): bench/spans.py wraps it by name
 from .metrics import rmse  # noqa: F401
-from .mpnet import MinibatchRecord, MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch
+from .mpnet import MpNetModel, OnlineTrainer, TrainConfig, save_checkpoint, score_minibatch
 from .utils import as_rng, complex_normal, from_db, row_energies, to_db
 
 CURVES_FILE = "curves.csv"
@@ -51,42 +50,38 @@ SNR_LOSS_FILE = "snr_loss.csv"
 STREAM_FILE = "stream.csv"
 
 
+RECORD = np.dtype([("mean_rmse", float), ("mean_depth", float), ("mean_cost", float)])
+
+
 @dataclass
 class ExperimentResult:
-    """One ``{estimator: MinibatchRecord}`` per minibatch, in roster order, and
-    the stream's SNR histogram. The per-estimator curves and depth histograms
-    are derived from the records."""
+    """A learning run's table and histograms. ``records`` has one row per
+    minibatch and one ``RECORD`` cell per roster entry, in roster order: the
+    entry's scores and the trainer's unsupervised cost (NaN where no trainer
+    reports one). ``depth_counts[name]`` counts the entry's estimates at each
+    depth from 0 to the deepest one seen."""
 
-    records: list[dict[str, MinibatchRecord]]
+    estimator_names: tuple[str, ...]
+    records: np.ndarray
+    depth_counts: dict[str, np.ndarray]
     snr_edges: np.ndarray
     snr_counts: np.ndarray
     output_files: dict[str, Path] = field(default_factory=dict)
 
     @property
-    def estimator_names(self) -> tuple[str, ...]:
-        return tuple(self.records[0])
-
-    @property
     def rmse_linear(self) -> dict[str, np.ndarray]:
-        return {name: np.array([r[name].mean_rmse for r in self.records]) for name in self.estimator_names}
+        return dict(zip(self.estimator_names, self.records["mean_rmse"].T))
 
     @property
     def mean_depth(self) -> dict[str, np.ndarray]:
-        return {name: np.array([r[name].mean_depth for r in self.records]) for name in self.estimator_names}
+        return dict(zip(self.estimator_names, self.records["mean_depth"].T))
 
     @property
-    def depth_counts(self) -> dict[str, np.ndarray]:
-        return {name: reduce(_add_counts, (r[name].depth_counts for r in self.records), np.zeros(1, dtype=int)) for name in self.estimator_names}
+    def mean_cost(self) -> dict[str, np.ndarray]:
+        return dict(zip(self.estimator_names, self.records["mean_cost"].T))
 
     def rmse_db(self, name: str) -> np.ndarray:
         return 10.0 * np.log10(self.rmse_linear[name])
-
-
-def _add_counts(total: np.ndarray, extra: np.ndarray) -> np.ndarray:
-    if extra.shape[0] > total.shape[0]:
-        total = np.pad(total, (0, extra.shape[0] - total.shape[0]))
-    total[: extra.shape[0]] += extra
-    return total
 
 
 @dataclass
@@ -94,10 +89,11 @@ class LearningRun:
     """A learning run at a minibatch boundary: its stream, its roster (each
     mpNet entry's trainer under its name), the MP/OMP dictionaries, the
     minibatch count and size, and the array the ``oracle`` dictionary was
-    built from, if any; then how many minibatches it has ``taken`` and the
-    SNR histogram so far. A binary handle set as ``dump`` gets each
-    minibatch's stream rows. A run with no whole minibatch, a replay too
-    short for the count, or a noiseless live stream fails when it is built."""
+    built from, if any; then how many minibatches it has ``taken``, their
+    rows of ``records``, each entry's depth counts and the SNR histogram. A
+    binary handle set as ``dump`` gets each minibatch's stream rows. A run
+    with no whole minibatch, a replay too short for the count, or a
+    noiseless live stream fails when it is built."""
 
     stream: ChannelStream | ReplayStream
     specs: Sequence[EstimatorSpec]
@@ -108,6 +104,8 @@ class LearningRun:
     oracle_array: AntennaArray | None = None
     dump: BinaryIO | None = field(init=False, default=None)
     taken: int = field(init=False, default=0)
+    records: np.ndarray = field(init=False, repr=False)
+    depth_counts: dict[str, Counter[int]] = field(init=False)
     snr_floors: Counter[int] = field(init=False, default_factory=Counter)
     snr_top: float = field(init=False, default=-math.inf)
 
@@ -120,13 +118,15 @@ class LearningRun:
                 raise ValueError(f"replay file {self.stream.path} holds {self.stream.count} samples; the run needs {needed} ({self.n_minibatches} minibatches of {self.batch_size})")
         elif self.stream.snr == FixedSnr(math.inf):
             raise ValueError(NOISELESS_RUN)
+        self.records = np.full((self.n_minibatches, len(self.specs)), np.nan, dtype=RECORD)
+        self.depth_counts = {spec.name: Counter() for spec in self.specs}
 
-    def step(self) -> dict[str, MinibatchRecord]:
+    def step(self) -> np.ndarray:
         """Run the next minibatch: take it, rebuild the oracle dictionary when
         an anomaly has replaced the true array, count its SNRs, append it to
-        the dump, then run and score each roster entry in order. MP and OMP
-        entries of one family and rule on the same dictionary object share
-        one pass."""
+        the dump, then run, count and score each roster entry in order into
+        its cell of the row it returns. MP and OMP entries of one family and
+        rule on the same dictionary object share one pass."""
         batch = self.stream.take(self.batch_size)
         if any(spec.source == "oracle" for spec in self.specs) and self.stream.current_array is not self.oracle_array:
             self.oracle_array = self.stream.current_array
@@ -135,11 +135,12 @@ class LearningRun:
         self.snr_top = max(self.snr_top, *batch.snr_db.tolist())
         if self.dump is not None:
             self.dump.writelines(line.encode("utf-8") for line in stream_rows(self.taken * self.batch_size, batch))
+        row = self.records[self.taken]
         self.taken += 1
         # the roster sees the observations and noise variances
         X, noise_vars = batch.observation, batch.noise_var
-        record, pursued = {}, {}
-        for spec in self.specs:
+        pursued = {}
+        for i, spec in enumerate(self.specs):
             mean_cost = math.nan
             if spec.family == "mpnet":
                 # trainers share no state: each Adam step follows its own forward pass
@@ -152,8 +153,17 @@ class LearningRun:
                 if key not in pursued:
                     pursued[key] = pursuit_batch(dictionary, X, spec.rule, noise_vars, spec.family == "omp")
                 estimates = pursued[key]
-            record[spec.name] = score_minibatch(self.taken, batch.channel, estimates, mean_cost)
-        return record
+            self.depth_counts[spec.name].update(estimates.depth.tolist())
+            row[i] = (*score_minibatch(batch.channel, estimates), mean_cost)
+        return row
+
+    def finish(self) -> ExperimentResult:
+        """Run the minibatches left; the run's table, each entry's depth
+        counts and the SNR histogram, as a result with no output files."""
+        while self.taken < self.n_minibatches:
+            self.step()
+        depth_counts = {name: np.array([counts[depth] for depth in range(max(counts) + 1)]) for name, counts in self.depth_counts.items()}
+        return ExperimentResult(tuple(self.depth_counts), self.records, depth_counts, *snr_bins(self.snr_floors, self.snr_top))
 
 
 def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
@@ -205,7 +215,7 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
         if stage is not None:
             run.dump = stack.enter_context(open(stage / STREAM_FILE, "wb"))
             run.dump.write(stream_header(nominal.size).encode("utf-8"))
-        result = ExperimentResult([run.step() for _ in range(run.n_minibatches)], *snr_bins(run.snr_floors, run.snr_top))
+        result = run.finish()
         if out_dir is not None:
             stage = stage or stack.enter_context(staged(out_dir))
             _write_artifacts(stage, specs, trainers, result)
@@ -213,16 +223,17 @@ def run_learning_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentRe
     return result
 
 
-def train_online(model: MpNetModel, stream: ChannelStream | ReplayStream, total_samples: int, cfg: TrainConfig = TrainConfig()) -> list[MinibatchRecord]:
+def train_online(model: MpNetModel, stream: ChannelStream | ReplayStream, total_samples: int, cfg: TrainConfig = TrainConfig()) -> ExperimentResult:
     """Train ``model`` on the first ``total_samples`` samples of a stream, one
     Adam update per minibatch of ``cfg.minibatch_size``: a learning run whose
-    roster is this one mpNet entry. A trailing partial minibatch is never
-    taken. Fewer samples than one minibatch, a replay too short for the
-    rest, or a live stream with no noise fails before the first step."""
+    roster is this one mpNet entry, named after the trainer. A trailing
+    partial minibatch is never taken. Fewer samples than one minibatch, a
+    replay too short for the rest, or a live stream with no noise fails
+    before the first step."""
     trainer = OnlineTrainer(model, cfg)
     spec = EstimatorSpec(trainer.name, "mpnet", "nominal", model.rule)  # the run reads no mpNet entry's source
     run = LearningRun(stream, [spec], {trainer.name: trainer}, {}, total_samples // cfg.minibatch_size, cfg.minibatch_size)
-    return [run.step()[trainer.name] for _ in range(run.n_minibatches)]
+    return run.finish()
 
 
 def _write_artifacts(stage: Path, specs: Sequence[EstimatorSpec], trainers: dict[str, OnlineTrainer], result: ExperimentResult) -> None:
@@ -235,15 +246,15 @@ def _write_artifacts(stage: Path, specs: Sequence[EstimatorSpec], trainers: dict
             save_checkpoint(stage / f"checkpoint_{spec.column}.npz", trainers[spec.name].model, trainers[spec.name].adam)
 
 
-def _write_curves(path: Path, specs: Sequence[EstimatorSpec], records: Sequence[dict[str, MinibatchRecord]]) -> None:
+def _write_curves(path: Path, specs: Sequence[EstimatorSpec], records: np.ndarray) -> None:
     header = ["minibatch"]
     for spec in specs:
         header += [f"{spec.column}_rmse_db", f"{spec.column}_mean_depth"]
     rows = []
-    for minibatch, record in enumerate(records, 1):
+    for minibatch, cells in enumerate(records, 1):
         row = [str(minibatch)]
-        for spec in specs:
-            row += [fmt_float(to_db(record[spec.name].mean_rmse)), fmt_float(record[spec.name].mean_depth)]
+        for mean_rmse, mean_depth, _ in cells.tolist():
+            row += [fmt_float(to_db(mean_rmse)), fmt_float(mean_depth)]
         rows.append(row)
     atomic_write_rows(path, header, rows)
 

@@ -35,16 +35,6 @@ def snr_out(estimates: Sequence[np.ndarray], truths: Sequence[np.ndarray]) -> fl
     return to_db(signal / error)
 
 
-def depth_histogram(depths: Sequence[int]) -> np.ndarray:
-    """Counts per selected depth; index d holds the number of depth-d estimates."""
-    depths = np.asarray(depths, dtype=int)
-    if depths.size == 0:
-        raise ValueError("need at least one depth")
-    if np.any(depths < 0):
-        raise ValueError("depths must be nonnegative")
-    return np.bincount(depths)
-
-
 def snr_bins(floor_counts: Mapping[int, int], top: float) -> tuple[np.ndarray, np.ndarray]:
     """1-dB histogram of SNR values (dB) from the count of each value's floor
     and the largest value; returns (bin_edges, counts). The edges are the

@@ -35,7 +35,6 @@ import numpy as np
 from .channels import SampleBatch
 from .estimators import BatchEstimate, Estimate, StoppingRule, pursue, row_dot
 from .fileio import atomic_savez
-from .metrics import depth_histogram
 # not called here (score_minibatch works on arrays): bench/spans.py wraps it by name
 from .metrics import rmse  # noqa: F401
 from .utils import add_rows_at, as_rng, complex_normal, row_energies
@@ -180,7 +179,7 @@ class TrainConfig:
             ("decay_every", self.decay_every >= 1, ">= 1"),
             ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
             ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
-            ("eps", self.eps > 0.0, "> 0"),
+            ("eps", 0.0 < self.eps < np.inf, "> 0 and finite"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {bounds}")
@@ -267,24 +266,11 @@ def estimate(model: MpNetModel, x: np.ndarray, noise_var: float = 0.0) -> Estima
     return _rescaled(forward_batch(model, X_unit, noise_var_norms), norms)[0]
 
 
-@dataclass(frozen=True)
-class MinibatchRecord:
-    """Evaluation summary of one minibatch. The rMSE is measured against the
-    simulator's ground truth for reporting only; it never feeds training.
-    ``mean_cost`` is the trainer's unsupervised cost, NaN where no trainer
-    reported one."""
-
-    minibatch: int
-    mean_cost: float
-    mean_rmse: float
-    mean_depth: float
-    depth_counts: np.ndarray
-
-
-def score_minibatch(minibatch: int, truths: np.ndarray, estimates: BatchEstimate, mean_cost: float = float("nan")) -> MinibatchRecord:
-    """Score one minibatch of estimates against the true channels (B x N): the
-    rMSE summed in sample order and averaged, the mean depth, and the depth
-    histogram. This is the only place where an estimate meets ground truth."""
+def score_minibatch(truths: np.ndarray, estimates: BatchEstimate) -> tuple[float, float]:
+    """Score one minibatch of estimates against the true channels (B x N):
+    the rMSE summed in sample order and averaged, and the mean depth. The
+    rMSE is for reporting only and never feeds training: this is the only
+    place where an estimate meets ground truth."""
     if truths.shape != estimates.channel.shape:
         raise ValueError("need one estimate per sample")
     truth_energies = row_energies(truths)
@@ -293,8 +279,7 @@ def score_minibatch(minibatch: int, truths: np.ndarray, estimates: BatchEstimate
     total = 0.0
     for error in (row_energies(estimates.channel - truths) / truth_energies).tolist():
         total += error
-    counts = depth_histogram(estimates.depth)
-    return MinibatchRecord(minibatch, mean_cost, total / len(truths), float(np.mean(estimates.depth)), counts)
+    return total / len(truths), float(np.mean(estimates.depth))
 
 
 class OnlineTrainer:

@@ -87,12 +87,21 @@ class TestConfigErrors:
                 "snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)",
             ),
             (SMALL.replace("minibatch_size: 100", "minibatch_size: 100, learning_rate: .inf"), "'training.learning_rate' must be > 0 and finite"),
+            (SMALL.replace("value_db: 10.0", "value_db: 3100"), "snr: value_db must give a positive, finite linear SNR"),
             (
                 SMALL.replace("mpnet:nominal:sc2]", "omp:oracle:sc2]").replace("stream: {dump: true}", "stream: {replay: stream.csv}"),
                 "oracle estimators need a live stream (not a replay)",
             ),
         ],
-        ids=["short learning run", "planar sweep", "sweep with unread settings", "noiseless live run", "infinite learning rate", "replay with an oracle entry"],
+        ids=[
+            "short learning run",
+            "planar sweep",
+            "sweep with unread settings",
+            "noiseless live run",
+            "infinite learning rate",
+            "SNR past the float range",
+            "replay with an oracle entry",
+        ],
     )
     def test_run_that_cannot_succeed_exits_1_before_the_output_dir(self, tmp_path, capsys, text, message):
         cfg = write_config(tmp_path, text)
@@ -193,6 +202,19 @@ snr_loss:
         assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 1
         assert "error:" in capsys.readouterr().err
         assert [p.name for p in out.rglob("*")] == ["stream.csv"]
+
+    def test_verbose_logs_each_minibatch_as_in_the_curves(self, tmp_path, capsys):
+        config = Path(__file__).parent.parent / "configs" / "smoke.yaml"
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "-v"]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("minibatch ")]
+        rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()]
+        names = [column[: -len("_rmse_db")].replace("_", ":") for column in rows[0] if column.endswith("_rmse_db")]
+        assert names == ["ls", "mp:nominal:sc2", "mpnet:nominal:sc2"]
+        assert len(lines) == len(rows) - 1 == 20
+        for k, (line, row) in enumerate(zip(lines, rows[1:]), 1):
+            expected = " ".join(f"{name}={float(row[1 + 2 * i]):.2f}dB" for i, name in enumerate(names))
+            assert line == f"minibatch {k}: {expected}"
 
     def test_anomaly_subcommand(self, tmp_path):
         cfg = write_config(

@@ -193,6 +193,8 @@ class TestRejections:
                 "snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)",
             ),
             (minimal_mapping(training={"minibatch_size": 100, "learning_rate": math.inf}), "'training.learning_rate' must be > 0 and finite"),
+            # an infinite epsilon makes every Adam step 0: the run would train nothing
+            (minimal_mapping(training={"minibatch_size": 100, "epsilon": math.inf}), "'training.epsilon' must be > 0 and finite"),
             (minimal_mapping(estimators=["mp:nominal:fixed0"]), "estimator 'mp:nominal:fixed0': fixed rules need depth >= 1"),
             (minimal_mapping(estimators=["ls", "mpnet:nominal:fixed-3"]), "estimator 'mpnet:nominal:fixed-3': fixed rules need depth >= 1"),
             (minimal_mapping(dictionary={"atoms": 0}), "'dictionary.atoms' must be >= 1"),
@@ -201,12 +203,21 @@ class TestRejections:
                 "oracle estimators need a live stream (not a replay)",
             ),
         ],
-        ids=["noiseless live run", "infinite learning rate", "fixed0", "fixed-3", "no atoms", "replay with an oracle entry"],
+        ids=["noiseless live run", "infinite learning rate", "infinite epsilon", "fixed0", "fixed-3", "no atoms", "replay with an oracle entry"],
     )
     def test_run_sure_to_fail_rejected_naming_its_key(self, data, message):
         with pytest.raises(ConfigError) as exc:
             config_from_mapping(data)
         assert str(exc.value) == message
+
+    # int() reads all of these as a depth, so each would run as its own roster
+    # column beside "fixed3" (and "fixed1_0" is depth 10)
+    @pytest.mark.parametrize("token", ["fixed03", "fixed+3", "fixed 3", "fixed1_0", "fixed-0"])
+    def test_one_spelling_per_fixed_depth(self, token):
+        entry = f"mp:nominal:{token}"
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(minimal_mapping(estimators=["ls", "mp:nominal:fixed3", entry]))
+        assert str(exc.value) == f"estimator {entry!r}: bad fixed-depth rule {token!r}"
 
 
 class TestLoadConfig:
@@ -500,13 +511,23 @@ class TestOutOfRangeValues:
         with pytest.raises(ValueError):
             TruncatedGaussianSnr(**{field: math.nan})
 
-    # -inf dB is no signal: the noise variance would divide by zero mid-run
+    # -inf dB is no signal: the noise variance would divide by zero mid-run; so
+    # would an SNR whose linear power underflows to 0, and one that overflows
+    # stops the stream with an OverflowError
     @pytest.mark.parametrize(
         "data, message",
         [
             (minimal_mapping(snr={"model": "fixed", "value_db": -math.inf}), "snr: value_db must not be -inf"),
+            (minimal_mapping(snr={"model": "fixed", "value_db": 3100.0}), "snr: value_db must give a positive, finite linear SNR"),
+            (minimal_mapping(snr={"model": "fixed", "value_db": -4000.0}), "snr: value_db must give a positive, finite linear SNR"),
+            (_sweep(snr={"model": "fixed", "value_db": 3100.0}), "snr: value_db must give a positive, finite linear SNR"),
+            (minimal_mapping(snr={"model": "truncated_gaussian", "mean_db": 3100.0}), "snr: mean_db must give a positive, finite linear SNR"),
+            (
+                minimal_mapping(snr={"model": "truncated_gaussian", "mean_db": -4000.0, "floor_db": -5000.0}),
+                "snr: mean_db must give a positive, finite linear SNR",
+            ),
         ],
-        ids=["snr.value_db"],
+        ids=["snr.value_db", "value_db overflows", "value_db underflows", "sweep value_db overflows", "mean_db overflows", "mean_db underflows"],
     )
     def test_minus_infinite_snr_fails_at_load(self, data, message):
         with pytest.raises(ConfigError) as exc:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpnetlab.metrics import depth_histogram, rmse, snr_histogram, snr_out
+from mpnetlab.metrics import rmse, snr_histogram, snr_out
 
 
 class TestRmse:
@@ -40,26 +40,6 @@ class TestSnrOut:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             snr_out([np.ones(2)], [])
-
-
-class TestDepthHistogram:
-    def test_single_bin(self):
-        counts = depth_histogram([3, 3, 3])
-        assert counts[3] == 3
-        assert counts.sum() == 3
-
-    def test_counts_sum_to_total(self, rng):
-        depths = rng.integers(0, 9, size=500)
-        counts = depth_histogram(depths)
-        assert counts.sum() == 500
-        for d in range(counts.shape[0]):
-            assert counts[d] == int(np.sum(depths == d))
-
-    def test_rejects_empty_and_negative(self):
-        with pytest.raises(ValueError):
-            depth_histogram([])
-        with pytest.raises(ValueError):
-            depth_histogram([-1])
 
 
 class TestSnrHistogram:
