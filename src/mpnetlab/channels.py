@@ -128,6 +128,11 @@ class FixedSnr:
             _check_linear("value_db", self.value_db)
 
 
+# A truncated-Gaussian SNR must stay in the linear range this many standard
+# deviations from its mean: a draw beyond 10 sigma has probability below 1e-23.
+TAIL_SIGMAS = 10
+
+
 @dataclass(frozen=True)
 class TruncatedGaussianSnr:
     """Gaussian SNR in dB, rejection-sampled above a floor (low-SNR observations
@@ -147,6 +152,8 @@ class TruncatedGaussianSnr:
         if not self.acceptance_probability() >= 1e-6:
             raise ValueError("SNR floor leaves a negligible acceptance probability")
         _check_linear("mean_db", self.mean_db)
+        _check_linear(f"mean_db + {TAIL_SIGMAS} std_db", self.mean_db + TAIL_SIGMAS * self.std_db)
+        _check_linear(f"max(floor_db, mean_db - {TAIL_SIGMAS} std_db)", max(self.floor_db, self.mean_db - TAIL_SIGMAS * self.std_db))
 
     def acceptance_probability(self) -> float:
         if self.std_db == 0.0:
@@ -259,8 +266,8 @@ class ArrayEvent:
             raise ValueError("event kind must be 'break' or 'age'")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must lie in [0, 1]")
-        if not self.gain_std >= 0.0:
-            raise ValueError("gain_std must be nonnegative")
+        if not 0.0 <= self.gain_std < math.inf:
+            raise ValueError("gain_std must be finite and nonnegative")
 
     def apply(self, array: AntennaArray, rng) -> AntennaArray:
         if self.kind == "break":

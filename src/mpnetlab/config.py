@@ -34,8 +34,8 @@ class ArraySpec:
     def __post_init__(self) -> None:
         if len(self.shape) not in (1, 2) or any(d < 1 for d in self.shape):
             raise ValueError("array shape must be (n,) for a ULA or (nx, nz) for a UPA")
-        if not (self.gain_std >= 0.0 and self.pos_std >= 0.0):
-            raise ValueError("uncertainty standard deviations must be nonnegative")
+        if not (0.0 <= self.gain_std < math.inf and 0.0 <= self.pos_std < math.inf):
+            raise ValueError("uncertainty standard deviations must be finite and nonnegative")
 
     @property
     def geometry(self) -> str:
@@ -66,8 +66,8 @@ class SnrLossSpec:
     def __post_init__(self) -> None:
         if not self.pos_stds or not self.gain_stds:
             raise ValueError("the sweep needs at least one value per axis")
-        if not all(v >= 0 for v in (*self.pos_stds, *self.gain_stds)):
-            raise ValueError("uncertainty values must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in (*self.pos_stds, *self.gain_stds)):
+            raise ValueError("uncertainty values must be finite and nonnegative")
         if self.n_arrays < 1 or self.channels_per_array < 1:
             raise ValueError("trial counts must be >= 1")
 
@@ -84,25 +84,6 @@ class EstimatorSpec:
     @property
     def column(self) -> str:
         return self.name.replace(":", "_")
-
-
-def _parse_rule(token: str, context: str) -> StoppingRule:
-    if token == "sc1":
-        return StoppingRule.sc1()
-    if token == "sc2":
-        return StoppingRule.sc2()
-    if token.startswith("fixed"):
-        try:
-            depth = int(token[len("fixed") :])
-        except ValueError:
-            depth = None
-        if token != f"fixed{depth}":  # one spelling per depth: int() also takes "03", "+3", " 3" and "1_0"
-            raise ValueError(f"{context}: bad fixed-depth rule {token!r}")
-        try:
-            return StoppingRule.fixed(depth)
-        except ValueError as exc:
-            raise ValueError(f"{context}: {exc}") from None
-    raise ValueError(f"{context}: unknown stopping rule {token!r}")
 
 
 def parse_estimator(spec: str) -> EstimatorSpec:
@@ -122,7 +103,11 @@ def parse_estimator(spec: str) -> EstimatorSpec:
             raise ValueError(f"estimator {spec!r}: init must be nominal or xavier")
     else:
         raise ValueError(f"estimator {spec!r}: unknown family {family!r}")
-    return EstimatorSpec(spec, family, source, _parse_rule(rule_token, f"estimator {spec!r}"))
+    try:
+        rule = StoppingRule.parse(rule_token)
+    except ValueError as exc:
+        raise ValueError(f"estimator {spec!r}: {exc}") from None
+    return EstimatorSpec(spec, family, source, rule)
 
 
 @dataclass(frozen=True)

@@ -38,14 +38,14 @@ class StoppingRule:
     """When greedy atom selection stops.
 
     kind "fixed" always runs ``depth`` layers; "sc1" and "sc2" stop once the
-    normalized residual energy falls under a noise-calibrated threshold.
-    ``max_depth`` is a safety cap; left unset it resolves to max(N // 4, 1) at
-    call time (never below ``depth`` for fixed rules).
+    normalized residual energy falls under a noise-calibrated threshold. Every
+    rule stops at the safety cap max(N // 4, 1), never below ``depth`` for a
+    fixed rule. A rule is spelled ``fixed<depth>``, ``sc1`` or ``sc2``:
+    :meth:`parse` reads the token and ``str`` gives it back.
     """
 
     kind: str
     depth: int | None = None
-    max_depth: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "sc1", "sc2"):
@@ -55,28 +55,38 @@ class StoppingRule:
                 raise ValueError("fixed rules need depth >= 1")
         elif self.depth is not None:
             raise ValueError("depth only applies to fixed rules")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
     @classmethod
-    def fixed(cls, depth: int, max_depth: int | None = None) -> "StoppingRule":
-        return cls("fixed", depth=depth, max_depth=max_depth)
+    def fixed(cls, depth: int) -> "StoppingRule":
+        return cls("fixed", depth=depth)
 
     @classmethod
-    def sc1(cls, max_depth: int | None = None) -> "StoppingRule":
-        return cls("sc1", max_depth=max_depth)
+    def sc1(cls) -> "StoppingRule":
+        return cls("sc1")
 
     @classmethod
-    def sc2(cls, max_depth: int | None = None) -> "StoppingRule":
-        return cls("sc2", max_depth=max_depth)
+    def sc2(cls) -> "StoppingRule":
+        return cls("sc2")
+
+    @classmethod
+    def parse(cls, token: str) -> "StoppingRule":
+        if token in ("sc1", "sc2"):
+            return cls(token)
+        if not token.startswith("fixed"):
+            raise ValueError(f"unknown stopping rule {token!r}")
+        try:
+            depth = int(token[len("fixed") :])
+        except ValueError:
+            depth = None
+        if token != f"fixed{depth}":  # one spelling per depth: int() also takes "03", "+3", " 3" and "1_0"
+            raise ValueError(f"bad fixed-depth rule {token!r}")
+        return cls.fixed(depth)
+
+    def __str__(self) -> str:
+        return f"fixed{self.depth}" if self.kind == "fixed" else self.kind
 
     def cap(self, n_dims: int) -> int:
-        if self.max_depth is not None:
-            return self.max_depth
-        cap = max(n_dims // 4, 1)
-        if self.kind == "fixed":
-            cap = max(cap, self.depth)
-        return cap
+        return max(n_dims // 4, 1, self.depth or 0)
 
 
 def sc_threshold(rule: StoppingRule, noise_var_norm, n_dims: int):

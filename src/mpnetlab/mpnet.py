@@ -26,7 +26,7 @@ once the weights are checked; inference on them is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Sequence
 
@@ -42,10 +42,7 @@ from .utils import add_rows_at, as_rng, complex_normal, row_energies
 UNIT_INPUT_TOL = 1e-9
 STALE_TRACE_TOL = 1e-9
 
-INIT_NOMINAL = "nominal_dictionary"
-INIT_XAVIER = "xavier_random"
-
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def xavier_init(n_antennas: int, n_atoms: int, rng) -> np.ndarray:
@@ -66,7 +63,6 @@ class MpNetModel:
 
     weights: np.ndarray
     rule: StoppingRule
-    init: str = INIT_NOMINAL
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=complex)
@@ -86,11 +82,11 @@ class MpNetModel:
 
     @classmethod
     def from_dictionary(cls, dictionary, rule: StoppingRule) -> "MpNetModel":
-        return cls(dictionary.atoms, rule, init=INIT_NOMINAL)  # __post_init__ copies
+        return cls(dictionary.atoms, rule)  # __post_init__ copies
 
     @classmethod
     def xavier(cls, n_antennas: int, n_atoms: int, rule: StoppingRule, rng) -> "MpNetModel":
-        return cls(xavier_init(n_antennas, n_atoms, rng), rule, init=INIT_XAVIER)
+        return cls(xavier_init(n_antennas, n_atoms, rng), rule)
 
 
 def forward_batch(model: MpNetModel, X_unit: np.ndarray, noise_var_norms: Sequence[float], grad: np.ndarray | None = None) -> BatchEstimate:
@@ -199,9 +195,9 @@ class AdamState:
     step: int = 0
 
     @classmethod
-    def for_shape(cls, shape: tuple[int, ...], **fields) -> "AdamState":
-        """Zero moments for weights of ``shape``; ``fields`` are TrainConfig fields."""
-        return cls(np.zeros((2, *shape)), np.zeros((2, *shape)), TrainConfig(**fields))
+    def for_shape(cls, shape: tuple[int, ...], **settings) -> "AdamState":
+        """Zero moments for weights of ``shape``; ``settings`` are TrainConfig fields."""
+        return cls(np.zeros((2, *shape)), np.zeros((2, *shape)), TrainConfig(**settings))
 
     @property
     def learning_rate(self) -> float:
@@ -329,71 +325,49 @@ class OnlineTrainer:
         return estimates, cost / len(batch)
 
 
-def _rule_fields(rule: StoppingRule) -> tuple[str, int, int]:
-    return rule.kind, -1 if rule.depth is None else rule.depth, -1 if rule.max_depth is None else rule.max_depth
+def save_checkpoint(path, model: MpNetModel, adam: AdamState) -> None:
+    """Persist what a trainer holds to a versioned .npz file: the weights, the
+    stopping rule's token, the Adam moments and step, and every TrainConfig
+    field as ``adam_<field>``."""
+    atomic_savez(
+        path,
+        format_version=np.array(CHECKPOINT_VERSION),
+        weights=model.weights,
+        rule=np.array(str(model.rule)),
+        adam_m=adam.m,
+        adam_v=adam.v,
+        adam_step=np.array(adam.step),
+        **{f"adam_{f.name}": np.array(getattr(adam.cfg, f.name)) for f in fields(TrainConfig)},
+    )
 
 
-# The TrainConfig fields a checkpoint stores as adam_<field>, in file order.
-_ADAM_FIELDS = ("base_rate", "decay", "decay_every", "beta1", "beta2", "eps")
-
-
-def save_checkpoint(path, model: MpNetModel, adam: AdamState | None = None) -> None:
-    """Persist weights, stopping rule, and optimizer state to a versioned .npz file."""
-    kind, depth, max_depth = _rule_fields(model.rule)
-    payload = {
-        "format_version": np.array(CHECKPOINT_VERSION),
-        "w_re": model.weights.real,
-        "w_im": model.weights.imag,
-        "init": np.array(model.init),
-        "rule_kind": np.array(kind),
-        "rule_depth": np.array(depth),
-        "rule_max_depth": np.array(max_depth),
-    }
-    if adam is not None:
-        payload.update(adam_m=adam.m, adam_v=adam.v, adam_step=np.array(adam.step))
-        payload.update({f"adam_{name}": np.array(getattr(adam.cfg, name)) for name in _ADAM_FIELDS})
-    atomic_savez(path, **payload)
-
-
-def load_checkpoint(path) -> tuple[MpNetModel, AdamState | None]:
+def load_checkpoint(path) -> tuple[MpNetModel, AdamState]:
     """Read a checkpoint back. The Adam moments must be finite (the second
-    one nonnegative) and the step count nonnegative; the hyperparameters are
-    range-checked as a TrainConfig; ``minibatch_size`` is not stored and
-    keeps its default."""
+    one nonnegative) and the step count nonnegative; the rule is parsed and
+    the hyperparameters range-checked as a TrainConfig."""
     with np.load(path) as data:
         version = int(data["format_version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        w_re, w_im = data["w_re"], data["w_im"]
-        if w_re.shape != w_im.shape:  # they would broadcast into weights of neither shape
-            raise ValueError(f"checkpoint w_re has shape {w_re.shape} but w_im has shape {w_im.shape}")
-        weights = w_re + 1j * w_im
-        depth = int(data["rule_depth"])
-        max_depth = int(data["rule_max_depth"])
-        rule = StoppingRule(
-            str(data["rule_kind"]),
-            depth=None if depth < 0 else depth,
-            max_depth=None if max_depth < 0 else max_depth,
-        )
-        model = MpNetModel(weights, rule, init=str(data["init"]))
-        adam = None
-        if "adam_m" in data:
-            expected = (2, *weights.shape)
-            moments = {key: data[key] for key in ("adam_m", "adam_v")}
-            for key, value in moments.items():
-                if value.shape != expected:
-                    raise ValueError(f"checkpoint {key} has shape {value.shape}, expected {expected} for the stored weights")
-                if not np.all(np.isfinite(value)):
-                    raise ValueError(f"checkpoint {key} holds non-finite values")
-            if np.any(moments["adam_v"] < 0.0):
-                raise ValueError("checkpoint adam_v holds negative values (a second moment is >= 0)")
-            step = int(data["adam_step"])
-            if step < 0:
-                raise ValueError(f"checkpoint adam_step is {step}, expected >= 0")
-            fields = {name: data[f"adam_{name}"].item() for name in _ADAM_FIELDS}
-            try:
-                cfg = TrainConfig(**fields)
-            except ValueError as exc:  # TrainConfig names the field first
-                raise ValueError(f"checkpoint adam_{exc}") from None
-            adam = AdamState(moments["adam_m"], moments["adam_v"], cfg, step)
-    return model, adam
+        try:
+            rule = StoppingRule.parse(str(data["rule"]))
+        except ValueError as exc:
+            raise ValueError(f"checkpoint rule: {exc}") from None
+        model = MpNetModel(data["weights"], rule)
+        expected = (2, *model.weights.shape)
+        moments = {key: data[key] for key in ("adam_m", "adam_v")}
+        for key, value in moments.items():
+            if value.shape != expected:
+                raise ValueError(f"checkpoint {key} has shape {value.shape}, expected {expected} for the stored weights")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"checkpoint {key} holds non-finite values")
+        if np.any(moments["adam_v"] < 0.0):
+            raise ValueError("checkpoint adam_v holds negative values (a second moment is >= 0)")
+        step = int(data["adam_step"])
+        if step < 0:
+            raise ValueError(f"checkpoint adam_step is {step}, expected >= 0")
+        try:
+            cfg = TrainConfig(**{f.name: data[f"adam_{f.name}"].item() for f in fields(TrainConfig)})
+        except ValueError as exc:  # TrainConfig names the field first
+            raise ValueError(f"checkpoint adam_{exc}") from None
+    return model, AdamState(moments["adam_m"], moments["adam_v"], cfg, step)

@@ -88,6 +88,7 @@ class TestConfigErrors:
             ),
             (SMALL.replace("minibatch_size: 100", "minibatch_size: 100, learning_rate: .inf"), "'training.learning_rate' must be > 0 and finite"),
             (SMALL.replace("value_db: 10.0", "value_db: 3100"), "snr: value_db must give a positive, finite linear SNR"),
+            (SMALL.replace("gain_std: 0.2", "gain_std: .inf"), "array: uncertainty standard deviations must be finite and nonnegative"),
             (
                 SMALL.replace("mpnet:nominal:sc2]", "omp:oracle:sc2]").replace("stream: {dump: true}", "stream: {replay: stream.csv}"),
                 "oracle estimators need a live stream (not a replay)",
@@ -100,6 +101,7 @@ class TestConfigErrors:
             "noiseless live run",
             "infinite learning rate",
             "SNR past the float range",
+            "infinite gain uncertainty",
             "replay with an oracle entry",
         ],
     )

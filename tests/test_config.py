@@ -422,8 +422,9 @@ class TestOutOfRangeValues:
         [
             ({"kind": "break", "index": 10, "fraction": 1.5}, "anomalies[0]: fraction must lie in [0, 1]"),
             ({"kind": "break", "index": 10, "fraction": -0.1}, "anomalies[0]: fraction must lie in [0, 1]"),
-            ({"kind": "age", "index": 10, "gain_std": -0.1}, "anomalies[0]: gain_std must be nonnegative"),
-            ({"kind": "age", "index": 10, "gain_std": math.nan}, "anomalies[0]: gain_std must be nonnegative"),
+            ({"kind": "age", "index": 10, "gain_std": -0.1}, "anomalies[0]: gain_std must be finite and nonnegative"),
+            ({"kind": "age", "index": 10, "gain_std": math.nan}, "anomalies[0]: gain_std must be finite and nonnegative"),
+            ({"kind": "age", "index": 10, "gain_std": math.inf}, "anomalies[0]: gain_std must be finite and nonnegative"),
         ],
     )
     def test_anomaly_amount_checked_at_load(self, event, message):
@@ -481,14 +482,14 @@ class TestOutOfRangeValues:
     @pytest.mark.parametrize(
         "data, message",
         [
-            (minimal_mapping(array={"n": 16, "gain_std": math.nan}), "array: uncertainty standard deviations must be nonnegative"),
-            (minimal_mapping(array={"n": 16, "pos_std": math.nan}), "array: uncertainty standard deviations must be nonnegative"),
+            (minimal_mapping(array={"n": 16, "gain_std": math.nan}), "array: uncertainty standard deviations must be finite and nonnegative"),
+            (minimal_mapping(array={"n": 16, "pos_std": math.nan}), "array: uncertainty standard deviations must be finite and nonnegative"),
             (minimal_mapping(snr={"model": "fixed", "value_db": math.nan}), "snr: value_db must not be NaN"),
             (minimal_mapping(snr={"model": "truncated_gaussian", "mean_db": math.nan}), "snr: SNR floor leaves a negligible acceptance probability"),
             (minimal_mapping(snr={"model": "truncated_gaussian", "std_db": math.nan}), "snr: std_db must be nonnegative"),
             (minimal_mapping(snr={"model": "truncated_gaussian", "floor_db": math.nan}), "snr: SNR floor leaves a negligible acceptance probability"),
-            (_snr_loss_with("pos_stds", [0.0, math.nan]), "snr_loss: uncertainty values must be nonnegative"),
-            (_snr_loss_with("gain_stds", [math.nan]), "snr_loss: uncertainty values must be nonnegative"),
+            (_snr_loss_with("pos_stds", [0.0, math.nan]), "snr_loss: uncertainty values must be finite and nonnegative"),
+            (_snr_loss_with("gain_stds", [math.nan]), "snr_loss: uncertainty values must be finite and nonnegative"),
         ],
         ids=[
             "array.gain_std",
@@ -505,6 +506,28 @@ class TestOutOfRangeValues:
         with pytest.raises(ConfigError) as exc:
             config_from_mapping(data)
         assert str(exc.value) == message
+
+    # an infinite uncertainty used to load; the run then stopped with
+    # "positions and gains must be finite" after making its output directory
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (minimal_mapping(array={"n": 16, "gain_std": math.inf}), "array: uncertainty standard deviations must be finite and nonnegative"),
+            (minimal_mapping(array={"n": 16, "pos_std": math.inf}), "array: uncertainty standard deviations must be finite and nonnegative"),
+            (_snr_loss_with("pos_stds", [0.0, math.inf]), "snr_loss: uncertainty values must be finite and nonnegative"),
+            (_snr_loss_with("gain_stds", [0.0, math.inf]), "snr_loss: uncertainty values must be finite and nonnegative"),
+        ],
+        ids=["array.gain_std", "array.pos_std", "snr_loss.pos_stds", "snr_loss.gain_stds"],
+    )
+    def test_infinite_uncertainty_fails_at_load(self, data, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(data)
+        assert str(exc.value) == message
+
+    def test_truncated_gaussian_floor_bounds_the_lower_tail(self):
+        # mean_db - 10 std_db underflows, but no draw falls below the floor
+        snr = config_from_mapping(minimal_mapping(snr={"model": "truncated_gaussian", "mean_db": -3200.0, "std_db": 20.0, "floor_db": -3220.0})).snr
+        assert snr == TruncatedGaussianSnr(-3200.0, 20.0, -3220.0)
 
     @pytest.mark.parametrize("field", ["mean_db", "std_db", "floor_db"])
     def test_truncated_gaussian_rejects_a_nan_field(self, field):
@@ -526,8 +549,27 @@ class TestOutOfRangeValues:
                 minimal_mapping(snr={"model": "truncated_gaussian", "mean_db": -4000.0, "floor_db": -5000.0}),
                 "snr: mean_db must give a positive, finite linear SNR",
             ),
+            # a draw 10 standard deviations from the mean: these used to load
+            # and fail mid-run, with an OverflowError and a division by zero
+            (
+                minimal_mapping(snr={"model": "truncated_gaussian", "mean_db": 3060.0, "std_db": 20.0}),
+                "snr: mean_db + 10 std_db must give a positive, finite linear SNR",
+            ),
+            (
+                minimal_mapping(snr={"model": "truncated_gaussian", "mean_db": -3200.0, "std_db": 20.0, "floor_db": -4000.0}),
+                "snr: max(floor_db, mean_db - 10 std_db) must give a positive, finite linear SNR",
+            ),
         ],
-        ids=["snr.value_db", "value_db overflows", "value_db underflows", "sweep value_db overflows", "mean_db overflows", "mean_db underflows"],
+        ids=[
+            "snr.value_db",
+            "value_db overflows",
+            "value_db underflows",
+            "sweep value_db overflows",
+            "mean_db overflows",
+            "mean_db underflows",
+            "upper tail overflows",
+            "lower tail underflows",
+        ],
     )
     def test_minus_infinite_snr_fails_at_load(self, data, message):
         with pytest.raises(ConfigError) as exc:

@@ -41,7 +41,6 @@ RULES = (
     StoppingRule.fixed(3),
     StoppingRule.sc1(),
     StoppingRule.sc2(),
-    StoppingRule.sc2(max_depth=2),
 )
 # every STOP_EVERY-th sample stops at depth 0: a zero input under a fixed
 # rule, a noise variance above the input energy under a residual rule
@@ -118,7 +117,7 @@ class TestOmpBatch:
         X = np.tile(np.array([1.0, 1.0, 1.0, 2.0], complex), (b, 1))
         X[: b // 2] = 0.0  # zero inputs stop at once under a fixed rule
         with pytest.raises(np.linalg.LinAlgError):
-            pursuit_batch(d, X, StoppingRule.fixed(2, max_depth=2), [0.0] * b, orthogonal=True)
+            pursuit_batch(d, X, StoppingRule.fixed(2), [0.0] * b, orthogonal=True)
 
     def test_exhausted_dictionary_raises_inside_a_batch(self):
         d = make_incoherent_dictionary(8, 2, seed=3)
@@ -468,7 +467,7 @@ class TestAtomBlockInvariance:
             else:
                 assert_same_batch(got, expected)
 
-    @pytest.mark.parametrize("rule", [StoppingRule.fixed(3), StoppingRule.sc2(max_depth=8)], ids=["fixed3", "sc2"])
+    @pytest.mark.parametrize("rule", [StoppingRule.fixed(3), StoppingRule.sc2()], ids=["fixed3", "sc2"])
     @pytest.mark.parametrize("orthogonal", [False, True], ids=["mp", "omp"])
     def test_pursuit_batch(self, case, rule, orthogonal):
         d, X, noise_vars = case
@@ -664,13 +663,14 @@ class TestReverseFold:
     tiles where a row visits a weight column again and on depth-0 tiles."""
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("rule", [StoppingRule.fixed(12), StoppingRule.sc2(max_depth=10)], ids=["fixed12", "sc2"])
-    def test_bit_equal_to_the_concatenated_fold(self, seed, rule):
+    # few atoms and deep layers: rows pick a column again; sc2 reaches its cap of 10 layers at N = 40
+    @pytest.mark.parametrize("rule, n", [(StoppingRule.fixed(12), 4), (StoppingRule.sc2(), 40)], ids=["fixed12", "sc2"])
+    def test_bit_equal_to_the_concatenated_fold(self, seed, rule, n):
         rng = np.random.default_rng(seed)
-        n, a, b = 4, 6, CORR_TILE + 5  # few atoms and deep layers: rows pick a column again
+        a, b = 6, CORR_TILE + 5
         weights = rng.standard_normal((n, a)) + 1j * rng.standard_normal((n, a))
         X = unit_rows(rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n)))
-        noise = rng.uniform(0.0, 0.2, b)
+        noise = rng.uniform(0.0, 0.02, b)
         X[CORR_TILE:] = 0.0  # the second tile stops before its first layer
         tiles = []
         estimators.pursue(weights, X, np.where(X.any(axis=1), 1.0, 0.0), noise, rule, on_tile=lambda layers, final: tiles.append((layers, final.copy())))

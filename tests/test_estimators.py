@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +22,8 @@ from mpnetlab.utils import energy
 from conftest import make_incoherent_dictionary
 from reference import best_support_error, ref_matching_pursuit
 
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
+
 
 class TestStoppingRule:
     def test_constructors_validate(self):
@@ -28,8 +33,6 @@ class TestStoppingRule:
             StoppingRule("sc2", depth=3)
         with pytest.raises(ValueError):
             StoppingRule("nope")
-        with pytest.raises(ValueError):
-            StoppingRule.sc1(max_depth=0)
 
     def test_default_cap_quarter_of_dims(self):
         assert StoppingRule.sc2().cap(64) == 16
@@ -37,7 +40,23 @@ class TestStoppingRule:
         # fixed rules are never capped below their own depth
         assert StoppingRule.fixed(6).cap(8) == 6
         assert StoppingRule.fixed(2).cap(64) == 16
-        assert StoppingRule.fixed(6, max_depth=4).cap(64) == 4
+
+    @given(depth=st.integers(1, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_fixed_token_round_trips(self, depth):
+        token = f"fixed{depth}"
+        assert str(StoppingRule.parse(token)) == token
+        assert StoppingRule.parse(str(StoppingRule.fixed(depth))) == StoppingRule.fixed(depth)
+
+    def test_shipped_tokens_round_trip(self):
+        tokens = set()
+        for path in CONFIG_DIR.glob("*.yaml"):
+            tokens.update(entry.split(":")[-1] for entry in yaml.safe_load(path.read_text(encoding="utf-8")).get("estimators", []) if entry != "ls")
+        assert "fixed8" in tokens
+        for token in tokens | {"sc1", "sc2"}:
+            rule = StoppingRule.parse(token)
+            assert str(rule) == token
+            assert StoppingRule.parse(str(rule)) == rule
 
 
 class TestScThreshold:
@@ -85,13 +104,14 @@ class TestShouldStop:
         assert not should_stop(StoppingRule.sc2(), 0.65, 1, 0.01, 64)
 
     def test_cap_always_wins(self):
-        assert should_stop(StoppingRule.sc2(max_depth=3), 1.0, 3, 0.0, 64)
-        assert should_stop(StoppingRule.fixed(9, max_depth=2), 1.0, 2, 0.0, 64)
+        assert should_stop(StoppingRule.sc2(), 1.0, 16, 0.0, 64)
+        assert not should_stop(StoppingRule.sc2(), 1.0, 15, 0.0, 64)
+        assert should_stop(StoppingRule.sc1(), 1.0, 1, 0.0, 4)
 
     def test_zero_residual_stops(self):
         assert should_stop(StoppingRule.fixed(5), 0.0, 1, 0.0, 64)
 
-    @pytest.mark.parametrize("rule", [StoppingRule.fixed(3), StoppingRule.sc1(), StoppingRule.sc2(max_depth=4)])
+    @pytest.mark.parametrize("rule", [StoppingRule.fixed(3), StoppingRule.sc1(), StoppingRule.sc2()])
     def test_arrays_broadcast_like_scalars(self, rule, rng):
         energies = np.concatenate([rng.uniform(0.0, 1.0, 20), [0.0, 1e-30]])
         noise = rng.uniform(0.0, 0.02, energies.size)
@@ -208,7 +228,7 @@ class TestOmp:
     def test_duplicate_free_support(self, rng):
         d = make_incoherent_dictionary(8, 16, seed=3)
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        est = omp(d, x, StoppingRule.fixed(6, max_depth=6))
+        est = omp(d, x, StoppingRule.fixed(6))
         assert len(set(est.support)) == len(est.support)
 
     def test_omp_never_worse_than_mp_on_sparse_inputs(self, rng):
@@ -249,7 +269,7 @@ class TestOmp:
         d = Dictionary(atoms, np.tile([0.0, 1.0, 0.0], (2, 1)))
         x = np.array([1.0, 1.0, 1.0, 2.0], complex)
         with pytest.raises(np.linalg.LinAlgError):
-            omp(d, x, StoppingRule.fixed(2, max_depth=2))
+            omp(d, x, StoppingRule.fixed(2))
 
 
 class TestPursuitInvariants:

@@ -516,11 +516,12 @@ class TestSingleFile:
         assert [p.name for p in tmp_path.iterdir()] == ["stream.csv"]
 
     def test_failed_checkpoint_leaves_the_old_file(self, tmp_path, monkeypatch):
-        from mpnetlab.mpnet import save_checkpoint
+        from mpnetlab.mpnet import AdamState, save_checkpoint
 
         model = MpNetModel.from_dictionary(build_dictionary(make_ula(8), doa_grid_ula(16)), StoppingRule.sc2())
+        adam = AdamState.for_shape(model.weights.shape)
         path = tmp_path / "model.npz"
-        save_checkpoint(path, model)
+        save_checkpoint(path, model, adam)
         old = path.read_bytes()
         savez = np.savez
 
@@ -531,7 +532,7 @@ class TestSingleFile:
         monkeypatch.setattr(np, "savez", failing)
         model.weights = 2.0 * model.weights
         with pytest.raises(OSError, match="no space left"):
-            save_checkpoint(path, model)
+            save_checkpoint(path, model, adam)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
 

@@ -64,10 +64,10 @@ class TestForward:
             forward(model, np.ones(6, complex), 0.0)
 
     def test_depth_never_exceeds_cap(self, rng):
-        model = random_model(rng, n=8, a=16)
-        model.rule = StoppingRule.sc2(max_depth=3)
+        model = random_model(rng, n=12, a=16)
+        model.rule = StoppingRule.sc2()  # cap max(12 // 4, 1) = 3
         for _ in range(20):
-            assert forward(model, unit_vector(rng, 8), 0.0).depth <= 3
+            assert forward(model, unit_vector(rng, 12), 0.0).depth <= 3
 
     def test_trace_replay_is_deterministic(self, rng):
         model = random_model(rng)
@@ -324,7 +324,7 @@ class TestTraining:
 class TestCheckpoints:
     def test_roundtrip(self, tmp_path, rng):
         d = make_incoherent_dictionary(8, 16, seed=7)
-        model = MpNetModel.from_dictionary(d, StoppingRule.sc1(max_depth=5))
+        model = MpNetModel.from_dictionary(d, StoppingRule.sc1())
         trainer = OnlineTrainer(model, TrainConfig(minibatch_size=4))
         stream = ChannelStream(FixedSnr(10.0), make_ula(8), rng)
         trainer.step(stream.take(4))
@@ -333,23 +333,24 @@ class TestCheckpoints:
         loaded, adam = load_checkpoint(path)
         assert np.array_equal(loaded.weights, trainer.model.weights)
         assert loaded.rule == trainer.model.rule
-        assert loaded.init == trainer.model.init
         assert adam.step == 1
         assert np.array_equal(adam.m, trainer.adam.m)
         assert np.array_equal(adam.v, trainer.adam.v)
 
     def test_resumed_trainer_steps_as_the_original(self, tmp_path, rng):
-        # at a minibatch boundary a trainer is its weights and Adam state
+        # at a minibatch boundary a trainer is its weights, rule and Adam state,
+        # and the checkpoint holds all of them: the whole TrainConfig too
         d = make_incoherent_dictionary(8, 16, seed=7)
-        trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.sc2()), TrainConfig(minibatch_size=4, decay_every=2))
+        trainer = OnlineTrainer(MpNetModel.from_dictionary(d, StoppingRule.sc2()), TrainConfig(minibatch_size=50, decay_every=2))
         stream = ChannelStream(FixedSnr(10.0), make_ula(8), rng)
         for _ in range(3):
-            trainer.step(stream.take(4))
+            trainer.step(stream.take(50))
         save_checkpoint(tmp_path / "model.npz", trainer.model, trainer.adam)
         model, adam = load_checkpoint(tmp_path / "model.npz")
+        assert adam.cfg == trainer.adam.cfg and model.rule == trainer.model.rule
         resumed = OnlineTrainer(model, adam.cfg)
         resumed.adam = adam
-        batch = stream.take(4)
+        batch = stream.take(50)
         (estimates, cost), (resumed_estimates, resumed_cost) = trainer.step(batch), resumed.step(batch)
         assert resumed.adam.step == trainer.adam.step == 4
         for got, expected in ((resumed.model.weights, trainer.model.weights), (resumed.adam.m, trainer.adam.m), (resumed.adam.v, trainer.adam.v)):
@@ -358,13 +359,18 @@ class TestCheckpoints:
             assert getattr(resumed_estimates, field).tobytes() == getattr(estimates, field).tobytes()
         assert repr(resumed_cost) == repr(cost)
 
-    def test_without_optimizer_state(self, tmp_path, rng):
-        model = random_model(rng)
-        path = tmp_path / "bare.npz"
-        save_checkpoint(path, model)
-        loaded, adam = load_checkpoint(path)
-        assert adam is None
-        assert np.array_equal(loaded.weights, model.weights)
+    def test_version_1_file_rejected(self, tmp_path, rng):
+        # format 1 stored the weights as w_re/w_im, the rule as kind/depth/max_depth
+        # with -1 for unset, and six of the seven TrainConfig fields
+        w = random_model(rng).weights
+        np.savez(
+            tmp_path / "old.npz",
+            format_version=np.array(1), w_re=w.real, w_im=w.imag, init=np.array("nominal_dictionary"),
+            rule_kind=np.array("fixed"), rule_depth=np.array(3), rule_max_depth=np.array(-1),
+        )
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(tmp_path / "old.npz")
+        assert str(exc.value) == "unsupported checkpoint version 1"
 
 
 class TestCheckpointValidation:
@@ -381,18 +387,24 @@ class TestCheckpointValidation:
             load_checkpoint(tmp_path / "edited.npz")
         assert "\n" not in str(exc.value)
 
-    def test_mismatched_weight_parts_rejected(self, tmp_path, rng):
-        # a (A,) imaginary part would broadcast against the (N, A) real part
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("sc3", "unknown stopping rule 'sc3'"),
+            ("fixed03", "bad fixed-depth rule 'fixed03'"),
+            ("fixed0", "fixed rules need depth >= 1"),
+        ],
+    )
+    def test_bad_rule_rejected(self, tmp_path, rng, token, message):
         model = random_model(rng)
-        save_checkpoint(tmp_path / "model.npz", model)
+        save_checkpoint(tmp_path / "model.npz", model, AdamState.for_shape(model.weights.shape))
         with np.load(tmp_path / "model.npz") as data:
             payload = dict(data)
-        real_shape = payload["w_re"].shape
-        payload["w_im"] = payload["w_im"][0]
+        payload["rule"] = np.array(token)
         np.savez(tmp_path / "edited.npz", **payload)
         with pytest.raises(ValueError) as exc:
             load_checkpoint(tmp_path / "edited.npz")
-        assert str(exc.value) == f"checkpoint w_re has shape {real_shape} but w_im has shape {real_shape[1:]}"
+        assert str(exc.value) == f"checkpoint rule: {message}"
 
     @pytest.mark.parametrize(
         "key, edit",
@@ -510,19 +522,20 @@ class TestAdamStateConfig:
 
     def test_checkpoint_keys_and_hyperparameters_round_trip(self, tmp_path, rng):
         model = random_model(rng)
-        fields = dict(base_rate=5e-3, decay=0.5, decay_every=3, beta1=0.8, beta2=0.95, eps=1e-7)
+        fields = dict(minibatch_size=50, base_rate=5e-3, decay=0.5, decay_every=3, beta1=0.8, beta2=0.95, eps=1e-7)
         save_checkpoint(tmp_path / "model.npz", model, AdamState.for_shape(model.weights.shape, **fields))
         with np.load(tmp_path / "model.npz") as data:
-            adam_keys = [key for key in data.files if key.startswith("adam_")]
-        assert adam_keys == [
-            "adam_m", "adam_v", "adam_step", "adam_base_rate", "adam_decay",
-            "adam_decay_every", "adam_beta1", "adam_beta2", "adam_eps",
+            keys = data.files
+        assert keys == [
+            "format_version", "weights", "rule", "adam_m", "adam_v", "adam_step", "adam_minibatch_size",
+            "adam_base_rate", "adam_decay", "adam_decay_every", "adam_beta1", "adam_beta2", "adam_eps",
         ]
-        _, adam = load_checkpoint(tmp_path / "model.npz")
+        loaded, adam = load_checkpoint(tmp_path / "model.npz")
+        assert loaded.weights.tobytes() == model.weights.tobytes() and loaded.rule == model.rule
         assert adam.cfg == TrainConfig(**fields)
-        assert type(adam.cfg.decay_every) is int
+        assert type(adam.cfg.decay_every) is int and type(adam.cfg.minibatch_size) is int
 
-    @pytest.mark.parametrize("key, value", [("adam_beta2", 1.5), ("adam_decay_every", 0), ("adam_eps", -1.0), ("adam_eps", np.inf)])
+    @pytest.mark.parametrize("key, value", [("adam_beta2", 1.5), ("adam_decay_every", 0), ("adam_eps", -1.0), ("adam_eps", np.inf), ("adam_minibatch_size", 0)])
     def test_out_of_range_hyperparameter_rejected(self, tmp_path, rng, key, value):
         model = random_model(rng)
         save_checkpoint(tmp_path / "model.npz", model, AdamState.for_shape(model.weights.shape))
