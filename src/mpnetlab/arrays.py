@@ -20,6 +20,9 @@ _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 UNIT_TOL = 1e-12
 NORM_TOL = 1e-9
 
+# Element spacing of the uniform arrays, in wavelengths
+SPACING = 0.5
+
 # Columns per block of build_dictionary's column norms
 NORM_BLOCK = 256
 
@@ -105,26 +108,22 @@ class Dictionary:
         return self.atoms.shape[1]
 
 
-def make_ula(n_antennas: int, spacing: float = 0.5) -> AntennaArray:
+def make_ula(n_antennas: int) -> AntennaArray:
     """Uniform linear array along x with unit gains, centered on its centroid."""
     if n_antennas < 1:
         raise ValueError("n_antennas must be >= 1")
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
-    x = (np.arange(n_antennas) - (n_antennas - 1) / 2.0) * spacing
+    x = (np.arange(n_antennas) - (n_antennas - 1) / 2.0) * SPACING
     positions = np.zeros((n_antennas, 3))
     positions[:, 0] = x
     return AntennaArray(positions, np.ones(n_antennas, dtype=complex), geometry="ula")
 
 
-def make_upa(nx: int, nz: int, spacing: float = 0.5) -> AntennaArray:
+def make_upa(nx: int, nz: int) -> AntennaArray:
     """Uniform planar array on the xz-plane with unit gains, centered on its centroid."""
     if nx < 1 or nz < 1:
         raise ValueError("grid dimensions must be >= 1")
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
-    x = (np.arange(nx) - (nx - 1) / 2.0) * spacing
-    z = (np.arange(nz) - (nz - 1) / 2.0) * spacing
+    x = (np.arange(nx) - (nx - 1) / 2.0) * SPACING
+    z = (np.arange(nz) - (nz - 1) / 2.0) * SPACING
     gx, gz = np.meshgrid(x, z, indexing="ij")
     positions = np.zeros((nx * nz, 3))
     positions[:, 0] = gx.ravel()

@@ -23,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mpnetlab", description=__doc__.splitlines()[0])
     parser.add_argument("--config", required=True, type=Path, help="experiment config file (YAML); an 'snr_loss' section makes it a sweep")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", type=Path, default=None, help="output directory (overrides config)")
+    parser.add_argument("--out", required=True, type=Path, help="output directory")
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument("-v", "--verbose", action="store_true", help="log per-minibatch detail")
     verbosity.add_argument("--quiet", action="store_true", help="suppress log output")
@@ -51,13 +51,8 @@ def _run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = args.out if args.out is not None else (Path(cfg.output_dir) if cfg.output_dir else None)
-    if out_dir is None:
-        print("config error: no output directory (set 'output_dir' or pass --out)", file=sys.stderr)
-        return 1
-
     try:
-        _prepare_out_dir(out_dir)
+        _prepare_out_dir(args.out)
     except OSError as exc:
         print(f"output directory is not writable: {exc}", file=sys.stderr)
         return 1
@@ -65,16 +60,16 @@ def _run(args) -> int:
     try:
         if cfg.snr_loss is not None:
             _log(args, f"sweeping SNR loss over {len(cfg.snr_loss.pos_stds)}x{len(cfg.snr_loss.gain_stds)} cells")
-            snr_loss_experiment(cfg, out_dir)
+            snr_loss_experiment(cfg, args.out)
         else:
             batches = cfg.total_samples // cfg.training.minibatch_size
             _log(args, f"running {cfg.total_samples} samples ({batches} minibatches) with {len(cfg.estimators)} estimators")
-            result = run_learning_experiment(cfg, out_dir)
+            result = run_learning_experiment(cfg, args.out)
             if args.verbose:
                 for minibatch, rmses in enumerate(result.records["mean_rmse"].tolist(), 1):
                     parts = " ".join(f"{name}={to_db(r):.2f}dB" for name, r in zip(result.estimator_names, rmses))
                     print(f"minibatch {minibatch}: {parts}", file=sys.stderr)
-        _log(args, f"wrote results to {out_dir}")
+        _log(args, f"wrote results to {args.out}")
     except Exception as exc:  # surface a one-line cause, leave no partial files
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,11 +2,13 @@
 config, and strict YAML loading.
 
 Unknown keys are rejected with the full dotted path of the offender, so typos
-fail fast instead of silently running a different experiment.
+fail fast instead of silently running a different experiment. A key that sets
+a dataclass field is the field's name.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,7 +130,6 @@ class ExperimentConfig:
     dump_stream: bool = False
     replay_stream: str | None = None
     snr_loss: SnrLossSpec | None = None
-    output_dir: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("seed", "total_samples"):
@@ -178,7 +179,6 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {
     "seed",
-    "output_dir",
     "array",
     "dictionary",
     "snr",
@@ -231,10 +231,13 @@ def _float(value, path: str) -> float:
         raise ConfigError(f"'{path}' is too large for a float") from None
 
 
-def _fields(mapping: dict, table: dict, path: str) -> dict:
-    """Read the keys of ``table`` (YAML key -> (field, kind)) that ``mapping``
-    holds; absent keys are left out, so the dataclass supplies the default."""
-    return {field: _get(mapping, key, path, kind) for key, (field, kind) in table.items() if key in mapping}
+def _fields(mapping: dict, cls, path: str, other=()) -> dict:
+    """Read each field of ``cls`` that has a default from the key of its name,
+    typed by the default; absent keys are left out, so the dataclass supplies
+    the default. A key that is neither such a field nor in ``other`` is rejected."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+    _check_keys(mapping, {*defaults, *other}, path)
+    return {name: _get(mapping, name, path, type(default)) for name, default in defaults.items() if name in mapping}
 
 
 def _build(cls, prefix: str, **fields):
@@ -245,12 +248,9 @@ def _build(cls, prefix: str, **fields):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-_ARRAY_KEYS = {"gain_std": ("gain_std", float), "pos_std": ("pos_std", float)}
-
-
 def _parse_array(data: dict) -> ArraySpec:
     data = _require_mapping(data, "array")
-    _check_keys(data, {"geometry", "n", "nx", "nz", *_ARRAY_KEYS}, "array")
+    fields = _fields(data, ArraySpec, "array", other=("geometry", "n", "nx", "nz"))
     geometry = _get(data, "geometry", "array", str, default="ula")
     if geometry not in ("ula", "upa"):
         raise ConfigError("'array.geometry' must be 'ula' or 'upa'")
@@ -262,10 +262,7 @@ def _parse_array(data: dict) -> ArraySpec:
         if "n" in data:
             raise ConfigError("'array.n' only applies to geometry 'ula'")
         shape = (_get(data, "nx", "array", int, required=True), _get(data, "nz", "array", int, required=True))
-    return _build(ArraySpec, "array: ", shape=shape, **_fields(data, _ARRAY_KEYS, "array"))
-
-
-_TRUNCATED_GAUSSIAN_KEYS = {key: (key, float) for key in ("mean_db", "std_db", "floor_db")}
+    return _build(ArraySpec, "array: ", shape=shape, **fields)
 
 
 def _parse_snr(data) -> FixedSnr | TruncatedGaussianSnr:
@@ -276,31 +273,17 @@ def _parse_snr(data) -> FixedSnr | TruncatedGaussianSnr:
         return _build(FixedSnr, "snr: ", value_db=_get(data, "value_db", "snr", float, required=True))
     if model != "truncated_gaussian":
         raise ConfigError("'snr.model' must be 'fixed' or 'truncated_gaussian'")
-    _check_keys(data, {"model", *_TRUNCATED_GAUSSIAN_KEYS}, "snr")
-    return _build(TruncatedGaussianSnr, "snr: ", **_fields(data, _TRUNCATED_GAUSSIAN_KEYS, "snr"))
-
-
-_TRAINING_KEYS = {
-    "minibatch_size": ("minibatch_size", int),
-    "learning_rate": ("base_rate", float),
-    "decay_factor": ("decay", float),
-    "decay_every": ("decay_every", int),
-    "beta1": ("beta1", float),
-    "beta2": ("beta2", float),
-    "epsilon": ("eps", float),
-}
+    return _build(TruncatedGaussianSnr, "snr: ", **_fields(data, TruncatedGaussianSnr, "snr", other=("model",)))
 
 
 def _parse_training(data) -> TrainConfig:
     data = _require_mapping(data, "training") if data is not None else {}
-    _check_keys(data, set(_TRAINING_KEYS), "training")
-    fields = _fields(data, _TRAINING_KEYS, "training")
+    fields = _fields(data, TrainConfig, "training")
     try:
         return TrainConfig(**fields)
     except ValueError as exc:
-        name, _, bounds = str(exc).partition(" ")  # TrainConfig names the field first
-        key = next(key for key, (field, _) in _TRAINING_KEYS.items() if field == name)
-        raise ConfigError(f"'training.{key}' {bounds}") from None
+        field, _, bounds = str(exc).partition(" ")  # TrainConfig names the field first
+        raise ConfigError(f"'training.{field}' {bounds}") from None
 
 
 def _parse_anomalies(entries, taken: int) -> tuple[ArrayEvent, ...]:
@@ -324,35 +307,34 @@ def _parse_anomalies(entries, taken: int) -> tuple[ArrayEvent, ...]:
         if kind == "break":
             if steps != 1:
                 raise ConfigError(f"'{path}': break events do not repeat")
+            if "gain_std" in entry:
+                raise ConfigError(f"'{path}.gain_std' only applies to kind 'age'")
             amount = {"fraction": _get(entry, "fraction", path, float, required=True)}
         elif kind == "age":
+            if "fraction" in entry:
+                raise ConfigError(f"'{path}.fraction' only applies to kind 'break'")
             amount = {"gain_std": _get(entry, "gain_std", path, float, required=True)}
         else:
             raise ConfigError(f"'{path}.kind' must be 'break' or 'age'")
         if index + (steps - 1) * every >= taken:  # bound the schedule before expanding it
             first = index if index >= taken else index - every * ((index - taken) // every)
             raise ConfigError(f"anomaly index {first} is beyond the stream length {taken}")
+        if steps == 1 and "every" in entry:
+            raise ConfigError(f"'{path}.every' only applies when steps > 1")
         events.extend(_build(ArrayEvent, f"{path}: ", index=index + k * every, kind=kind, **amount) for k in range(steps))
     return tuple(events)
 
 
-_SNR_LOSS_KEYS = {
-    "arrays": ("n_arrays", int),
-    "channels_per_array": ("channels_per_array", int),
-}
-
-
 def _parse_snr_loss(data) -> SnrLossSpec:
     data = _require_mapping(data, "snr_loss")
-    _check_keys(data, {"pos_stds", "gain_stds", *_SNR_LOSS_KEYS}, "snr_loss")
-    fields = {}
+    fields = _fields(data, SnrLossSpec, "snr_loss", other=("pos_stds", "gain_stds"))
     for key in ("pos_stds", "gain_stds"):
         if key not in data or not isinstance(data[key], list) or not data[key]:
             raise ConfigError(f"'snr_loss.{key}' must be a nonempty list")
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in data[key]):
             raise ConfigError(f"'snr_loss.{key}' must contain numbers")
         fields[key] = tuple(_float(v, f"snr_loss.{key}") for v in data[key])
-    return _build(SnrLossSpec, "snr_loss: ", **fields, **_fields(data, _SNR_LOSS_KEYS, "snr_loss"))
+    return _build(SnrLossSpec, "snr_loss: ", **fields)
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
@@ -380,7 +362,6 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     replay = stream.get("replay")
     if replay is not None and not isinstance(replay, str):
         raise ConfigError("'stream.replay' must be a path string or null")
-    output_dir = _get(data, "output_dir", "", str)
 
     snr_loss = _parse_snr_loss(data["snr_loss"]) if "snr_loss" in data else None
     # a run takes whole minibatches only, so an event past the last one is never applied
@@ -400,7 +381,6 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
         dump_stream=dump_stream,
         replay_stream=replay,
         snr_loss=snr_loss,
-        output_dir=output_dir,
     )
 
 

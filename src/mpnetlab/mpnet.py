@@ -264,9 +264,10 @@ def estimate(model: MpNetModel, x: np.ndarray, noise_var: float = 0.0) -> Estima
 
 def score_minibatch(truths: np.ndarray, estimates: BatchEstimate) -> tuple[float, float]:
     """Score one minibatch of estimates against the true channels (B x N):
-    the rMSE summed in sample order and averaged, and the mean depth. The
-    rMSE is for reporting only and never feeds training: this is the only
-    place where an estimate meets ground truth."""
+    the rMSE summed in sample order and averaged, and the mean depth; a sum
+    that is not finite raises. The rMSE is for reporting only and never
+    feeds training: this is the only place where an estimate meets ground
+    truth."""
     if truths.shape != estimates.channel.shape:
         raise ValueError("need one estimate per sample")
     truth_energies = row_energies(truths)
@@ -275,6 +276,8 @@ def score_minibatch(truths: np.ndarray, estimates: BatchEstimate) -> tuple[float
     total = 0.0
     for error in (row_energies(estimates.channel - truths) / truth_energies).tolist():
         total += error
+    if not np.isfinite(total):
+        raise ValueError(f"non-finite rMSE: {total}")
     return total / len(truths), float(np.mean(estimates.depth))
 
 

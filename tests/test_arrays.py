@@ -87,41 +87,41 @@ class TestDictionaryCheck:
 
 class TestMakeUla:
     def test_two_elements_centered(self):
-        arr = make_ula(2, 0.5)
+        arr = make_ula(2)
         assert np.allclose(arr.positions[:, 0], [-0.25, 0.25])
         assert np.allclose(arr.positions[:, 1:], 0.0)
         assert np.allclose(arr.gains, 1.0)
 
     def test_three_elements_unit_spacing(self):
-        arr = make_ula(3, 1.0)
-        assert np.allclose(arr.positions[:, 0], [-1.0, 0.0, 1.0])
+        # one element spacing apart: half a wavelength
+        arr = make_ula(3)
+        assert np.allclose(arr.positions[:, 0], [-0.5, 0.0, 0.5])
 
     def test_standard_span(self):
-        arr = make_ula(64, 0.5)
+        arr = make_ula(64)
         assert arr.size == 64
         span = arr.positions[:, 0].max() - arr.positions[:, 0].min()
         assert span == pytest.approx(31.5)
         assert abs(arr.positions.mean(axis=0)).max() < 1e-12
 
-    @pytest.mark.parametrize("n,spacing", [(0, 0.5), (3, 0.0), (3, -1.0)])
-    def test_rejects_bad_parameters(self, n, spacing):
+    def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            make_ula(n, spacing)
+            make_ula(0)
 
 
 class TestMakeUpa:
     def test_square_grid(self):
-        arr = make_upa(8, 8, 0.5)
+        arr = make_upa(8, 8)
         assert arr.size == 64
         assert np.allclose(arr.positions[:, 1], 0.0)
         assert abs(arr.positions.mean(axis=0)).max() < 1e-12
 
     def test_single_antenna_at_origin(self):
-        arr = make_upa(1, 1, 0.5)
+        arr = make_upa(1, 1)
         assert np.allclose(arr.positions, 0.0)
 
     def test_two_by_two_square(self):
-        arr = make_upa(2, 2, 0.5)
+        arr = make_upa(2, 2)
         xz = arr.positions[:, [0, 2]]
         expected = {(-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25), (0.25, 0.25)}
         assert {tuple(np.round(p, 9)) for p in xz} == expected
@@ -189,7 +189,7 @@ class TestSteeringVector:
 
     def test_endfire_alternating_signs(self):
         # direct evaluation: phases are -2*pi*0.5*i + const along the array axis
-        arr = make_ula(6, 0.5)
+        arr = make_ula(6)
         v = steering_vector(arr, [1.0, 0.0, 0.0])
         ratios = v[1:] / v[:-1]
         assert np.allclose(ratios, -1.0)

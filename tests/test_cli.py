@@ -46,6 +46,13 @@ class TestUsageErrors:
             main(["--out", "x"])
         assert exc.value.code == 2
 
+    def test_missing_out_flag_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["--config", "x.yaml", "--frobnicate"])
@@ -86,7 +93,7 @@ class TestConfigErrors:
                 SMALL.replace("value_db: 10.0", "value_db: .inf"),
                 "snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)",
             ),
-            (SMALL.replace("minibatch_size: 100", "minibatch_size: 100, learning_rate: .inf"), "'training.learning_rate' must be > 0 and finite"),
+            (SMALL.replace("minibatch_size: 100", "minibatch_size: 100, base_rate: .inf"), "'training.base_rate' must be > 0 and finite"),
             (SMALL.replace("value_db: 10.0", "value_db: 3100"), "snr: value_db must give a positive, finite linear SNR"),
             (SMALL.replace("gain_std: 0.2", "gain_std: .inf"), "array: uncertainty standard deviations must be finite and nonnegative"),
             (
@@ -111,11 +118,6 @@ class TestConfigErrors:
         assert main(["--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
-
-    def test_missing_output_dir_exits_1(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, SMALL)
-        assert main(["--config", str(cfg)]) == 1
-        assert "output" in capsys.readouterr().err
 
 
 class TestRuns:
@@ -146,7 +148,7 @@ dictionary: {atoms: 256}
 snr_loss:
   pos_stds: [0.0, 0.03]
   gain_stds: [0.0, 0.09]
-  arrays: 2
+  n_arrays: 2
   channels_per_array: 30
 """,
         )
@@ -262,6 +264,26 @@ class TestDivergence:
         assert main(["--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "mpnet:nominal:sc2: non-finite weights" in err and "minibatch 1" in err
+        assert list(out.iterdir()) == []
+
+    # the aged gains overflow the channel energies; numpy warns and goes on, as on the command line
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_rmse_exits_1_without_artifacts(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            """
+seed: 11
+total_samples: 400
+array: {geometry: ula, n: 16}
+snr: {model: fixed, value_db: 10.0}
+training: {minibatch_size: 100}
+estimators: [ls, "omp:nominal:sc2"]
+anomalies: [{kind: age, index: 200, gain_std: 1.0e+154}]
+""",
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert "error: non-finite rMSE: nan" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -116,6 +117,21 @@ class TestRejections:
         with pytest.raises(ConfigError, match="break"):
             config_from_mapping(data)
 
+    # each key would load and be dropped: the event never reads it
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            ({"kind": "age", "index": 200, "gain_std": 0.1, "fraction": 0.3}, "'anomalies[0].fraction' only applies to kind 'break'"),
+            ({"kind": "break", "index": 200, "fraction": 0.3, "gain_std": 0.5}, "'anomalies[0].gain_std' only applies to kind 'age'"),
+            ({"kind": "break", "index": 200, "fraction": 0.3, "every": 50}, "'anomalies[0].every' only applies when steps > 1"),
+        ],
+        ids=["fraction on an age", "gain_std on a break", "every with one step"],
+    )
+    def test_anomaly_key_the_event_never_reads_rejected(self, event, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(minimal_mapping(anomalies=[event]))
+        assert str(exc.value) == message
+
     def test_negative_uncertainty(self):
         data = minimal_mapping(array={"geometry": "ula", "n": 8, "gain_std": -0.1})
         with pytest.raises(ConfigError, match="array"):
@@ -167,11 +183,11 @@ class TestRejections:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"array": {"n": 16, "gain_std": 0.3, "pos_std": 0.1}, "training": {"minibatch_size": 7, "learning_rate": 0.5}},
+            {"array": {"n": 16, "gain_std": 0.3, "pos_std": 0.1}, "training": {"minibatch_size": 7, "base_rate": 0.5}},
             {"array": {"n": 16, "gain_std": 0.3}},
             {"array": {"n": 16, "pos_std": 0.1}},
             {"training": {"minibatch_size": 7}},
-            {"training": {"learning_rate": 0.5}},
+            {"training": {"base_rate": 0.5}},
         ],
         ids=["unread settings", "gain_std", "pos_std", "minibatch_size", "learning_rate"],
     )
@@ -192,9 +208,9 @@ class TestRejections:
                 minimal_mapping(snr={"model": "fixed", "value_db": math.inf}),
                 "snr.value_db must be finite in a learning run (the SNR histogram has no bin for inf, and a replay rejects it)",
             ),
-            (minimal_mapping(training={"minibatch_size": 100, "learning_rate": math.inf}), "'training.learning_rate' must be > 0 and finite"),
+            (minimal_mapping(training={"minibatch_size": 100, "base_rate": math.inf}), "'training.base_rate' must be > 0 and finite"),
             # an infinite epsilon makes every Adam step 0: the run would train nothing
-            (minimal_mapping(training={"minibatch_size": 100, "epsilon": math.inf}), "'training.epsilon' must be > 0 and finite"),
+            (minimal_mapping(training={"minibatch_size": 100, "eps": math.inf}), "'training.eps' must be > 0 and finite"),
             (minimal_mapping(estimators=["mp:nominal:fixed0"]), "estimator 'mp:nominal:fixed0': fixed rules need depth >= 1"),
             (minimal_mapping(estimators=["ls", "mpnet:nominal:fixed-3"]), "estimator 'mpnet:nominal:fixed-3': fixed rules need depth >= 1"),
             (minimal_mapping(dictionary={"atoms": 0}), "'dictionary.atoms' must be >= 1"),
@@ -259,14 +275,14 @@ class TestTrainingRanges:
         [
             ("minibatch_size", 0),
             ("decay_every", 0),
-            ("learning_rate", -0.01),
-            ("learning_rate", 0.0),
-            ("decay_factor", 0.0),
-            ("decay_factor", 1.5),
+            ("base_rate", -0.01),
+            ("base_rate", 0.0),
+            ("decay", 0.0),
+            ("decay", 1.5),
             ("beta1", -0.1),
             ("beta1", 1.0),
             ("beta2", 1.5),
-            ("epsilon", 0.0),
+            ("eps", 0.0),
         ],
     )
     def test_out_of_range_value_names_its_key(self, key, value):
@@ -275,13 +291,13 @@ class TestTrainingRanges:
             config_from_mapping(data)
 
     def test_range_edges_accepted(self):
-        training = {"minibatch_size": 1, "decay_every": 1, "decay_factor": 1.0, "beta1": 0.0, "beta2": 0.0}
+        training = {"minibatch_size": 1, "decay_every": 1, "decay": 1.0, "beta1": 0.0, "beta2": 0.0}
         cfg = config_from_mapping(minimal_mapping(training=training))
         assert (cfg.training.decay, cfg.training.beta1, cfg.training.beta2) == (1.0, 0.0, 0.0)
 
     def test_type_errors_unchanged(self):
-        with pytest.raises(ConfigError, match="'training.learning_rate' must be a number"):
-            config_from_mapping(minimal_mapping(training={"learning_rate": "fast"}))
+        with pytest.raises(ConfigError, match="'training.base_rate' must be a number"):
+            config_from_mapping(minimal_mapping(training={"base_rate": "fast"}))
         with pytest.raises(ConfigError, match="'training.decay_every' must be an integer"):
             config_from_mapping(minimal_mapping(training={"decay_every": 2.5}))
         with pytest.raises(ConfigError, match="unknown key 'training.total_samples'"):
@@ -313,7 +329,7 @@ class TestSectionTypeErrors:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("arrays", "five", "'snr_loss.arrays' must be an integer"),
+            ("n_arrays", "five", "'snr_loss.n_arrays' must be an integer"),
             ("channels_per_array", 2.0, "'snr_loss.channels_per_array' must be an integer"),
             # the sweep's dictionary size and SNR are dictionary.atoms and snr
             ("atoms", 256, "unknown key 'snr_loss.atoms'"),
@@ -411,6 +427,61 @@ def _snr_loss_with(key, value):
     data = _sweep()
     data["snr_loss"][key] = value
     return data
+
+
+# (section, key, a valid value other than the default)
+SETTINGS = [
+    ("training", "minibatch_size", 50),
+    ("training", "base_rate", 0.01),
+    ("training", "decay", 0.5),
+    ("training", "decay_every", 10),
+    ("training", "beta1", 0.5),
+    ("training", "beta2", 0.9),
+    ("training", "eps", 1e-6),
+    ("array", "gain_std", 0.2),
+    ("array", "pos_std", 0.05),
+    ("snr", "mean_db", 12.0),
+    ("snr", "std_db", 3.0),
+    ("snr", "floor_db", 2.0),
+    ("snr_loss", "n_arrays", 3),
+    ("snr_loss", "channels_per_array", 50),
+]
+SECTION_TYPES = {"training": TrainConfig, "array": ArraySpec, "snr": TruncatedGaussianSnr, "snr_loss": SnrLossSpec}
+
+
+class TestOneNamePerSetting:
+    """The key of each setting is the name of its dataclass field."""
+
+    def test_every_field_with_a_default_is_listed(self):
+        for section, cls in SECTION_TYPES.items():
+            defaulted = {f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+            assert defaulted == {key for s, key, _ in SETTINGS if s == section}, section
+
+    @pytest.mark.parametrize("section, key, value", SETTINGS)
+    def test_key_sets_the_field_of_its_name(self, section, key, value):
+        assert getattr(SECTION_TYPES[section], key) != value  # the class attribute is the default
+        if section == "snr_loss":
+            data = _snr_loss_with(key, value)
+        else:
+            base = {"training": {}, "array": {"n": 16}, "snr": {"model": "truncated_gaussian"}}[section]
+            data = minimal_mapping(**{section: {**base, key: value}})
+        assert getattr(getattr(config_from_mapping(data), section), key) == value
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            (minimal_mapping(training={"learning_rate": 0.01}), "training.learning_rate"),
+            (minimal_mapping(training={"decay_factor": 0.5}), "training.decay_factor"),
+            (minimal_mapping(training={"epsilon": 1e-6}), "training.epsilon"),
+            (_snr_loss_with("arrays", 3), "snr_loss.arrays"),
+            (minimal_mapping(output_dir="results"), "output_dir"),
+        ],
+        ids=["learning_rate", "decay_factor", "epsilon", "arrays", "output_dir"],
+    )
+    def test_old_spelling_is_an_unknown_key(self, data, key):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(data)
+        assert str(exc.value) == f"unknown key '{key}'"
 
 
 class TestOutOfRangeValues:

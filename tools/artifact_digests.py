@@ -4,8 +4,9 @@
     python3 tools/artifact_digests.py --against REF [--seed ...] [--scenario ...]
 
 Each scenario runs at the given seed into a temporary directory, importing
-the package from this checkout's ``src/`` (or from ``--src DIR``). Every
-shipped config is a scenario. Learning scenarios other than ``smoke`` are cut
+the package from this checkout's ``src/`` (or from ``--src DIR``) and reading
+its config from this checkout's ``configs/`` (or from ``--configs DIR``).
+Every shipped config is a scenario. Learning scenarios other than ``smoke`` are cut
 to 2000 samples; ``fig2_left``, ``fig2_center`` and ``fig2_right`` cover the
 fixed-SNR rosters at both uncertainty levels and at 5 dB; ``fig6_break30`` and
 ``fig8_break50`` break their antennas at the midpoint, ``fig6_break30`` dumps
@@ -16,9 +17,9 @@ mpNet entries, ``fig9_upa`` the planar grid and hemisphere directions. Output is
 one ``<sha256>  <scenario>/<file>`` line per artifact, sorted, so a claim that
 two commits write the same bytes is one ``diff`` of their outputs.
 
-``--against REF`` makes that diff: it extracts the ``src/`` of git revision
-REF with ``git archive``, runs the same scenarios (with this checkout's
-configs) on that package in a child process and on this checkout here, and
+``--against REF`` makes that diff: it extracts the ``src/`` and ``configs/``
+of git revision REF with ``git archive``, runs the same scenarios on that
+package with those configs in a child process and on this checkout here, and
 prints a unified diff of the two outputs. It exits 1 on any difference and
 otherwise reports how many lines are identical. When REF's artifacts cannot
 be made (git does not know REF, or REF's package fails a scenario), it prints
@@ -46,8 +47,8 @@ CUT = 2000
 SCENARIOS = ("smoke", "fig2_left", "fig2_center", "fig2_right", "fig5_varying_snr", "fig6_break30", "fig7_aging", "fig8_break50", "fig9_upa", "fig1_snr_loss")
 
 
-def _shipped(name: str, seed: int) -> dict:
-    data = yaml.safe_load((ROOT / "configs" / f"{name}.yaml").read_text(encoding="utf-8"))
+def _shipped(name: str, seed: int, configs: Path) -> dict:
+    data = yaml.safe_load((configs / f"{name}.yaml").read_text(encoding="utf-8"))
     data["seed"] = seed
     if name not in ("smoke", "fig1_snr_loss"):
         data["total_samples"] = CUT
@@ -60,12 +61,12 @@ def _shipped(name: str, seed: int) -> dict:
     return data
 
 
-def run_scenario(name: str, seed: int, out: Path) -> None:
-    """Write the artifacts of scenario ``name`` under ``out/<name>``."""
+def run_scenario(name: str, seed: int, out: Path, configs: Path) -> None:
+    """Write the artifacts of scenario ``name``, read from ``configs``, under ``out/<name>``."""
     from mpnetlab.config import config_from_mapping
     from mpnetlab.experiments import run_learning_experiment, snr_loss_experiment
 
-    data = _shipped(name, seed)
+    data = _shipped(name, seed, configs)
     if name == "fig1_snr_loss":
         snr_loss_experiment(config_from_mapping(data), out / name)
     elif name == "fig6_break30":
@@ -78,13 +79,13 @@ def run_scenario(name: str, seed: int, out: Path) -> None:
         run_learning_experiment(config_from_mapping(data), out / name)
 
 
-def digest_lines(names, seed: int) -> list[str]:
+def digest_lines(names, seed: int, configs: Path) -> list[str]:
     """The sorted ``<sha256>  <scenario>/<file>`` lines of the scenarios ``names``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for name in names:
             (out / name).mkdir(parents=True)
-            run_scenario(name, seed, out)
+            run_scenario(name, seed, out, configs)
         return [
             f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}"
             for path in sorted(p for p in out.rglob("*") if p.is_file())
@@ -92,12 +93,12 @@ def digest_lines(names, seed: int) -> list[str]:
 
 
 def digest_lines_at(ref: str, names, seed: int) -> list[str]:
-    """:func:`digest_lines` of the package at git revision ``ref``, run in a child process."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"], check=True, capture_output=True).stdout
+    """:func:`digest_lines` of the package and configs at git revision ``ref``, run in a child process."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src", "configs"], check=True, capture_output=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp)
-        command = [sys.executable, __file__, "--src", str(Path(tmp) / "src"), "--seed", str(seed)]
+        command = [sys.executable, __file__, "--src", str(Path(tmp) / "src"), "--configs", str(Path(tmp) / "configs"), "--seed", str(seed)]
         for name in names:
             command += ["--scenario", name]
         return subprocess.run(command, check=True, capture_output=True, text=True).stdout.splitlines()
@@ -108,12 +109,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=20260811)
     parser.add_argument("--scenario", action="append", choices=SCENARIOS, help="run only these (repeatable)")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="import the package from this directory")
+    parser.add_argument("--configs", type=Path, default=ROOT / "configs", help="read the scenarios' configs from this directory")
     parser.add_argument("--against", metavar="REF", help="diff against the artifacts of git revision REF")
     args = parser.parse_args(argv)
     names = args.scenario or SCENARIOS
     sys.path.insert(0, str(args.src.resolve()))
     if args.against is None:
-        for line in digest_lines(names, args.seed):
+        for line in digest_lines(names, args.seed, args.configs):
             print(line)
         return 0
     try:
@@ -123,7 +125,7 @@ def main(argv=None) -> int:
         sys.stderr.write(stderr)
         print(f"cannot make the artifacts of {args.against}: {shlex.join(exc.cmd)} exited {exc.returncode}", file=sys.stderr)
         return 2
-    ours = digest_lines(names, args.seed)
+    ours = digest_lines(names, args.seed, args.configs)
     diff = list(difflib.unified_diff(theirs, ours, args.against, "this checkout", lineterm=""))
     for line in diff:
         print(line)
